@@ -38,7 +38,6 @@ from .scalars import format_scalar
 from .structure import (
     accompanying_image,
     character_search,
-    count_subalgebras_from_invariants,
     image_ideal_span,
     left_zero_divisor_witness,
     right_zero_divisor_witness,
@@ -240,12 +239,13 @@ def _run_zerodiv(args, report):
 def _run_subalg(args, report):
     op = _load_op(args, report)
     invariant = enumerate_invariant_subsets(op)
+    nonempty = sum(1 for J in invariant if J)
     ideal = image_ideal_span(op)
     results = {
         "m": op.m,
         "image": sorted(image(op)),
-        "nonempty_invariant_count": count_subalgebras_from_invariants(op),
-        "subalgebra_count_lower_bound": count_subalgebras_from_invariants(op),
+        "nonempty_invariant_count": nonempty,
+        "subalgebra_count_lower_bound": nonempty,
         "image_ideal_triples": [list(t) for t in ideal.sorted_triples()],
     }
     if args.list_invariant_sets:

@@ -104,17 +104,7 @@ def accompanying_image(x: CubicMatrix) -> AccompanyingElement:
     operation's multiplication, and its coefficient matrix coincides with the
     accompanying matrix of x.
     """
-    m = x.m
-    rows = []
-    for i in range(1, m + 1):
-        row = []
-        for j in range(1, m + 1):
-            total = 0
-            for n in range(1, m + 1):
-                total = total + x.entry(i, n, j)
-            row.append(total)
-        rows.append(row)
-    return AccompanyingElement(rows)
+    return AccompanyingElement(x.accompanying_matrix().rows)
 
 
 def permute_indices(pi: Permutation, x: CubicMatrix) -> CubicMatrix:
@@ -136,20 +126,21 @@ def verify_isomorphism(a: Operation, b: Operation, pi: Permutation) -> bool:
     """Check that relabeling by pi carries the product of a onto the product of b.
 
     True iff f(X *_a Y) = f(X) *_b f(Y) for all basis pairs, where f is the
-    basis relabeling along pi.  When pi carries a onto b (act(pi, a) = b)
-    this must hold.
+    basis relabeling E(s) -> E(pi(s)); this must hold when act(pi, a) = b.
+    Pairs are compared as index triples under ``_basis_product_triple``.
+    E(s) E(t) vanishes unless s3 = t1, and pi(s3) = pi(t1) exactly when
+    s3 = t1 because pi is a bijection, so pairs with s3 != t1 vanish on both
+    sides and are skipped.
     """
     m = a.m
     if b.m != m or pi.m != m:
         raise ValueError("size mismatch")
-    units = [
-        CubicMatrix.basis(m, i, j, k)
-        for i, j, k in itertools.product(range(1, m + 1), repeat=3)
-    ]
-    mapped = [permute_indices(pi, e) for e in units]
-    for s, e1 in enumerate(units):
-        for t, e2 in enumerate(units):
-            if permute_indices(pi, e1.mul(e2, a)) != mapped[s].mul(mapped[t], b):
+    idx = range(1, m + 1)
+    for s in itertools.product(idx, repeat=3):
+        ps = tuple(map(pi, s))
+        for n, r in itertools.product(idx, repeat=2):
+            prod = _basis_product_triple(a, s, (s[2], n, r))
+            if _basis_product_triple(b, ps, (ps[2], pi(n), pi(r))) != tuple(map(pi, prod)):
                 return False
     return True
 
@@ -252,35 +243,48 @@ def character_search(a: Operation) -> list[LinearForm]:
 def _solve_zero_product(
     fixed: CubicMatrix, op: Operation, side: str
 ) -> CubicMatrix | None:
-    """A nonzero X with fixed * X = 0 (side="left") or X * fixed = 0 (side="right")."""
+    """A nonzero X with fixed * X = 0 (side="left") or X * fixed = 0 (side="right").
+
+    The outer index of X away from fixed passes through the product, so on
+    flat coordinates X -> fixed * X is M (x) I_m and X -> X * fixed is
+    I_m (x) N.  The m^2 x m^2 block M (N) is the slice r = 1 (i = 1) of the
+    products with E(k, n, 1) (with E(1, l, k)).  As rref(M (x) I) =
+    rref(M) (x) I, its first kernel vector, placed on that same slice, is
+    exactly the first kernel vector of the whole m^3 x m^3 map.
+    """
     m = fixed.m
     if op.m != m:
         raise ValueError("size mismatch")
-    dim = m * m * m
+    mm = m * m
+    block = slice(None, None, m) if side == "left" else slice(mm)
     columns = []
-    for flat in range(dim):
-        i0, rem = divmod(flat, m * m)
-        j0, k0 = divmod(rem, m)
-        e = CubicMatrix.basis(m, i0 + 1, j0 + 1, k0 + 1)
-        prod = fixed.mul(e, op) if side == "left" else e.mul(fixed, op)
-        columns.append(prod.entries)
-    rows = [[columns[c][r] for c in range(dim)] for r in range(dim)]
-    for vec in kernel_basis(rows):
-        return CubicMatrix(m, vec)
+    for p, q in itertools.product(range(1, m + 1), repeat=2):
+        if side == "left":
+            columns.append(fixed.mul(CubicMatrix.basis(m, p, q, 1), op).entries[block])
+        else:
+            columns.append(CubicMatrix.basis(m, 1, p, q).mul(fixed, op).entries[block])
+    for vec in kernel_basis([list(row) for row in zip(*columns)]):
+        entries = [0] * (mm * m)
+        entries[block] = vec
+        return CubicMatrix(m, entries)
     return None
 
 
 def left_zero_divisor_witness(a_mat: CubicMatrix, op: Operation) -> CubicMatrix | None:
     """A nonzero X with a_mat * X = 0, if one exists.
 
-    The map X -> a_mat * X is linear, so the witness is an exact kernel
-    vector of its m^3 x m^3 matrix.
+    X -> a_mat * X leaves the last index of X alone, so the witness is an
+    exact kernel vector of its m^2 x m^2 block, supported on E(k, n, 1).
     """
     return _solve_zero_product(a_mat, op, "left")
 
 
 def right_zero_divisor_witness(a_mat: CubicMatrix, op: Operation) -> CubicMatrix | None:
-    """A nonzero X with X * a_mat = 0, if one exists."""
+    """A nonzero X with X * a_mat = 0, if one exists.
+
+    X -> X * a_mat leaves the first index of X alone, so the witness is an
+    exact kernel vector of its m^2 x m^2 block, supported on E(1, l, k).
+    """
     return _solve_zero_product(a_mat, op, "right")
 
 
@@ -366,30 +370,28 @@ def is_subalgebra(span: SpannedSubspace, op: Operation) -> bool:
     return True
 
 
-def is_left_ideal(span: SpannedSubspace, op: Operation) -> bool:
-    """True iff multiplying any basis matrix onto the span from the left stays inside."""
+def _absorbs(span: SpannedSubspace, op: Operation, side: str) -> bool:
+    """True iff every basis matrix times a span member (side="left") or a
+    span member times every basis matrix (side="right") stays in the span."""
     if span.m != op.m:
         raise ValueError("size mismatch")
-    everything = itertools.product(range(1, op.m + 1), repeat=3)
-    for t in everything:
+    for t in itertools.product(range(1, op.m + 1), repeat=3):
         for s in span.triples:
-            prod = _basis_product_triple(op, t, s)
+            pair = (t, s) if side == "left" else (s, t)
+            prod = _basis_product_triple(op, *pair)
             if prod is not None and prod not in span.triples:
                 return False
     return True
+
+
+def is_left_ideal(span: SpannedSubspace, op: Operation) -> bool:
+    """True iff multiplying any basis matrix onto the span from the left stays inside."""
+    return _absorbs(span, op, "left")
 
 
 def is_right_ideal(span: SpannedSubspace, op: Operation) -> bool:
     """True iff multiplying any basis matrix onto the span from the right stays inside."""
-    if span.m != op.m:
-        raise ValueError("size mismatch")
-    everything = itertools.product(range(1, op.m + 1), repeat=3)
-    for t in everything:
-        for s in span.triples:
-            prod = _basis_product_triple(op, s, t)
-            if prod is not None and prod not in span.triples:
-                return False
-    return True
+    return _absorbs(span, op, "right")
 
 
 def is_ideal(span: SpannedSubspace, op: Operation) -> bool:

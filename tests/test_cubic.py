@@ -120,13 +120,23 @@ class TestProduct:
                     expected = units[(i, op(j, n), r)] if k == l else zero
                     assert got == expected
 
-    def test_associativity_sampled_basis_triples_m3(self, census3):
+    def test_associativity_all_basis_triples_m3(self, census3):
         units = [E(3, *t) for t in itertools.product((1, 2, 3), repeat=3)]
-        rng = random.Random(99)
+        position = {u: n for n, u in enumerate(units)}
+        zero = CubicMatrix.zero(3)
         for op in census3:
-            for _ in range(10_000):
-                x, y, z = (units[rng.randrange(27)] for _ in range(3))
-                assert x.mul(y, op).mul(z, op) == x.mul(y.mul(z, op), op)
+            # every product of two units is a unit or zero (None), so the 27 x 27
+            # table of products decides all 27^3 triples
+            table = []
+            for x in units:
+                row = [x.mul(y, op) for y in units]
+                assert all(p == zero or p in position for p in row)
+                table.append([position.get(p) for p in row])
+            for x, y, z in itertools.product(range(27), repeat=3):
+                xy, yz = table[x][y], table[y][z]
+                left = None if xy is None else table[xy][z]
+                right = None if yz is None else table[x][yz]
+                assert left == right
 
     def test_size_mismatch_rejected(self, right_proj2):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from cubal.cubic import CubicMatrix
-from cubal.linalg import rank
+from cubal.linalg import kernel_basis, rank
 from cubal.operations import (
     Operation,
     Permutation,
@@ -25,6 +25,7 @@ from cubal.structure import (
     AccompanyingElement,
     LinearForm,
     SpannedSubspace,
+    _basis_product_triple,
     accompanying_image,
     character_search,
     count_subalgebras_from_invariants,
@@ -230,6 +231,26 @@ class TestVerifyIsomorphism:
             assert verify_isomorphism(a, b, pi)
 
 
+    def test_false_exactly_when_pi_does_not_carry_a_onto_b(self, census3):
+        for n, a in enumerate(census3):
+            candidates = orbit(a) | {census3[(n + 1) % len(census3)]}
+            for pi in all_permutations(3):
+                for b in candidates:
+                    assert verify_isomorphism(a, b, pi) == (act(pi, a) == b)
+
+
+class TestTripleRule:
+    def test_agrees_with_the_dense_product_on_every_basis_pair(self, census2, census3):
+        for op in [Operation([[1]])] + census2 + census3:
+            m = op.m
+            triples = list(itertools.product(range(1, m + 1), repeat=3))
+            for s in triples:
+                for t in triples:
+                    prod = _basis_product_triple(op, s, t)
+                    expected = CubicMatrix.zero(m) if prod is None else E(m, *prod)
+                    assert E(m, *s).mul(E(m, *t), op) == expected
+
+
 class TestCharacters:
     def test_m1_unit_form_is_a_character(self):
         one = Operation([[1]])
@@ -320,6 +341,67 @@ class TestZeroDivisors:
                     a = CubicMatrix(m, entries)
                 singular = a.accompanying_matrix().det() == 0
                 assert (left_zero_divisor_witness(a, op) is not None) == singular
+
+
+def full_zero_divisor_witness(a, op, side):
+    """The first kernel vector of the whole m^3 x m^3 map X -> aX (side="left")
+    or X -> Xa (side="right"), built column by column from basis products."""
+    m = a.m
+    units = [E(m, *t) for t in itertools.product(range(1, m + 1), repeat=3)]
+    columns = [(a.mul(e, op) if side == "left" else e.mul(a, op)).entries for e in units]
+    kernel = kernel_basis([list(row) for row in zip(*columns)])
+    return CubicMatrix(m, kernel[0]) if kernel else None
+
+
+def support(x):
+    m = x.m
+    return [t for t in itertools.product(range(1, m + 1), repeat=3) if x.entry(*t) != 0]
+
+
+class TestBlockZeroDivisorSolve:
+    """The m^2 x m^2 block solve returns the very witness of the full solve."""
+
+    SOLVERS = {"left": left_zero_divisor_witness, "right": right_zero_divisor_witness}
+
+    @staticmethod
+    def elements(m, rng):
+        """A generic element, and one whose accompanying matrix is singular."""
+        entries = list(random_cubic(m, rng, span=3).entries)
+        entries[(m - 1) * m * m :] = entries[: m * m]
+        return random_cubic(m, rng, span=3), CubicMatrix(m, entries)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_every_m3_table(self, side, census3):
+        rng = random.Random(50)
+        found = 0
+        for op in census3:
+            for a in self.elements(3, rng):
+                w = self.SOLVERS[side](a, op)
+                assert w == full_zero_divisor_witness(a, op, side)
+                found += w is not None
+        assert 0 < found < 2 * len(census3)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_seeded_m4_sample(self, side, census4):
+        rng = random.Random(51)
+        sample = [right_symmetric(4), left_symmetric(4)] + rng.sample(census4, 8)
+        for op in sample:
+            for a in self.elements(4, rng):
+                assert self.SOLVERS[side](a, op) == full_zero_divisor_witness(a, op, side)
+
+    def test_witness_lies_on_one_outer_slice(self, census3):
+        """Left witnesses are supported on E(k, n, 1), right ones on E(1, l, k)."""
+        rng = random.Random(52)
+        found = 0
+        for op in census3[::7]:
+            a = self.elements(3, rng)[1]
+            left, right = left_zero_divisor_witness(a, op), right_zero_divisor_witness(a, op)
+            if left is not None:
+                assert all(k == 1 for _, _, k in support(left))
+            if right is not None:
+                assert all(i == 1 for i, _, _ in support(right))
+            found += (left is not None) + (right is not None)
+        assert found > 0
 
 
 class TestSpans:

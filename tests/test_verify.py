@@ -1,7 +1,15 @@
 """The batch check battery used by the verify command."""
 
+from cubal import verify
+from cubal.cubic import CubicMatrix
 from cubal.operations import Operation
-from cubal.verify import verify_census, verify_operation
+from cubal.verify import (
+    check_accompanying,
+    check_isomorphisms,
+    check_zero_divisors,
+    verify_census,
+    verify_operation,
+)
 
 from conftest import CYCLE3
 
@@ -41,3 +49,40 @@ def test_m2_battery_every_check_green(census2):
 
 def test_reports_are_deterministic(census2):
     assert verify_census(2, operations=census2) == verify_census(2, operations=census2)
+
+
+def test_zero_divisor_check_fails_on_a_non_annihilating_witness(monkeypatch):
+    op = Operation(CYCLE3)
+    assert check_zero_divisors(op)
+    monkeypatch.setattr(
+        verify, "left_zero_divisor_witness", lambda a, op: CubicMatrix.basis(op.m, 1, 1, 1)
+    )
+    assert not check_zero_divisors(op)
+
+
+def test_accompanying_check_fails_on_a_wrong_dense_product(monkeypatch):
+    op = Operation(CYCLE3)
+    assert check_accompanying(op)
+    mul = CubicMatrix.mul
+    monkeypatch.setattr(
+        CubicMatrix, "mul", lambda x, y, op: mul(x, y, op) + CubicMatrix.basis(x.m, 1, 1, 1)
+    )
+    assert not check_accompanying(op)
+
+
+def test_accompanying_check_fails_on_a_wrong_triple_rule(monkeypatch):
+    op = Operation(CYCLE3)
+    monkeypatch.setattr(
+        verify,
+        "_basis_product_triple",
+        lambda op, s, t: None if s[2] != t[0] else (t[2], op(s[1], t[1]), s[0]),
+    )
+    assert not check_accompanying(op)
+
+
+def test_isomorphism_check_fails_when_pi_does_not_carry_the_table(monkeypatch):
+    op = Operation(CYCLE3)
+    assert check_isomorphisms(op)
+    act = verify.act
+    monkeypatch.setattr(verify, "act", lambda pi, a: act(pi.inverse(), a))
+    assert not check_isomorphisms(op)
