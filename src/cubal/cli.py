@@ -145,7 +145,7 @@ def _sequence_doc(seq) -> dict:
 def _run_enum(args, report):
     max_m = _env_max_m()
     if args.census:
-        census = orbit_census(args.m, jobs=args.jobs, max_m=min(max_m, 4))
+        census = orbit_census(args.m, jobs=args.jobs, max_m=max_m)
         Path(args.census).write_text(formats.dump_json(formats.census_to_doc(census)))
         report["results"] = {"m": args.m, "total": census.total,
                              "census_file": args.census}
@@ -164,7 +164,7 @@ def _run_enum(args, report):
 
 
 def _run_orbits(args, report):
-    census = orbit_census(args.m, jobs=args.jobs, max_m=min(_env_max_m(), 4))
+    census = orbit_census(args.m, jobs=args.jobs, max_m=_env_max_m())
     report["results"] = formats.census_to_doc(census)
     return EXIT_OK
 

@@ -6,6 +6,16 @@ associativity triple whose four products are already determined is checked,
 which prunes dead branches as early as possible; a full m^(m^2) scan is
 hopeless beyond m = 3.
 
+The orbit census runs the same search with a lex-leader filter.  A node
+carries the non-identity relabelings pi whose image act(pi, t) still equals
+t on every cell compared so far.  Once a cell is set, each of them is
+compared with t on the cells now decided on both sides: one that reads
+smaller proves no completion is the minimum of its orbit and prunes the
+node, one that reads larger can never catch up and is dropped.  So the
+leaves are exactly the lexicographic minima of the orbits, in ascending
+order, and the relabelings still carried at a leaf are its nontrivial
+automorphisms; the orbit then has m!/|Aut| members.
+
 The search tree can be partitioned along the assignments of the first-row
 cells, which gives embarrassingly parallel subtrees; partial results are
 concatenated in prefix order so the output never depends on the worker
@@ -14,15 +24,17 @@ count.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 import multiprocessing
 from dataclasses import dataclass
 
 from .errors import CapacityError
-from .operations import Operation, act, all_permutations, orbit
+from .operations import Operation, orbit
 
 HARD_MAX_M = 6
 DEFAULT_MAX_M = 5
-DEFAULT_ORBIT_MAX_M = 4
 
 
 def _check_budget(m: int, max_m: int, what: str) -> None:
@@ -141,41 +153,85 @@ def _consistent(t: list[int], m: int, pos: int, v: int, val_cells, forced, trail
     return True
 
 
-def _search(m: int, t: list[int], val_cells, forced, pos: int, stop: int):
-    """Yield every consistent completion of t up to cell ``stop`` as a tuple."""
+def _lex_filter(t: list[int], pos: int, rels):
+    """The relabelings of ``rels`` still equal to t once cell ``pos`` is set.
+
+    Each entry is (src, img, k): act(pi, t)[c] = img[t[src[c]]], and the two
+    tables are known to agree on cells 0 .. k-1.  Comparison goes on while
+    both sides of cell k are decided.  None means some relabeling reads
+    smaller, so t cannot be the minimum of its orbit.
+    """
+    live = []
+    for rel in rels:
+        src, img, k = rel
+        while k <= pos and src[k] <= pos:
+            d = img[t[src[k]]] - t[k]
+            if d:
+                if d < 0:
+                    return None
+                break
+            k += 1
+        else:
+            live.append(rel if k == rel[2] else (src, img, k))
+    return live
+
+
+def _search(m: int, t: list[int], val_cells, forced, pos: int, stop: int, rels=()):
+    """Yield (cells, live) for every consistent completion of t up to ``stop``.
+
+    ``rels`` are the lex-leader relabelings carried into this node (see
+    ``_lex_filter``); with none, every completion is yielded.
+    """
     if pos == stop:
-        yield tuple(t[:stop])
+        yield tuple(t[:stop]), rels
         return
     f = forced[pos]
+    live = rels
     for v in range(m) if f < 0 else (f,):
         t[pos] = v
         trail: list[int] = []
-        if _consistent(t, m, pos, v, val_cells, forced, trail):
+        if _consistent(t, m, pos, v, val_cells, forced, trail) and (
+            not rels or (live := _lex_filter(t, pos, rels)) is not None
+        ):
             val_cells[v].append(pos)
-            yield from _search(m, t, val_cells, forced, pos + 1, stop)
+            yield from _search(m, t, val_cells, forced, pos + 1, stop, live)
             val_cells[v].pop()
         for c in trail:
             forced[c] = -1
     t[pos] = -1
 
 
+@functools.lru_cache(maxsize=None)
+def _relabelings(m: int) -> tuple:
+    """(src, img, 0) for every non-identity relabeling of {0, .., m-1}."""
+    rels = []
+    for img in itertools.islice(itertools.permutations(range(m)), 1, None):  # not the identity
+        inv = sorted(range(m), key=img.__getitem__)
+        rels.append((tuple(inv[a] * m + inv[b] for a in range(m) for b in range(m)), img, 0))
+    return tuple(rels)
+
+
 def _fresh_state(m: int):
     return [-1] * (m * m), [[] for _ in range(m)], [-1] * (m * m)
 
 
-def _resume_state(m: int, prefix: tuple[int, ...]):
-    """Rebuild the search state after the given (known consistent) prefix.
+def _resume_state(m: int, prefix: tuple[int, ...], rels=()):
+    """Rebuild the search state after the given prefix, which the search produced.
 
     Assignments are replayed through the consistency pass so the forced-value
-    bookkeeping matches what a direct search would hold at this point.
+    bookkeeping matches what a direct search would hold at this point, and
+    through the lex-leader filter so ``rels`` becomes the node's live list.
     """
     t, val_cells, forced = _fresh_state(m)
     for pos, v in enumerate(prefix):
         t[pos] = v
         ok = _consistent(t, m, pos, v, val_cells, forced, [])
+        if rels:
+            rels = _lex_filter(t, pos, rels)
+            ok = ok and rels is not None
         assert ok, "prefix from the search must replay cleanly"
         val_cells[v].append(pos)
-    return t, val_cells, forced
+    return t, val_cells, forced, rels
 
 
 def _to_operation(m: int, flat: tuple[int, ...]) -> Operation:
@@ -183,27 +239,32 @@ def _to_operation(m: int, flat: tuple[int, ...]) -> Operation:
     return Operation(rows, unchecked=True)
 
 
-def _prefixes(m: int, depth: int) -> list[tuple[int, ...]]:
-    t, val_cells, forced = _fresh_state(m)
-    return list(_search(m, t, val_cells, forced, 0, depth))
+def _completions(m: int, prefix: tuple[int, ...], rels=()):
+    t, val_cells, forced, live = _resume_state(m, prefix, rels)
+    return _search(m, t, val_cells, forced, len(prefix), m * m, live)
 
 
 def _count_completions(args) -> int:
     m, prefix = args
-    t, val_cells, forced = _resume_state(m, prefix)
-    return sum(1 for _ in _search(m, t, val_cells, forced, len(prefix), m * m))
+    return sum(1 for _ in _completions(m, prefix))
 
 
 def _collect_completions(args) -> list[tuple[int, ...]]:
     m, prefix = args
-    t, val_cells, forced = _resume_state(m, prefix)
-    return list(_search(m, t, val_cells, forced, len(prefix), m * m))
+    return [flat for flat, _ in _completions(m, prefix)]
 
 
-def _map_over_prefixes(m: int, worker, jobs: int):
+def _lex_leaders(args) -> list[tuple[tuple[int, ...], int]]:
+    """Orbit minima below the prefix, each with its automorphism count."""
+    m, prefix = args
+    return [(flat, 1 + len(live)) for flat, live in _completions(m, prefix, _relabelings(m))]
+
+
+def _map_over_prefixes(m: int, worker, jobs: int, rels=()):
     """Apply ``worker`` to every first-row search prefix, in prefix order."""
     depth = m if m > 1 else 0
-    tasks = [(m, p) for p in _prefixes(m, depth)]
+    t, val_cells, forced = _fresh_state(m)
+    tasks = [(m, p) for p, _ in _search(m, t, val_cells, forced, 0, depth, rels)]
     if jobs > 1 and len(tasks) > 1:
         ctx = multiprocessing.get_context()
         with ctx.Pool(processes=jobs) as pool:
@@ -217,7 +278,7 @@ def enumerate_operations(m: int, *, max_m: int = DEFAULT_MAX_M):
     """Yield every associative operation on {1, .., m} once, in lexicographic order."""
     _check_budget(m, max_m, "enumeration")
     t, val_cells, forced = _fresh_state(m)
-    for flat in _search(m, t, val_cells, forced, 0, m * m):
+    for flat, _ in _search(m, t, val_cells, forced, 0, m * m):
         yield _to_operation(m, flat)
 
 
@@ -257,24 +318,20 @@ class CensusResult:
         return [size for _, size in self.representatives]
 
 
-def orbit_census(
-    m: int, *, jobs: int = 1, max_m: int = DEFAULT_ORBIT_MAX_M
-) -> CensusResult:
-    """Enumerate the census and partition it into relabeling orbits.
+def orbit_census(m: int, *, jobs: int = 1, max_m: int = DEFAULT_MAX_M) -> CensusResult:
+    """Partition the census into relabeling orbits without listing it.
 
-    Representatives are the lexicographic minima of their orbits and are
-    reported in lexicographic order.
+    One lex-leader search (see the module docstring) yields each orbit's
+    lexicographic minimum with its automorphism group Aut; the orbit has
+    m!/|Aut| members, and the labelled total is the sum of the orbit sizes.
+    Representatives are reported in lexicographic order.
     """
     _check_budget(m, max_m, "orbit classification")
-    ops = collect_operations(m, jobs=jobs, max_m=max_m)
-    perms = list(all_permutations(m))
-    assigned: set[Operation] = set()
-    representatives: list[tuple[Operation, int]] = []
-    for op in ops:
-        if op in assigned:
-            continue
-        members = frozenset(act(pi, op) for pi in perms)
-        # ops arrive in lexicographic order, so the first member seen is minimal
-        representatives.append((op, len(members)))
-        assigned.update(members)
-    return CensusResult(m=m, total=len(ops), representatives=tuple(representatives))
+    group_order = math.factorial(m)
+    representatives = tuple(
+        (_to_operation(m, flat), group_order // automorphisms)
+        for chunk in _map_over_prefixes(m, _lex_leaders, jobs, _relabelings(m))
+        for flat, automorphisms in chunk
+    )
+    total = sum(size for _, size in representatives)
+    return CensusResult(m=m, total=total, representatives=representatives)

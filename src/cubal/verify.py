@@ -23,6 +23,7 @@ from .operations import (
     enumerate_invariant_subsets,
     power_sequence,
 )
+from .scalars import format_scalar
 from .structure import (
     AccompanyingElement,
     _basis_product_triple,
@@ -150,11 +151,19 @@ def check_subalgebras(op: Operation) -> bool:
 
 
 def check_commutativity(op: Operation) -> tuple[bool, dict]:
-    """The algebra is commutative exactly when m = 1; report a basis witness."""
+    """The algebra is commutative exactly when m = 1; report the pair tried.
+
+    At m = 1 the algebra is the field itself: E·E = E, and two dense
+    elements seeded from the table commute.  For m >= 2 the basis pair
+    E(1,1,1), E(1,1,2) does not commute.
+    """
     m = op.m
     if m == 1:
         e = CubicMatrix.basis(1, 1, 1, 1)
-        return e.mul(e, op) == e.mul(e, op), {}
+        rng = random.Random(f"{RNG_SEED}:{op.flat()}")
+        x, y = random_cubic(1, rng), random_cubic(1, rng)
+        ok = e.mul(e, op) == e and x.mul(y, op) == y.mul(x, op)
+        return ok, {"pair": [[format_scalar(v) for v in z.entries] for z in (x, y)]}
     left = CubicMatrix.basis(m, 1, 1, 1)
     right = CubicMatrix.basis(m, 1, 1, 2)
     ok = left.mul(right, op) != right.mul(left, op)

@@ -65,6 +65,20 @@ class TestEnum:
         assert stored["total"] == 8
         assert stored["orbit_count"] == 5
 
+    def test_orbits_m5_within_the_default_budget(self, capsys):
+        code, doc = run_cli(capsys, "orbits", "--m", "5")
+        assert code == 0
+        assert doc["results"]["orbit_count"] == 1915
+        assert doc["results"]["total"] == 183732
+
+    def test_orbits_follow_the_enumeration_budget(self, capsys, monkeypatch, tmp_path):
+        assert main(["orbits", "--m", "6"]) == 2
+        monkeypatch.setenv("CUBAL_MAX_M", "4")
+        assert main(["orbits", "--m", "5"]) == 2
+        out = tmp_path / "census.json"
+        assert main(["enum", "--m", "5", "--census", str(out)]) == 2
+        assert not out.exists()
+
     def test_usage_error_is_exit_2(self, capsys):
         assert main(["enum"]) == 2
         assert main(["no-such-command"]) == 2

@@ -1,6 +1,7 @@
 """Census counts, lexicographic streaming, the naive-scan oracle, orbit classification."""
 
 import itertools
+import math
 
 import pytest
 
@@ -13,11 +14,18 @@ from cubal.enumeration import (
     orbit_census,
 )
 from cubal.errors import CapacityError
-from cubal.operations import Operation, are_equivalent, check_associative, orbit
+from cubal.operations import (
+    Operation,
+    act,
+    all_permutations,
+    are_equivalent,
+    check_associative,
+    orbit,
+)
 
 from conftest import M2_TABLES, ORBIT6_TABLES, brute_associative
 
-# Census sizes for m = 1..5, frozen reference values.
+# Census sizes for m = 1..5, frozen reference values (OEIS A023814).
 KNOWN_COUNTS = {1: 1, 2: 8, 3: 113, 4: 3492, 5: 183732}
 
 
@@ -29,6 +37,22 @@ def naive_census(m):
         if brute_associative(rows):
             tables.append(tuple(combo))
     return tables
+
+
+def relabel_classify(m):
+    """Collect the labelled census and apply every relabeling to each new table."""
+    ops = collect_operations(m)
+    perms = list(all_permutations(m))
+    assigned = set()
+    representatives = []
+    for op in ops:
+        if op in assigned:
+            continue
+        members = frozenset(act(pi, op) for pi in perms)
+        # ops arrive in lexicographic order, so the first member seen is minimal
+        representatives.append((op, len(members)))
+        assigned.update(members)
+    return CensusResult(m=m, total=len(ops), representatives=tuple(representatives))
 
 
 class TestCounts:
@@ -162,9 +186,29 @@ class TestOrbitCensus:
         assert fixed_total % group_order == 0
         assert fixed_total // group_order == orbit_census(m).orbit_count
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_equals_the_collect_then_relabel_oracle(self, m, jobs):
+        assert orbit_census(m, jobs=jobs) == relabel_classify(m)
+
+    def test_m5_counts(self):
+        census = orbit_census(5)
+        assert census.orbit_count == 1915  # semigroups of order 5 (OEIS A027851)
+        assert census.total == KNOWN_COUNTS[5]
+        flats = [rep.flat() for rep, _ in census.representatives]
+        assert flats == sorted(set(flats))
+
+    def test_m4_sizes_are_group_order_over_stabilizer(self):
+        perms = list(all_permutations(4))
+        for rep, size in orbit_census(4).representatives:
+            stabilizer = sum(1 for pi in perms if act(pi, rep) == rep)
+            assert size == math.factorial(4) // stabilizer
+
     def test_budget_guard(self):
         with pytest.raises(CapacityError):
-            orbit_census(5)
+            orbit_census(6)  # m = 6 needs max_m=6 (CUBAL_MAX_M=6 on the CLI)
+        with pytest.raises(CapacityError):
+            orbit_census(7, max_m=7)  # hard cap stays at 6
 
 
 class TestCensusResultInvariants:

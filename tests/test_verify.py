@@ -5,6 +5,7 @@ from cubal.cubic import CubicMatrix
 from cubal.operations import Operation
 from cubal.verify import (
     check_accompanying,
+    check_commutativity,
     check_isomorphisms,
     check_zero_divisors,
     verify_census,
@@ -86,3 +87,23 @@ def test_isomorphism_check_fails_when_pi_does_not_carry_the_table(monkeypatch):
     act = verify.act
     monkeypatch.setattr(verify, "act", lambda pi, a: act(pi.inverse(), a))
     assert not check_isomorphisms(op)
+
+
+def test_m1_commutativity_witness_is_the_dense_pair():
+    ok, witness = check_commutativity(Operation([[1]]))
+    assert ok
+    assert [len(entries) for entries in witness["pair"]] == [1, 1]
+
+
+def test_m1_commutativity_fails_on_a_non_commuting_product(monkeypatch):
+    op = Operation([[1]])
+    mul = CubicMatrix.mul
+    monkeypatch.setattr(CubicMatrix, "mul", lambda x, y, op: mul(x, y, op) + x)
+    assert not check_commutativity(op)[0]
+
+
+def test_m1_commutativity_fails_when_the_unit_is_not_idempotent(monkeypatch):
+    op = Operation([[1]])
+    mul = CubicMatrix.mul
+    monkeypatch.setattr(CubicMatrix, "mul", lambda x, y, op: mul(x, y, op).scale(2))
+    assert not check_commutativity(op)[0]
