@@ -40,9 +40,10 @@ for op in collect_operations(2):
     assert lhs == rhs
 print("  image(x y) == image(x) image(y) held for all 8 operations")
 
-print("\nIts coefficient matrix is exactly the accompanying matrix:")
+print("\nIts coefficient matrix (the accompanying matrix) holds the fiber sums:")
 x = random_cubic(3)
-print("  match:", accompanying_image(x).coeffs == x.accompanying_matrix().rows)
+sums = [[sum(x.entry(i, n, j) for n in (1, 2, 3)) for j in (1, 2, 3)] for i in (1, 2, 3)]
+print("  match:", [list(r) for r in accompanying_image(x).coeffs] == sums)
 
 print("\nBalancing fibers produces kernel elements, and the kernel is an ideal:")
 k = E(2, 1, 1, 1) - E(2, 1, 2, 1)

@@ -20,7 +20,6 @@ from pathlib import Path
 from . import formats
 from .enumeration import (
     DEFAULT_MAX_M,
-    canonical_representative,
     collect_operations,
     count_operations,
     orbit_census,
@@ -31,7 +30,6 @@ from .operations import (
     classify_symmetry,
     enumerate_invariant_subsets,
     image,
-    is_symmetric,
     orbit,
 )
 from .scalars import format_scalar
@@ -231,7 +229,7 @@ def _run_zerodiv(args, report):
         "side": args.side,
         "exists": witness is not None,
         "witness": None if witness is None else formats.cubic_to_doc(witness),
-        "accompanying_determinant": format_scalar(a.accompanying_matrix().det()),
+        "accompanying_determinant": format_scalar(accompanying_image(a).det()),
     }
     return EXIT_OK
 
@@ -278,10 +276,10 @@ def _run_classify(args, report):
     members = sorted(orbit(op), key=lambda o: o.flat())
     report["results"] = {
         "m": op.m,
-        "symmetric": is_symmetric(op),
+        "symmetric": len(members) == 1,
         "symmetry": classify_symmetry(op),
         "orbit_size": len(members),
-        "canonical_representative": [list(r) for r in canonical_representative(op).rows],
+        "canonical_representative": [list(r) for r in members[0].rows],
         "image": sorted(image(op)),
         "power_sequences": {
             str(i): _sequence_doc(classify_power_sequence(i, op))

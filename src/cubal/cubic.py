@@ -8,11 +8,12 @@ product attached to an associative operation a multiplies basis elements by
 
 and extends bilinearly: entry (i, j, r) of a product is the sum of
 A[i, l, k] * B[k, n, r] over all k and all pairs (l, n) with a(l, n) = j.
+The map onto the m x m accompanying algebra, which sums each middle-index
+fiber, is ``structure.accompanying_image``.
 """
 
 from __future__ import annotations
 
-from . import linalg
 from .errors import FormatError
 from .operations import Operation
 
@@ -135,20 +136,6 @@ class CubicMatrix:
             result = result.mul(result, op)
         return result
 
-    def accompanying_matrix(self) -> "SquareMatrix":
-        """The m x m matrix whose (i, k) entry sums the middle-index fiber."""
-        m = self.m
-        rows = []
-        for i in range(m):
-            row = []
-            for k in range(m):
-                total = 0
-                for j in range(m):
-                    total = total + self.entries[(i * m + j) * m + k]
-                row.append(total)
-            rows.append(row)
-        return SquareMatrix(rows)
-
     def __eq__(self, other):
         return (
             isinstance(other, CubicMatrix)
@@ -165,79 +152,3 @@ class CubicMatrix:
             for idx, val in self.nonzero_items()
         )
         return f"CubicMatrix(m={self.m}, {{{nz or '0'}}})"
-
-
-class SquareMatrix:
-    """An immutable m x m matrix of exact scalars."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        rows = tuple(tuple(r) for r in rows)
-        m = len(rows)
-        if any(len(r) != m for r in rows):
-            raise FormatError("square matrix rows must all have length m")
-        self.rows = rows
-
-    @classmethod
-    def zero(cls, m: int) -> "SquareMatrix":
-        return cls(((0,) * m,) * m)
-
-    @classmethod
-    def identity(cls, m: int) -> "SquareMatrix":
-        return cls(tuple(tuple(1 if i == k else 0 for k in range(m)) for i in range(m)))
-
-    @property
-    def m(self) -> int:
-        return len(self.rows)
-
-    def entry(self, i: int, k: int):
-        return self.rows[i - 1][k - 1]
-
-    def det(self):
-        return linalg.det([list(r) for r in self.rows])
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.rows for x in row)
-
-    def __matmul__(self, other: "SquareMatrix") -> "SquareMatrix":
-        if self.m != other.m:
-            raise ValueError("dimension mismatch")
-        m = self.m
-        return SquareMatrix(
-            tuple(
-                tuple(
-                    sum(self.rows[i][j] * other.rows[j][k] for j in range(m))
-                    for k in range(m)
-                )
-                for i in range(m)
-            )
-        )
-
-    def __add__(self, other):
-        if self.m != other.m:
-            raise ValueError("dimension mismatch")
-        return SquareMatrix(
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows))
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, SquareMatrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return f"SquareMatrix({[list(r) for r in self.rows]})"
-
-
-def mul(a: CubicMatrix, b: CubicMatrix, op: Operation) -> CubicMatrix:
-    return a.mul(b, op)
-
-
-def plenary_power(a: CubicMatrix, n: int, op: Operation) -> CubicMatrix:
-    return a.plenary_power(n, op)
-
-
-def accompanying_matrix(a: CubicMatrix) -> SquareMatrix:
-    return a.accompanying_matrix()

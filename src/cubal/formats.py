@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .cubic import CubicMatrix, SquareMatrix
+from .cubic import CubicMatrix
 from .enumeration import CensusResult
 from .errors import FormatError
 from .operations import Operation, orbit
@@ -101,10 +101,6 @@ def load_cubic(path) -> CubicMatrix:
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad JSON in {path}: {exc}") from None
     return cubic_from_doc(doc)
-
-
-def square_to_doc(b: SquareMatrix) -> list:
-    return [[format_scalar(v) for v in row] for row in b.rows]
 
 
 def census_to_doc(census: CensusResult) -> dict:

@@ -120,12 +120,6 @@ class Permutation:
     def identity(cls, m: int) -> "Permutation":
         return cls(range(1, m + 1))
 
-    @classmethod
-    def transposition(cls, m: int, i: int, j: int) -> "Permutation":
-        images = list(range(1, m + 1))
-        images[i - 1], images[j - 1] = j, i
-        return cls(images)
-
     @property
     def m(self) -> int:
         return len(self.images)
@@ -144,9 +138,6 @@ class Permutation:
         if self.m != other.m:
             raise ValueError("permutation size mismatch")
         return Permutation(self.images[v - 1] for v in other.images)
-
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.images, start=1))
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
@@ -295,13 +286,21 @@ def classify_power_sequence(i: int, a: Operation) -> PowerSequence:
     eventually periodic (a cycle of length > 1 entered away from i)."""
     if not 1 <= i <= a.m:
         raise FormatError(f"start index {i} outside 1..{a.m}")
-    seen: dict[int, int] = {}
-    seq: list[int] = []
-    x = i
+    return _classify_squaring(i, lambda x: a(x, x))
+
+
+def _classify_squaring(x, square) -> PowerSequence:
+    """Tag, entry step, period and cycle of the orbit x, square(x), ...
+
+    Shared by index squaring and plenary squaring of cubic matrices; the
+    values only need to be hashable.
+    """
+    seen: dict = {}
+    seq: list = []
     while x not in seen:
         seen[x] = len(seq)
         seq.append(x)
-        x = a(x, x)
+        x = square(x)
     entry = seen[x]
     cycle = frozenset(seq[entry:])
     period = len(seq) - entry

@@ -1,9 +1,11 @@
 """Structural maps of cubic-matrix algebras.
 
 Covers the basis-relabeling isomorphisms between equivalent operations, the
-multiplicative-linear-form (character) decision procedure, the surjection
-onto the m^2-dimensional matrix-unit algebra, exact zero-divisor solvers,
-and the subalgebras and ideals spanned by basis matrices.
+multiplicative-linear-form (character) decision procedure, exact
+zero-divisor solvers, and the subalgebras and ideals spanned by basis
+matrices.  It also holds the accompanying algebra: ``AccompanyingElement``
+is the library's one m x m matrix type, and ``accompanying_image``, the
+surjection onto it, is the one place the middle-index fiber sums are taken.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 
 from .cubic import CubicMatrix
 from .errors import FormatError
-from .linalg import kernel_basis
+from .linalg import det, kernel_basis
 from .operations import (
     Operation,
     Permutation,
@@ -39,10 +41,6 @@ class AccompanyingElement:
         if any(len(row) != m for row in coeffs):
             raise FormatError("coefficient matrix must be m x m")
         self.coeffs = coeffs
-
-    @classmethod
-    def zero(cls, m: int) -> "AccompanyingElement":
-        return cls(((0,) * m,) * m)
 
     @classmethod
     def unit(cls, m: int, i: int, j: int) -> "AccompanyingElement":
@@ -83,6 +81,9 @@ class AccompanyingElement:
             )
         )
 
+    def det(self):
+        return det([list(row) for row in self.coeffs])
+
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.coeffs for x in row)
 
@@ -100,11 +101,16 @@ def accompanying_image(x: CubicMatrix) -> AccompanyingElement:
     """The canonical surjection onto the matrix-unit algebra.
 
     Maps E(i, n, j) to u(i, j); on a general matrix the (i, j) coefficient
-    is the middle-index fiber sum.  This is an algebra homomorphism for every
-    operation's multiplication, and its coefficient matrix coincides with the
-    accompanying matrix of x.
+    is the middle-index fiber sum, so the coefficient matrix is the
+    accompanying matrix of x.  This is an algebra homomorphism for every
+    operation's multiplication.
     """
-    return AccompanyingElement(x.accompanying_matrix().rows)
+    m = x.m
+    e = x.entries
+    return AccompanyingElement(
+        [sum(e[(i * m + n) * m + j] for n in range(m)) for j in range(m)]
+        for i in range(m)
+    )
 
 
 def permute_indices(pi: Permutation, x: CubicMatrix) -> CubicMatrix:
@@ -168,11 +174,6 @@ class LinearForm:
     def coeff(self, i: int, j: int, k: int):
         return self.coeffs[((i - 1) * self.m + (j - 1)) * self.m + (k - 1)]
 
-    def evaluate(self, x: CubicMatrix):
-        if x.m != self.m:
-            raise ValueError("size mismatch")
-        return sum(self.coeffs[idx] * val for idx, val in x.nonzero_items())
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
@@ -200,24 +201,20 @@ def is_character(chi: LinearForm, a: Operation) -> bool:
     """True iff chi is nonzero and multiplicative on every basis pair.
 
     Bilinearity of the product and linearity of chi make the basis check
-    sufficient: chi(E(i,j,k)) chi(E(l,n,r)) must equal chi(E(i, a(j,n), r))
-    when k = l and vanish otherwise.
+    sufficient: chi(E(s)) chi(E(t)) must equal chi of the basis product
+    E(s) E(t), which is 0 when the product vanishes.
     """
     if chi.m != a.m:
         raise ValueError("size mismatch")
     if chi.is_zero():
         return False
-    m = a.m
     c = chi.coeff
-    idx = range(1, m + 1)
-    for i, j, k in itertools.product(idx, repeat=3):
-        left = c(i, j, k)
-        for l, n, r in itertools.product(idx, repeat=3):
-            prod = left * c(l, n, r)
-            if k == l:
-                if prod != c(i, a(j, n), r):
-                    return False
-            elif prod != 0:
+    triples = list(itertools.product(range(1, a.m + 1), repeat=3))
+    for s in triples:
+        left = c(*s)
+        for t in triples:
+            prod = _basis_product_triple(a, s, t)
+            if left * c(*t) != (0 if prod is None else c(*prod)):
                 return False
     return True
 

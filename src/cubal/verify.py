@@ -16,6 +16,7 @@ from .enumeration import collect_operations
 from .linalg import rank
 from .operations import (
     Operation,
+    _classify_squaring,
     act,
     all_permutations,
     classify_power_sequence,
@@ -117,7 +118,7 @@ def _fiber_balance(x: CubicMatrix) -> CubicMatrix:
     """A matrix with the same fiber sums as x concentrated at middle index 1."""
     m = x.m
     entries = [0] * (m * m * m)
-    for i, row in enumerate(x.accompanying_matrix().rows):
+    for i, row in enumerate(accompanying_image(x).coeffs):
         entries[i * m * m : i * m * m + m] = row
     return CubicMatrix(m, entries)
 
@@ -187,7 +188,7 @@ def check_zero_divisors(op: Operation, trials: int = 4) -> bool:
                 return False
         if kind in ("right", "both"):
             exists = witness is not None
-            if exists != (a_mat.accompanying_matrix().det() == 0):
+            if exists != (accompanying_image(a_mat).det() == 0):
                 return False
         if kind == "left" and m >= 2 and witness is None:
             return False
@@ -215,30 +216,15 @@ def check_plenary_powers(op: Operation) -> bool:
                 if mat != CubicMatrix.basis(m, j, seq[n], j):
                     return False
                 mat = mat.mul(mat, op)
-            matrix_class = _classify_matrix_sequence(
-                CubicMatrix.basis(m, j, i, j), op
+            matrix_class = _classify_squaring(
+                CubicMatrix.basis(m, j, i, j), lambda x: x.mul(x, op)
             )
             index_class = classify_power_sequence(i, op)
-            if matrix_class != (index_class.tag, index_class.entry, index_class.period):
+            if (matrix_class.tag, matrix_class.entry, matrix_class.period) != (
+                index_class.tag, index_class.entry, index_class.period
+            ):
                 return False
     return True
-
-
-def _classify_matrix_sequence(x: CubicMatrix, op: Operation) -> tuple[str, int, int]:
-    """Tag, entry step, and period of the plenary squaring orbit of x."""
-    seen: dict[CubicMatrix, int] = {}
-    seq = []
-    while x not in seen:
-        seen[x] = len(seq)
-        seq.append(x)
-        x = x.mul(x, op)
-    entry = seen[x]
-    period = len(seq) - entry
-    if entry == 0:
-        return ("periodic", 0, period)
-    if period == 1:
-        return ("convergent", entry, 1)
-    return ("eventually_periodic", entry, period)
 
 
 def verify_operation(op: Operation) -> dict:

@@ -1,11 +1,14 @@
 """End-to-end command-line behavior: reports, determinism, exit codes."""
 
+import hashlib
 import json
 
 import pytest
 
 from cubal.cli import main
+from cubal.enumeration import canonical_representative
 from cubal.formats import dump_json
+from cubal.operations import Operation
 
 from conftest import CYCLE3, M2_TABLES
 
@@ -99,6 +102,23 @@ class TestDeterminism:
         second = capsys.readouterr().out
         assert first == second
 
+    @pytest.mark.parametrize(
+        "argv, sha256",
+        [
+            (("verify", "--m", "2"),
+             "6bbdf0d1f59d13209ee6c931ecb6376f1cb446aef50c48cd68f46a05b3121017"),
+            (("verify", "--m", "3"),
+             "91fc134521a7622b33eda2677cf94cfabf3a77e894dd5df10c07f9a28836fdc5"),
+            (("orbits", "--m", "4"),
+             "f5b0326445ac18ee77dc0607709910a765c12cf0ed13a15db4cf8de69eef414c"),
+        ],
+        ids=["verify-m2", "verify-m3", "orbits-m4"],
+    )
+    def test_pinned_report_digests(self, capsys, argv, sha256):
+        assert main(list(argv)) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
     def test_bad_jobs_rejected(self, capsys):
         assert main(["enum", "--m", "2", "--jobs", "0"]) == 2
 
@@ -187,6 +207,8 @@ class TestAlgebraCommands:
         res = doc["results"]
         assert res["symmetric"] is False
         assert res["symmetry"] == "none"
+        rep = canonical_representative(Operation(CYCLE3))
+        assert res["canonical_representative"] == [list(r) for r in rep.rows]
         assert res["power_sequences"]["2"] == {
             "tag": "periodic",
             "entry": 0,

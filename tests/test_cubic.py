@@ -1,5 +1,5 @@
-"""Cubic matrix arithmetic: vector-space laws, the operation product, plenary
-powers, and accompanying matrices."""
+"""Cubic matrix arithmetic: vector-space laws, the operation product, and
+plenary powers.  The accompanying map is tested in test_structure.py."""
 
 import itertools
 import random
@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from cubal.cubic import CubicMatrix, SquareMatrix
+from cubal.cubic import CubicMatrix
 from cubal.errors import FormatError
 from cubal.operations import Operation, power_sequence
 
@@ -209,25 +209,3 @@ class TestPlenaryPowers:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             E(2, 1, 1, 1).plenary_power(-1, Operation([[1, 2], [1, 2]]))
-
-
-class TestAccompanyingMatrix:
-    def test_single_entry(self):
-        assert E(2, 1, 2, 1).accompanying_matrix() == SquareMatrix([[1, 0], [0, 0]])
-
-    def test_two_entries_same_fiber(self):
-        x = E(2, 1, 1, 1) + E(2, 1, 2, 1)
-        assert x.accompanying_matrix() == SquareMatrix([[2, 0], [0, 0]])
-
-    def test_zero(self):
-        assert CubicMatrix.zero(2).accompanying_matrix() == SquareMatrix.zero(2)
-
-    def test_multiplicative_over_products(self, census2, census3):
-        rng = random.Random(13)
-        for census, m in ((census2, 2), (census3, 3)):
-            for op in census:
-                x, y = random_cubic(m, rng, span=4), random_cubic(m, rng, span=4)
-                assert (
-                    x.mul(y, op).accompanying_matrix()
-                    == x.accompanying_matrix() @ y.accompanying_matrix()
-                )

@@ -7,6 +7,7 @@ from cubal.verify import (
     check_accompanying,
     check_commutativity,
     check_isomorphisms,
+    check_plenary_powers,
     check_zero_divisors,
     verify_census,
     verify_operation,
@@ -107,3 +108,11 @@ def test_m1_commutativity_fails_when_the_unit_is_not_idempotent(monkeypatch):
     mul = CubicMatrix.mul
     monkeypatch.setattr(CubicMatrix, "mul", lambda x, y, op: mul(x, y, op).scale(2))
     assert not check_commutativity(op)[0]
+
+
+def test_plenary_check_fails_on_a_product_that_doubles(monkeypatch):
+    op = Operation(CYCLE3)
+    assert check_plenary_powers(op)
+    mul = CubicMatrix.mul
+    monkeypatch.setattr(CubicMatrix, "mul", lambda x, y, op: mul(x, y, op).scale(2))
+    assert not check_plenary_powers(op)
