@@ -1,5 +1,6 @@
-"""Cubic matrix arithmetic: vector-space laws, the operation product, and
-plenary powers.  The accompanying map is tested in test_structure.py."""
+"""Cubic matrix arithmetic: vector-space laws, the operation product,
+plenary powers, and the accompanying matrix of a cubic matrix.  The
+accompanying map as an algebra homomorphism is tested in test_structure.py."""
 
 import itertools
 import random
@@ -10,6 +11,7 @@ import pytest
 from cubal.cubic import CubicMatrix
 from cubal.errors import FormatError
 from cubal.operations import Operation, power_sequence
+from cubal.structure import AccompanyingElement, accompanying_image
 
 from conftest import CYCLE3
 
@@ -187,6 +189,27 @@ class TestProduct:
         x = CubicMatrix(1, (Fraction(3, 7),))
         y = CubicMatrix(1, (Fraction(-2, 5),))
         assert x.mul(y, op) == y.mul(x, op)
+
+
+class TestAccompanyingMatrix:
+    def test_single_entry(self):
+        assert accompanying_image(E(2, 1, 2, 1)) == AccompanyingElement([[1, 0], [0, 0]])
+
+    def test_two_entries_same_fiber(self):
+        x = E(2, 1, 1, 1) + E(2, 1, 2, 1)
+        assert accompanying_image(x) == AccompanyingElement([[2, 0], [0, 0]])
+
+    def test_zero(self):
+        assert accompanying_image(CubicMatrix.zero(2)) == AccompanyingElement([[0, 0], [0, 0]])
+
+    def test_multiplicative_over_products(self, census2, census3):
+        rng = random.Random(13)
+        for census, m in ((census2, 2), (census3, 3)):
+            for op in census:
+                x, y = random_cubic(m, rng, span=4), random_cubic(m, rng, span=4)
+                assert accompanying_image(x.mul(y, op)) == accompanying_image(x).mul(
+                    accompanying_image(y)
+                )
 
 
 class TestPlenaryPowers:
