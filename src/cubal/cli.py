@@ -4,7 +4,8 @@ Every command prints one JSON report document to stdout (or --out FILE);
 reports are byte-deterministic for fixed inputs and flags, independent of
 --jobs, so they can be diffed.  --pretty switches to a human rendering that
 also shows elapsed time.  Exit codes: 0 success, 1 a verification check came
-out false, 2 usage, capacity, or input-format errors.
+out false, 2 usage, capacity, input-format or file errors, 3 an internal error
+(a fault in cubal itself, reported as "cubal: internal error: ...").
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .enumeration import (
     count_operations,
     orbit_census,
 )
-from .errors import CapacityError, CubalError, FormatError
+from .errors import CubalError, FormatError
 from .operations import (
     classify_power_sequence,
     classify_symmetry,
@@ -45,6 +46,7 @@ from .verify import verify_census
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _env_max_m() -> int:
@@ -172,20 +174,28 @@ def _load_op(args, report):
     return formats.load_operation(args.op, unchecked=args.unchecked)
 
 
+def _load_cubic(path, op, report):
+    """A cubic matrix from a file, which must match the table's m."""
+    x = formats.load_cubic(path)
+    if x.m != op.m:
+        raise FormatError(f"{path}: cubic matrix has m={x.m}, the table has m={op.m}")
+    report["inputs"][path] = _digest(path)
+    return x
+
+
 def _run_mul(args, report):
     op = _load_op(args, report)
-    a = formats.load_cubic(args.a)
-    b = formats.load_cubic(args.b)
-    report["inputs"][args.a] = _digest(args.a)
-    report["inputs"][args.b] = _digest(args.b)
+    a = _load_cubic(args.a, op, report)
+    b = _load_cubic(args.b, op, report)
     report["results"] = {"product": formats.cubic_to_doc(a.mul(b, op))}
     return EXIT_OK
 
 
 def _run_plenary(args, report):
+    if args.n < 0:
+        raise FormatError(f"--n must be >= 0, got {args.n}")
     op = _load_op(args, report)
-    a = formats.load_cubic(args.a)
-    report["inputs"][args.a] = _digest(args.a)
+    a = _load_cubic(args.a, op, report)
     report["results"] = {
         "n": args.n,
         "power": formats.cubic_to_doc(a.plenary_power(args.n, op)),
@@ -221,8 +231,7 @@ def _run_phi(args, report):
 
 def _run_zerodiv(args, report):
     op = _load_op(args, report)
-    a = formats.load_cubic(args.a)
-    report["inputs"][args.a] = _digest(args.a)
+    a = _load_cubic(args.a, op, report)
     finder = left_zero_divisor_witness if args.side == "left" else right_zero_divisor_witness
     witness = finder(a, op)
     report["results"] = {
@@ -346,9 +355,15 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return run(args)
-    except (CapacityError, FormatError, CubalError, OSError, ValueError) as exc:
+    except (CubalError, OSError) as exc:
         print(f"cubal: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        import traceback  # only on this path, so a normal run does not load it
+
+        print(f"cubal: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -6,15 +6,17 @@ associativity triple whose four products are already determined is checked,
 which prunes dead branches as early as possible; a full m^(m^2) scan is
 hopeless beyond m = 3.
 
-The orbit census runs the same search with a lex-leader filter.  A node
-carries the non-identity relabelings pi whose image act(pi, t) still equals
-t on every cell compared so far.  Once a cell is set, each of them is
-compared with t on the cells now decided on both sides: one that reads
-smaller proves no completion is the minimum of its orbit and prunes the
-node, one that reads larger can never catch up and is dropped.  So the
-leaves are exactly the lexicographic minima of the orbits, in ascending
-order, and the relabelings still carried at a leaf are its nontrivial
-automorphisms; the orbit then has m!/|Aut| members.
+The orbit census and the count run the same search with a lex-leader
+filter.  A node carries the non-identity relabelings pi whose image
+act(pi, t) still equals t on every cell compared so far.  Once a cell is
+set, each of them is compared with t on the cells now decided on both
+sides: one that reads smaller proves no completion is the minimum of its
+orbit and prunes the node, one that reads larger can never catch up and is
+dropped.  So the leaves are exactly the lexicographic minima of the orbits,
+in ascending order, and the relabelings still carried at a leaf are its
+nontrivial automorphisms; the orbit then has m!/|Aut| members, and the
+labelled count is the sum of these sizes.  Only ``enumerate_operations``
+and ``collect_operations`` run the plain search, one leaf per labelled table.
 
 The search tree can be partitioned along the assignments of the first-row
 cells, which gives embarrassingly parallel subtrees; partial results are
@@ -244,11 +246,6 @@ def _completions(m: int, prefix: tuple[int, ...], rels=()):
     return _search(m, t, val_cells, forced, len(prefix), m * m, live)
 
 
-def _count_completions(args) -> int:
-    m, prefix = args
-    return sum(1 for _ in _completions(m, prefix))
-
-
 def _collect_completions(args) -> list[tuple[int, ...]]:
     m, prefix = args
     return [flat for flat, _ in _completions(m, prefix)]
@@ -258,6 +255,12 @@ def _lex_leaders(args) -> list[tuple[tuple[int, ...], int]]:
     """Orbit minima below the prefix, each with its automorphism count."""
     m, prefix = args
     return [(flat, 1 + len(live)) for flat, live in _completions(m, prefix, _relabelings(m))]
+
+
+def _orbit_minima(m: int, jobs: int):
+    """(flat, m!/|Aut|) for every orbit minimum, in lexicographic order."""
+    chunks = _map_over_prefixes(m, _lex_leaders, jobs, _relabelings(m))
+    return ((flat, math.factorial(m) // aut) for chunk in chunks for flat, aut in chunk)
 
 
 def _map_over_prefixes(m: int, worker, jobs: int, rels=()):
@@ -283,9 +286,10 @@ def enumerate_operations(m: int, *, max_m: int = DEFAULT_MAX_M):
 
 
 def count_operations(m: int, *, jobs: int = 1, max_m: int = DEFAULT_MAX_M) -> int:
-    """The number of associative operations on {1, .., m}, without keeping tables."""
+    """The number of associative operations on {1, .., m}, as the sum of m!/|Aut|
+    over the orbit minima; no labelled table is visited."""
     _check_budget(m, max_m, "counting")
-    return sum(_map_over_prefixes(m, _count_completions, jobs))
+    return sum(size for _, size in _orbit_minima(m, jobs))
 
 
 def collect_operations(m: int, *, jobs: int = 1, max_m: int = DEFAULT_MAX_M) -> list[Operation]:
@@ -321,17 +325,11 @@ class CensusResult:
 def orbit_census(m: int, *, jobs: int = 1, max_m: int = DEFAULT_MAX_M) -> CensusResult:
     """Partition the census into relabeling orbits without listing it.
 
-    One lex-leader search (see the module docstring) yields each orbit's
-    lexicographic minimum with its automorphism group Aut; the orbit has
-    m!/|Aut| members, and the labelled total is the sum of the orbit sizes.
-    Representatives are reported in lexicographic order.
+    The lex-leader search (see the module docstring) yields each orbit's
+    lexicographic minimum with its size m!/|Aut|, in lexicographic order;
+    the labelled total is the sum of the sizes.
     """
     _check_budget(m, max_m, "orbit classification")
-    group_order = math.factorial(m)
-    representatives = tuple(
-        (_to_operation(m, flat), group_order // automorphisms)
-        for chunk in _map_over_prefixes(m, _lex_leaders, jobs, _relabelings(m))
-        for flat, automorphisms in chunk
-    )
+    representatives = tuple((_to_operation(m, flat), size) for flat, size in _orbit_minima(m, jobs))
     total = sum(size for _, size in representatives)
     return CensusResult(m=m, total=total, representatives=representatives)

@@ -68,8 +68,15 @@ def parse_operation(text: str, *, unchecked: bool = False) -> Operation:
     return table_from_text(text, unchecked=unchecked)
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def load_operation(path, *, unchecked: bool = False) -> Operation:
-    return parse_operation(Path(path).read_text(), unchecked=unchecked)
+    return parse_operation(_read_text(path), unchecked=unchecked)
 
 
 def cubic_to_doc(x: CubicMatrix) -> dict:
@@ -87,17 +94,18 @@ def cubic_from_doc(doc) -> CubicMatrix:
         raise FormatError('cubic matrix document needs "m" and "entries" keys')
     m = doc["m"]
     nested = doc["entries"]
-    if len(nested) != m:
-        raise FormatError(f"expected {m} outer slices, got {len(nested)}")
-    parsed = [
-        [[parse_scalar(v) for v in row] for row in plane] for plane in nested
-    ]
+    try:
+        if len(nested) != m:
+            raise FormatError(f"expected {m} outer slices, got {len(nested)}")
+        parsed = [[[parse_scalar(v) for v in row] for row in plane] for plane in nested]
+    except TypeError:
+        raise FormatError('"entries" must nest lists of scalars three deep') from None
     return CubicMatrix.from_nested(parsed)
 
 
 def load_cubic(path) -> CubicMatrix:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad JSON in {path}: {exc}") from None
     return cubic_from_doc(doc)

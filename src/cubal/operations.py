@@ -23,7 +23,10 @@ EVENTUALLY_PERIODIC = "eventually_periodic"
 
 
 def _normalize_rows(table) -> tuple[tuple[int, ...], ...]:
-    rows = tuple(tuple(row) for row in table)
+    try:
+        rows = tuple(tuple(row) for row in table)
+    except TypeError:
+        raise FormatError("a Cayley table is a sequence of rows") from None
     m = len(rows)
     if m == 0:
         raise FormatError("empty Cayley table")

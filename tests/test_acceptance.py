@@ -10,10 +10,8 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from cubal.cubic import CubicMatrix
-from cubal.enumeration import count_operations, enumerate_operations, orbit_census
+from cubal.enumeration import count_operations, enumerate_operations
 from cubal.linalg import rank
 from cubal.operations import (
     Operation,
@@ -21,7 +19,6 @@ from cubal.operations import (
     classify_power_sequence,
     classify_symmetry,
     enumerate_invariant_subsets,
-    image,
     invariance_violation,
     is_invariant,
     is_symmetric,

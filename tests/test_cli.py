@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from cubal.cli import main
+from cubal.cli import EXIT_INTERNAL, main
 from cubal.enumeration import canonical_representative
 from cubal.formats import dump_json
 from cubal.operations import Operation
@@ -225,6 +225,79 @@ class TestAlgebraCommands:
 
     def test_missing_file_is_exit_2(self, capsys):
         assert main(["classify", "--op", "/nonexistent/table.json"]) == 2
+
+
+class TestExitCodes:
+    """0 success, 1 a failed check, 2 bad input or budget, 3 a fault in cubal."""
+
+    @pytest.fixture
+    def files(self, table_file, cubic_file):
+        op = table_file([[1, 2], [1, 2]])
+        a2 = cubic_file(2, [[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]], "a2.json")
+        a1 = cubic_file(1, [[["1"]]], "a1.json")
+        return op, a2, a1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mul", "--op", "{op}", "{a2}", "{a1}"],
+            ["mul", "--op", "{op}", "{a1}", "{a2}"],
+            ["plenary", "--op", "{op}", "--n", "1", "{a1}"],
+            ["zerodiv", "--op", "{op}", "{a1}"],
+            ["zerodiv", "--op", "{op}", "--side", "right", "{a1}"],
+        ],
+        ids=["mul-right", "mul-left", "plenary", "zerodiv-left", "zerodiv-right"],
+    )
+    def test_matrix_of_another_size_is_exit_2(self, capsys, files, argv):
+        op, a2, a1 = files
+        code = main([arg.format(op=op, a2=a2, a1=a1) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "cubic matrix has m=1, the table has m=2" in err
+
+    def test_negative_plenary_index_is_exit_2(self, capsys, files):
+        op, a2, _ = files
+        assert main(["plenary", "--op", op, "--n", "-1", a2]) == 2
+        assert "--n must be >= 0" in capsys.readouterr().err
+
+    def test_malformed_inputs_are_exit_2(self, capsys, tmp_path):
+        binary = tmp_path / "bin.json"
+        binary.write_bytes(b"\xff\xfe\x00")
+        flat = tmp_path / "flat.json"
+        flat.write_text(json.dumps({"m": 2, "entries": [[1, 2], [3, 4]]}))
+        rows = tmp_path / "rows.json"
+        rows.write_text(json.dumps({"m": 2, "table": [1, 2]}))
+        assert main(["classify", "--op", str(binary)]) == 2
+        assert main(["phi", str(binary)]) == 2
+        assert main(["phi", str(flat)]) == 2
+        assert main(["classify", "--op", str(rows)]) == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert err.count("cubal: ") == 4
+
+    @pytest.mark.parametrize(
+        "exc",
+        [ValueError("boom"), KeyError("boom"), ZeroDivisionError()],
+        ids=lambda exc: type(exc).__name__,
+    )
+    def test_library_fault_is_exit_3(self, capsys, monkeypatch, exc):
+        import cubal.cli
+
+        def broken(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cubal.cli, "count_operations", broken)
+        code = main(["enum", "--m", "2", "--count-only"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERNAL == 3
+        assert captured.out == ""
+        assert captured.err.startswith(f"cubal: internal error: {type(exc).__name__}")
+        assert "Traceback" in captured.err
+
+    def test_capacity_and_os_errors_stay_exit_2(self, capsys):
+        assert main(["enum", "--m", "7", "--count-only"]) == 2
+        assert main(["phi", "/nonexistent/x.json"]) == 2
+        assert "internal error" not in capsys.readouterr().err
 
 
 class TestVerifyCommand:

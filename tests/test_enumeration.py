@@ -61,12 +61,17 @@ class TestCounts:
         assert count_operations(m) == KNOWN_COUNTS[m]
 
     def test_count_matches_stream_length(self):
-        for m in (1, 2, 3):
+        # the count sums orbit sizes; the stream visits every labelled table
+        for m in (1, 2, 3, 4):
             assert count_operations(m) == sum(1 for _ in enumerate_operations(m))
+
+    def test_m5_stream_length_is_a023814(self):
+        assert sum(1 for _ in enumerate_operations(5)) == KNOWN_COUNTS[5]
 
     def test_parallel_count_agrees(self):
         assert count_operations(3, jobs=2) == KNOWN_COUNTS[3]
         assert count_operations(4, jobs=2) == KNOWN_COUNTS[4]
+        assert count_operations(5, jobs=2) == KNOWN_COUNTS[5]
 
     def test_budget_guard(self):
         with pytest.raises(CapacityError):

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from cubal.cubic import CubicMatrix
-from cubal.enumeration import orbit_census
 from cubal.errors import FormatError, NotAssociativeError
 from cubal.formats import (
     census_from_doc,

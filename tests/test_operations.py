@@ -26,7 +26,7 @@ from cubal.operations import (
     right_symmetric,
 )
 
-from conftest import CYCLE3, M2_TABLES, MONOGENIC4, ORBIT6_TABLES, brute_associative
+from conftest import CYCLE3, M2_TABLES, MONOGENIC4, brute_associative
 
 
 class TestCheckAssociative:

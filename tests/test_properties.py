@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from cubal.cubic import CubicMatrix
 from cubal.enumeration import collect_operations
 from cubal.operations import (
-    Operation,
     Permutation,
     act,
     check_associative,

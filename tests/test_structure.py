@@ -43,8 +43,6 @@ from cubal.structure import (
     verify_isomorphism,
 )
 
-from conftest import CYCLE3
-
 E = CubicMatrix.basis
 
 
