@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,7 +12,7 @@ from cubal.enumeration import canonical_representative
 from cubal.formats import dump_json
 from cubal.operations import Operation
 
-from conftest import CYCLE3, M2_TABLES
+from conftest import CYCLE3, LEFT_PROJ3, M2_TABLES, MONOGENIC4, RIGHT_PROJ3
 
 
 @pytest.fixture
@@ -118,6 +120,50 @@ class TestDeterminism:
         assert main(list(argv)) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    @pytest.mark.parametrize(
+        "table, sha256",
+        [
+            (CYCLE3,
+             "c2f8979f2216cd661c86be7639ec157e46d1d44a0e802ea439dceeefcd8e860a"),
+            (RIGHT_PROJ3,
+             "235cb2712ed14635103aca104e4f68eaec61c21307e59fe6319e2db3ecf6ad4b"),
+            (LEFT_PROJ3,
+             "c98d9660d22eec868a64b78d726e160a5744913dc531391fa45ad5fd01e11183"),
+            (MONOGENIC4,
+             "9807a2ab14a0e9529f72dc6c641d3b09366536c5ae7a1c75485c40dbb0cb22df"),
+        ],
+        ids=["cycle3", "right-proj3", "left-proj3", "monogenic4"],
+    )
+    def test_pinned_algebra_digests(self, capsys, table_file, cubic_file, table, sha256):
+        """mul, plenary, phi and zerodiv (both sides, on a generic and a
+        singular element) on seeded rational input; the digest covers the
+        results only, since the report also names the temporary input paths."""
+        m = len(table)
+        rng = random.Random(str(table))
+
+        def element(name, singular=False):
+            entries = [
+                [[str(Fraction(rng.randint(-9, 9), rng.randint(1, 4))) for _ in range(m)]
+                 for _ in range(m)]
+                for _ in range(m)
+            ]
+            if singular:
+                entries[-1] = entries[0]  # equal accompanying rows: det 0
+            return cubic_file(m, entries, name)
+
+        op = table_file(table)
+        a, b, s = element("a.json"), element("b.json"), element("s.json", singular=True)
+        runs = [("mul", "--op", op, a, b), ("plenary", "--op", op, "--n", "2", a), ("phi", a)]
+        runs += [
+            ("zerodiv", "--op", op, "--side", side, x) for side in ("left", "right") for x in (a, s)
+        ]
+        results = []
+        for argv in runs:
+            code, doc = run_cli(capsys, *argv)
+            assert code == 0
+            results.append(doc["results"])
+        assert hashlib.sha256(dump_json(results).encode()).hexdigest() == sha256
 
     def test_bad_jobs_rejected(self, capsys):
         assert main(["enum", "--m", "2", "--jobs", "0"]) == 2
