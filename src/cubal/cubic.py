@@ -14,8 +14,11 @@ fiber, is ``structure.accompanying_image``.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import FormatError
 from .operations import Operation
+from .scalars import integral
 
 
 class CubicMatrix:
@@ -49,15 +52,9 @@ class CubicMatrix:
     def from_nested(cls, nested) -> "CubicMatrix":
         """Build from nested lists indexed [i-1][j-1][k-1]."""
         m = len(nested)
-        entries = []
-        for plane in nested:
-            if len(plane) != m:
-                raise FormatError("ragged cubic array")
-            for row in plane:
-                if len(row) != m:
-                    raise FormatError("ragged cubic array")
-                entries.extend(row)
-        return cls(m, entries)
+        if any(len(plane) != m or any(len(row) != m for row in plane) for plane in nested):
+            raise FormatError("ragged cubic array")
+        return cls(m, [x for plane in nested for row in plane for x in row])
 
     def to_nested(self) -> list:
         m = self.m
@@ -72,13 +69,15 @@ class CubicMatrix:
     def nonzero_items(self):
         """Cached tuple of (flat_index, value) over nonzero entries."""
         if self._nz is None:
-            self._nz = tuple(
-                (idx, val) for idx, val in enumerate(self.entries) if val != 0
-            )
+            self._nz = tuple((idx, val) for idx, val in enumerate(self.entries) if val != 0)
         return self._nz
 
     def is_zero(self) -> bool:
         return not self.nonzero_items()
+
+    def integer_multiple(self) -> "CubicMatrix":
+        """self times the lcm of its denominators, a multiple with int entries."""
+        return CubicMatrix(self.m, integral(self.entries)[0])
 
     def _require_same_size(self, other: "CubicMatrix"):
         if not isinstance(other, CubicMatrix):
@@ -104,18 +103,25 @@ class CubicMatrix:
         return self.scale(scalar)
 
     def mul(self, other: "CubicMatrix", op: Operation) -> "CubicMatrix":
-        """The product of self and other under the operation's multiplication."""
+        """The product of self and other under the operation's multiplication.
+
+        The inner loop runs on the operands' nonzero entries scaled to ints
+        (``scalars.integral``); each output entry is divided once by both scales.
+        """
         self._require_same_size(other)
         m = self.m
         if op.m != m:
             raise ValueError(f"operation acts on {op.m} symbols, matrices have m={m}")
         mm = m * m
+        a_items, b_items = self.nonzero_items(), other.nonzero_items()
+        a_vals, da = integral(v for _, v in a_items)
+        b_vals, db = integral(v for _, v in b_items)
         by_k: list[list] = [[] for _ in range(m)]
-        for flat, val in other.nonzero_items():
+        for (flat, _), val in zip(b_items, b_vals):
             by_k[flat // mm].append((flat, val))
         out: list = [0] * (mm * m)
         rows = op.rows
-        for aflat, aval in self.nonzero_items():
+        for (aflat, _), aval in zip(a_items, a_vals):
             i0, rem = divmod(aflat, mm)
             l0, k0 = divmod(rem, m)
             row_l = rows[l0]
@@ -125,6 +131,9 @@ class CubicMatrix:
                 j0 = row_l[n0] - 1
                 idx = base + j0 * m + bflat % m
                 out[idx] = out[idx] + aval * bval
+        scale = da * db
+        if scale != 1:
+            out = [Fraction(x, scale) if x else 0 for x in out]
         return CubicMatrix(m, out)
 
     def plenary_power(self, n: int, op: Operation) -> "CubicMatrix":
@@ -137,11 +146,8 @@ class CubicMatrix:
         return result
 
     def __eq__(self, other):
-        return (
-            isinstance(other, CubicMatrix)
-            and self.m == other.m
-            and self.entries == other.entries
-        )
+        # len(entries) is m**3, so equal entries imply equal m
+        return isinstance(other, CubicMatrix) and self.entries == other.entries
 
     def __hash__(self):
         return hash((self.m, self.entries))

@@ -1,77 +1,77 @@
 """Exact Gaussian elimination over any field scalar.
 
-Matrices are lists of row lists.  Integer entries are lifted to Fraction so
-that division stays exact; other scalar types (prime-field elements) pass
-through untouched and must support the four operations and int comparison.
+Matrices are lists of row lists.  ``rref``, ``rank``, ``kernel_basis`` and
+``det`` share one fraction-free (Bareiss) Gauss-Jordan elimination.  Rational
+rows are scaled to ints (``scalars.integral``) and divided exactly with ``//``;
+other scalars (prime-field elements) pass through and divide with ``/``.
+Rationals become ``Fraction`` only when the pivot rows are normalized.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import floordiv, truediv
+
+from .scalars import integral
 
 
-def _lift(x):
-    return Fraction(x) if isinstance(x, int) else x
+def _eliminate(rows):
+    """Fraction-free Gauss-Jordan elimination of the int-scaled rows.
 
-
-def _copy(rows):
-    return [[_lift(x) for x in row] for row in rows]
+    A pivot p at (r, c) replaces every other row by (p * row - row[c] * row_r)
+    over the previous pivot.  Every entry stays a minor of the scaled matrix,
+    so the division is exact, and every pivot entry ends equal to the last
+    pivot.  Returns the rows, the pivot columns, the sign of the row swaps,
+    the product of the row scales, and the normalizing division.
+    """
+    mat, scale = [], 1
+    for row in rows:
+        ints, d = integral(row)
+        mat.append(ints)
+        scale *= d
+    rational = all(type(x) is int for row in mat for x in row)
+    div = floordiv if rational else truediv
+    pivots: list[int] = []
+    sign, prev = 1, 1
+    for c in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        pivot_row = next((k for k in range(r, len(mat)) if mat[k][c] != 0), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+            sign = -sign
+        top = mat[r]
+        p = top[c]
+        for k, row in enumerate(mat):
+            if k != r:
+                f = row[c]
+                mat[k] = [div(p * a - f * b, prev) for a, b in zip(row, top)]
+        prev = p
+        pivots.append(c)
+    return mat, pivots, sign, scale, (Fraction if rational else truediv)
 
 
 def rref(rows) -> tuple[list[list], list[int]]:
     """Reduced row echelon form and the list of pivot columns."""
-    mat = _copy(rows)
-    if not mat:
-        return mat, []
-    n_rows, n_cols = len(mat), len(mat[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        pivot_row = next((k for k in range(r, n_rows) if mat[k][c] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = mat[r][c]
-        mat[r] = [x / inv for x in mat[r]]
-        for k in range(n_rows):
-            if k != r and mat[k][c] != 0:
-                factor = mat[k][c]
-                mat[k] = [a - factor * b for a, b in zip(mat[k], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return mat, pivots
+    mat, pivots, _, _, normalize = _eliminate(rows)
+    d = mat[0][pivots[0]] if pivots else 1
+    return [[normalize(x, d) for x in row] for row in mat], pivots
 
 
 def rank(rows) -> int:
-    return len(rref(rows)[1])
+    return len(_eliminate(rows)[1])
 
 
 def det(rows):
-    """Exact determinant by elimination with row-swap sign tracking."""
-    mat = _copy(rows)
-    n = len(mat)
-    if any(len(row) != n for row in mat):
+    """Exact determinant: the last diagonal entry of the fraction-free form,
+    signed by the row swaps, over the product of the row scales."""
+    if any(len(row) != len(rows) for row in rows):
         raise ValueError("determinant needs a square matrix")
-    if n == 0:
+    if not rows:
         return Fraction(1)
-    sign = 1
-    for c in range(n):
-        pivot_row = next((k for k in range(c, n) if mat[k][c] != 0), None)
-        if pivot_row is None:
-            return 0 * mat[0][0]
-        if pivot_row != c:
-            mat[c], mat[pivot_row] = mat[pivot_row], mat[c]
-            sign = -sign
-        for k in range(c + 1, n):
-            if mat[k][c] != 0:
-                factor = mat[k][c] / mat[c][c]
-                mat[k] = [a - factor * b for a, b in zip(mat[k], mat[c])]
-    result = mat[0][0]
-    for c in range(1, n):
-        result = result * mat[c][c]
-    return result if sign > 0 else -result
+    mat, _, sign, scale, normalize = _eliminate(rows)
+    return normalize(sign * mat[-1][-1], scale)
 
 
 def kernel_basis(rows) -> list[list]:
@@ -84,10 +84,8 @@ def kernel_basis(rows) -> list[list]:
         return []
     n_cols = len(rows[0])
     mat, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(n_cols) if c not in pivot_set]
     basis = []
-    for f in free_cols:
+    for f in (c for c in range(n_cols) if c not in pivots):
         vec: list = [0] * n_cols
         vec[f] = 1
         for r, c in enumerate(pivots):

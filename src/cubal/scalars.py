@@ -3,12 +3,15 @@
 Every algebraic routine in the package manipulates scalars only through
 arithmetic operators and comparisons with the integers 0 and 1, so any field
 element type with int interop plugs in.  Python ints are accepted as exact
-rational values throughout.
+rational values throughout.  The hot loops run on ints: ``integral`` scales a
+run of rationals by the lcm of their denominators, once, and the product and
+elimination kernels divide that scale back out at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import FormatError
 
@@ -25,9 +28,37 @@ def parse_scalar(text) -> Fraction:
     raise FormatError(f"bad scalar {text!r}: expected string or integer")
 
 
+def integral(values) -> tuple[list, int]:
+    """The values times the lcm d of their denominators, as ints, and d.
+
+    Rationals (ints and Fractions) come back as ints; any other scalar type,
+    such as a prime-field element, passes through unchanged with scale 1.
+    """
+    values = list(values)
+    if all(type(v) is int for v in values):
+        return values, 1
+    try:
+        d = lcm(*[v.denominator for v in values])
+    except AttributeError:
+        return values, 1
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
 def format_scalar(x) -> str:
     """Render an exact rational as its reduced-fraction string."""
     return str(Fraction(x))
+
+
+def _field_op(f):
+    """A binary operator on prime-field elements from f(a, b, p) on their values."""
+
+    def method(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return PrimeFieldElement(f(self.value, o.value, self.p), self.p)
+
+    return method
 
 
 class PrimeFieldElement:
@@ -52,48 +83,15 @@ class PrimeFieldElement:
             return PrimeFieldElement(other, self.p)
         return None
 
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return PrimeFieldElement(self.value + o.value, self.p)
-
-    __radd__ = __add__
+    __add__ = __radd__ = _field_op(lambda a, b, p: a + b)
+    __sub__ = _field_op(lambda a, b, p: a - b)
+    __rsub__ = _field_op(lambda a, b, p: b - a)
+    __mul__ = __rmul__ = _field_op(lambda a, b, p: a * b)
+    __truediv__ = _field_op(lambda a, b, p: a * pow(b, -1, p))
+    __rtruediv__ = _field_op(lambda a, b, p: b * pow(a, -1, p))
 
     def __neg__(self):
         return PrimeFieldElement(-self.value, self.p)
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return PrimeFieldElement(self.value - o.value, self.p)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return PrimeFieldElement(o.value - self.value, self.p)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return PrimeFieldElement(self.value * o.value, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return PrimeFieldElement(self.value * pow(o.value, -1, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o / self
 
     def __eq__(self, other):
         o = self._lift(other)
@@ -109,8 +107,3 @@ class PrimeFieldElement:
 
     def __repr__(self):
         return f"PrimeFieldElement({self.value}, {self.p})"
-
-
-def prime_field(p: int) -> list[PrimeFieldElement]:
-    """All elements of the field with p elements."""
-    return [PrimeFieldElement(v, p) for v in range(p)]

@@ -252,6 +252,7 @@ def _solve_zero_product(
     m = fixed.m
     if op.m != m:
         raise ValueError("size mismatch")
+    fixed = fixed.integer_multiple()  # the same kernel, with int columns
     mm = m * m
     block = slice(None, None, m) if side == "left" else slice(mm)
     columns = []

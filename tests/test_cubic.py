@@ -11,6 +11,7 @@ import pytest
 from cubal.cubic import CubicMatrix
 from cubal.errors import FormatError
 from cubal.operations import Operation, power_sequence
+from cubal.scalars import PrimeFieldElement
 from cubal.structure import AccompanyingElement, accompanying_image
 
 from conftest import CYCLE3
@@ -23,6 +24,21 @@ def random_cubic(m, rng, span=9):
     return CubicMatrix(
         m, [Fraction(rng.randint(-span, span), rng.randint(1, 5)) for _ in range(m**3)]
     )
+
+
+def reference_product(x, y, op):
+    """Entry (i, j, r) of XY: the sum of X[i, l, k] Y[k, n, r] over k and all
+    (l, n) with a(l, n) = j, on the raw entries with no scaling."""
+    m = x.m
+    idx = range(1, m + 1)
+    return [
+        sum(
+            (x.entry(i, l, k) * y.entry(k, n, r)
+             for k in idx for l in idx for n in idx if op(l, n) == j),
+            0,
+        )
+        for i in idx for j in idx for r in idx
+    ]
 
 
 @pytest.fixture
@@ -183,6 +199,27 @@ class TestProduct:
                 b = E(m, 1, 1, 2)
                 assert not a.mul(b, op).is_zero()
                 assert b.mul(a, op).is_zero()
+
+    @pytest.mark.parametrize("kind", ["rational", "int", "mixed", "gf7"])
+    def test_matches_reference_product(self, kind, census3):
+        rng = random.Random(f"mul:{kind}")
+        draw = {
+            "rational": lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+            "int": lambda: rng.randint(-9, 9),
+            "mixed": lambda: rng.choice((0, rng.randint(-3, 3), Fraction(rng.randint(-3, 3), 7))),
+            "gf7": lambda: PrimeFieldElement(rng.randint(0, 6), 7),
+        }[kind]
+        ops = [Operation(CYCLE3), Operation([[1, 2], [1, 2]]), Operation([[1]])]
+        ops += [census3[rng.randrange(len(census3))] for _ in range(6)]
+        for op in ops:
+            for _ in range(3):
+                x, y = (CubicMatrix(op.m, [draw() for _ in range(op.m**3)]) for _ in range(2))
+                assert list(x.mul(y, op).entries) == reference_product(x, y, op)
+                # a basis or zero operand on either side keeps the scale of the other
+                e = E(op.m, op.m, 1, 1)
+                assert list(e.mul(y, op).entries) == reference_product(e, y, op)
+                assert list(x.mul(e, op).entries) == reference_product(x, e, op)
+                assert x.mul(CubicMatrix.zero(op.m), op).is_zero()
 
     def test_m1_commutative(self):
         op = Operation([[1]])

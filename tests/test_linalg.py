@@ -13,6 +13,47 @@ def random_matrix(n, rng):
     return [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
 
 
+def fraction_rref(rows):
+    """Reference Gauss-Jordan on Fraction (or field) entries, dividing each
+    pivot row by its pivot as it goes; independent of the fraction-free code."""
+    mat = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in rows]
+    pivots = []
+    for c in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        if r == len(mat):
+            break
+        pivot_row = next((k for k in range(r, len(mat)) if mat[k][c] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = mat[r][c]
+        mat[r] = [x / inv for x in mat[r]]
+        for k in range(len(mat)):
+            if k != r and mat[k][c] != 0:
+                factor = mat[k][c]
+                mat[k] = [a - factor * b for a, b in zip(mat[k], mat[r])]
+        pivots.append(c)
+    return mat, pivots
+
+
+def seeded_matrix(kind, n_rows, n_cols, rng):
+    """A seeded matrix of one entry kind; about half are made rank-deficient
+    by overwriting rows with combinations of earlier rows."""
+    draw = {
+        "rational": lambda: Fraction(rng.randint(-6, 6), rng.randint(1, 5)),
+        "int": lambda: rng.randint(-5, 5),
+        "mixed": lambda: rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 4)))),
+        "sparse": lambda: rng.choice((0, 0, 0, 1, -1, Fraction(1, 2))),
+        "gf5": lambda: PrimeFieldElement(rng.randint(0, 4), 5),
+    }[kind]
+    mat = [[draw() for _ in range(n_cols)] for _ in range(n_rows)]
+    if n_rows > 1 and rng.random() < 0.5:
+        for k in range(1, n_rows, 2):
+            lam, mu = draw(), draw()
+            mat[k] = [lam * a + mu * b for a, b in zip(mat[k - 1], mat[rng.randrange(k)])]
+    return mat
+
+
 def naive_det(rows):
     """Cofactor expansion, independent of the elimination code."""
     n = len(rows)
@@ -51,6 +92,24 @@ class TestDet:
         g = lambda v: PrimeFieldElement(v, 5)
         assert det([[g(2), g(1)], [g(3), g(4)]]) == g(2 * 4 - 3)
 
+    @pytest.mark.parametrize("kind", ["int", "rational", "mixed", "sparse"])
+    def test_seeded_against_cofactor_expansion(self, kind):
+        rng = random.Random(f"det:{kind}")
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            mat = seeded_matrix(kind, n, n, rng)
+            got = det(mat)
+            assert got == naive_det(mat)
+            assert type(got) is Fraction
+
+    def test_prime_field_against_cofactor_expansion(self):
+        rng = random.Random("det:gf5")
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            mat = seeded_matrix("gf5", n, n, rng)
+            as_ints = [[x.value for x in row] for row in mat]
+            assert det(mat) == PrimeFieldElement(int(naive_det(as_ints)), 5)
+
 
 class TestRref:
     def test_pivots_of_full_rank_matrix(self):
@@ -65,6 +124,61 @@ class TestRref:
     def test_rank(self):
         assert rank([[1, 2], [2, 4]]) == 1
         assert rank([[1, 0, 2], [0, 1, 3]]) == 2
+
+
+class TestRrefOracle:
+    """The fraction-free elimination against the plain Fraction reference."""
+
+    SHAPES = {
+        "square": (5, 5),
+        "wide": (3, 7),
+        "tall": (7, 3),
+        "single-row": (1, 6),
+        "single-column": (6, 1),
+    }
+
+    @pytest.mark.parametrize("kind", ["rational", "int", "mixed", "sparse", "gf5"])
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_matches_reference(self, kind, shape):
+        rng = random.Random(f"rref:{kind}:{shape}")
+        n_rows, n_cols = self.SHAPES[shape]
+        for _ in range(25):
+            mat = seeded_matrix(kind, n_rows, n_cols, rng)
+            reduced, pivots = rref(mat)
+            expected, expected_pivots = fraction_rref(mat)
+            assert pivots == expected_pivots
+            assert reduced == expected
+            assert rank(mat) == len(expected_pivots)
+            if kind != "gf5":
+                assert all(type(x) is Fraction for row in reduced for x in row)
+
+    def test_zero_rows_and_zero_matrix(self):
+        rng = random.Random("rref:zero")
+        mat = seeded_matrix("rational", 4, 5, rng)
+        mat[0] = [0] * 5
+        mat[2] = [Fraction(0)] * 5
+        assert rref(mat) == fraction_rref(mat)
+        zero = [[0] * 3 for _ in range(2)]
+        assert rref(zero) == ([[Fraction(0)] * 3] * 2, [])
+        assert rank(zero) == 0
+
+    def test_rank_deficient_blocks(self):
+        # the shape of the zero-divisor solves: m^2 x m^2 with dependent rows
+        rng = random.Random("rref:blocks")
+        for n in (4, 9, 16):
+            for _ in range(5):
+                mat = seeded_matrix("rational", n, n, rng)
+                mat[-1] = [a + b for a, b in zip(mat[0], mat[1])]
+                reduced, pivots = rref(mat)
+                assert (reduced, pivots) == fraction_rref(mat)
+                assert len(pivots) < n
+
+    def test_input_is_not_modified(self):
+        mat = [[Fraction(1, 2), 3], [2, Fraction(-1, 3)]]
+        snapshot = [list(row) for row in mat]
+        rref(mat)
+        det(mat)
+        assert mat == snapshot
 
 
 class TestKernel:
