@@ -60,7 +60,7 @@ def rref(rows) -> tuple[list[list], list[int]]:
 
 
 def rank(rows) -> int:
-    return len(_eliminate(rows)[1])
+    return len(rref(rows)[1])
 
 
 def det(rows):

@@ -42,7 +42,7 @@ def seeded_matrix(kind, n_rows, n_cols, rng):
     draw = {
         "rational": lambda: Fraction(rng.randint(-6, 6), rng.randint(1, 5)),
         "int": lambda: rng.randint(-5, 5),
-        "mixed": lambda: rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 4)))),
+        "mixed": lambda: rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-3, 3), 4))),
         "sparse": lambda: rng.choice((0, 0, 0, 1, -1, Fraction(1, 2))),
         "gf5": lambda: PrimeFieldElement(rng.randint(0, 4), 5),
     }[kind]

@@ -55,7 +55,7 @@ def test_the_scan_covers_every_tree():
 
 
 def test_the_scan_flags_an_unused_import():
-    source = "import os\nimport sys as system\nfrom math import gcd, lcm\nprint(lcm(2, 3), os.sep)\n"
+    source = "import os\nimport sys as system\nfrom math import gcd, lcm\nos.path.join(lcm)\n"
     assert unused_imports(source) == ["system (line 2)", "gcd (line 3)"]
     assert unused_imports("from .x import y\n__all__ = ['y']\n") == []
     assert unused_imports("from __future__ import annotations\n") == []
