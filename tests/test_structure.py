@@ -347,6 +347,21 @@ class TestZeroDivisors:
                 singular = accompanying_image(a).det() == 0
                 assert (left_zero_divisor_witness(a, op) is not None) == singular
 
+    def test_determinant_criterion_over_gf5(self):
+        # the block mixes field elements with the int zeros the product leaves
+        rng = random.Random(42)
+        for m in (2, 3):
+            op = right_symmetric(m)
+            for t in range(15):
+                entries = [PrimeFieldElement(rng.randint(0, 4), 5) for _ in range(m**3)]
+                if t % 2:
+                    entries[(m - 1) * m * m :] = entries[: m * m]
+                a = CubicMatrix(m, entries)
+                w = left_zero_divisor_witness(a, op)
+                assert (w is not None) == (accompanying_image(a).det() == 0)
+                if w is not None:
+                    assert not w.is_zero() and a.mul(w, op).is_zero()
+
 
 def full_zero_divisor_witness(a, op, side):
     """The first kernel vector of the whole m^3 x m^3 map X -> aX (side="left")
