@@ -7,21 +7,23 @@ which prunes dead branches as early as possible; a full m^(m^2) scan is
 hopeless beyond m = 3.
 
 The orbit census and the count run the same search with a lex-leader
-filter.  A node carries the non-identity relabelings pi whose image
-act(pi, t) still equals t on every cell compared so far.  Once a cell is
-set, each of them is compared with t on the cells now decided on both
-sides: one that reads smaller proves no completion is the minimum of its
-orbit and prunes the node, one that reads larger can never catch up and is
-dropped.  So the leaves are exactly the lexicographic minima of the orbits,
-in ascending order, and the relabelings still carried at a leaf are its
-nontrivial automorphisms; the orbit then has m!/|Aut| members, and the
-labelled count is the sum of these sizes.  Only ``enumerate_operations``
-and ``collect_operations`` run the plain search, one leaf per labelled table.
+filter.  A cell is known once it is set or forced; a forced value is the
+value of every consistent completion, so it may be compared early.  Each
+non-identity relabeling pi waits in the bucket of the first cell that its
+next comparison of act(pi, t) with t lacks, and a node advances only the
+buckets of its newly known cells.  One that reads smaller proves no
+completion is the minimum of its orbit and prunes the node; one that reads
+larger can never catch up and is dropped.  So the leaves are exactly the
+orbit minima, in ascending order, and the relabelings that agree on every
+cell are the leaf's nontrivial automorphisms; the orbit then has m!/|Aut|
+members, and the labelled count is the sum of these sizes.  Only
+``enumerate_operations`` and ``collect_operations`` run the plain search,
+one leaf per labelled table, and carry no buckets.
 
-The search tree can be partitioned along the assignments of the first-row
-cells, which gives embarrassingly parallel subtrees; partial results are
-concatenated in prefix order so the output never depends on the worker
-count.
+With one job the search runs once from the root.  With more, the tree is
+partitioned along the assignments of the first two rows, which gives
+independent subtrees; partial results are concatenated in prefix order so
+the output never depends on the worker count.
 """
 
 from __future__ import annotations
@@ -155,49 +157,71 @@ def _consistent(t: list[int], m: int, pos: int, v: int, val_cells, forced, trail
     return True
 
 
-def _lex_filter(t: list[int], pos: int, rels):
-    """The relabelings of ``rels`` still equal to t once cell ``pos`` is set.
+def _lex_filter(buckets, known, pos: int, v: int, f: int, trail):
+    """Advance the relabelings waiting on the cells that have just become known.
 
-    Each entry is (src, img, k): act(pi, t)[c] = img[t[src[c]]], and the two
-    tables are known to agree on cells 0 .. k-1.  Comparison goes on while
-    both sides of cell k are decided.  None means some relabeling reads
-    smaller, so t cannot be the minimum of its orbit.
+    ``known[c]`` is the value of cell c once it is set or forced, else -1.
+    The new cells are ``pos`` (set to v, unless forced already: f >= 0) and
+    the newly forced ``trail``.  Each relabeling (src, img, k), with
+    act(pi, t)[c] = img[t[src[c]]], agrees with t on cells 0 .. k-1 and
+    waits in ``buckets[w]``, w the first cell that its comparison of cell k
+    with cell src[k] still lacks; the sentinel m² is never known, so
+    ``buckets[m²]`` holds those that agree everywhere.  One that reads larger
+    is dropped.  One that reads smaller means no completion is an orbit
+    minimum: the appends are undone, ``known[pos]`` reset, and None returned.
+    Otherwise the buckets appended to are returned, to pop on backtrack.
     """
-    live = []
-    for rel in rels:
-        src, img, k = rel
-        while k <= pos and src[k] <= pos:
-            d = img[t[src[k]]] - t[k]
-            if d:
-                if d < 0:
-                    return None
-                break
-            k += 1
-        else:
-            live.append(rel if k == rel[2] else (src, img, k))
-    return live
+    if f < 0:
+        known[pos] = v
+        cells = (pos, *trail)
+    else:
+        cells = trail
+    moved = []
+    for c in cells:
+        for rel in buckets[c]:
+            src, img, k = rel
+            while (a := known[k]) >= 0 and (b := known[src[k]]) >= 0 and img[b] == a:
+                k += 1
+            if a < 0:
+                w = k
+            elif b < 0:
+                w = src[k]
+            elif img[b] > a:
+                continue
+            else:
+                for w in moved:
+                    buckets[w].pop()
+                known[pos] = f
+                return None
+            buckets[w].append(rel if k == rel[2] else (src, img, k))
+            moved.append(w)
+    return moved
 
 
-def _search(m: int, t: list[int], val_cells, forced, pos: int, stop: int, rels=()):
-    """Yield (cells, live) for every consistent completion of t up to ``stop``.
+def _search(m: int, t: list[int], val_cells, forced, pos: int, stop: int, buckets=None):
+    """Yield (cells, buckets) for every consistent completion of t up to ``stop``.
 
-    ``rels`` are the lex-leader relabelings carried into this node (see
-    ``_lex_filter``); with none, every completion is yielded.
+    With lex-leader ``buckets`` (see ``_lex_filter``), ``forced`` also holds
+    each set cell's value, which the consistency pass never reads, and so is
+    the table of known values.  With none, every completion is yielded.
     """
     if pos == stop:
-        yield tuple(t[:stop]), rels
+        yield tuple(t[:stop]), buckets
         return
     f = forced[pos]
-    live = rels
     for v in range(m) if f < 0 else (f,):
         t[pos] = v
         trail: list[int] = []
         if _consistent(t, m, pos, v, val_cells, forced, trail) and (
-            not rels or (live := _lex_filter(t, pos, rels)) is not None
+            buckets is None or (moved := _lex_filter(buckets, forced, pos, v, f, trail)) is not None
         ):
             val_cells[v].append(pos)
-            yield from _search(m, t, val_cells, forced, pos + 1, stop, live)
+            yield from _search(m, t, val_cells, forced, pos + 1, stop, buckets)
             val_cells[v].pop()
+            if buckets is not None:
+                for w in moved:
+                    buckets[w].pop()
+                forced[pos] = f
         for c in trail:
             forced[c] = -1
     t[pos] = -1
@@ -213,27 +237,34 @@ def _relabelings(m: int) -> tuple:
     return tuple(rels)
 
 
+def _fresh_buckets(m: int) -> list[list]:
+    """Every relabeling waiting on cell 0, and an empty bucket per other cell."""
+    return [list(_relabelings(m))] + [[] for _ in range(m * m)]
+
+
 def _fresh_state(m: int):
-    return [-1] * (m * m), [[] for _ in range(m)], [-1] * (m * m)
+    """Empty t, val_cells and forced; forced has the never-known sentinel cell m²."""
+    return [-1] * (m * m), [[] for _ in range(m)], [-1] * (m * m + 1)
 
 
-def _resume_state(m: int, prefix: tuple[int, ...], rels=()):
+def _resume_state(m: int, prefix: tuple[int, ...], buckets=None):
     """Rebuild the search state after the given prefix, which the search produced.
 
     Assignments are replayed through the consistency pass so the forced-value
     bookkeeping matches what a direct search would hold at this point, and
-    through the lex-leader filter so ``rels`` becomes the node's live list.
+    through the lex-leader filter so ``buckets`` match too.
     """
     t, val_cells, forced = _fresh_state(m)
     for pos, v in enumerate(prefix):
+        f = forced[pos]
         t[pos] = v
-        ok = _consistent(t, m, pos, v, val_cells, forced, [])
-        if rels:
-            rels = _lex_filter(t, pos, rels)
-            ok = ok and rels is not None
+        trail: list[int] = []
+        ok = _consistent(t, m, pos, v, val_cells, forced, trail)
+        if buckets is not None:
+            ok = ok and _lex_filter(buckets, forced, pos, v, f, trail) is not None
         assert ok, "prefix from the search must replay cleanly"
         val_cells[v].append(pos)
-    return t, val_cells, forced, rels
+    return t, val_cells, forced, buckets
 
 
 def _to_operation(m: int, flat: tuple[int, ...]) -> Operation:
@@ -241,9 +272,9 @@ def _to_operation(m: int, flat: tuple[int, ...]) -> Operation:
     return Operation(rows, unchecked=True)
 
 
-def _completions(m: int, prefix: tuple[int, ...], rels=()):
-    t, val_cells, forced, live = _resume_state(m, prefix, rels)
-    return _search(m, t, val_cells, forced, len(prefix), m * m, live)
+def _completions(m: int, prefix: tuple[int, ...], buckets=None):
+    t, val_cells, forced, buckets = _resume_state(m, prefix, buckets)
+    return _search(m, t, val_cells, forced, len(prefix), m * m, buckets)
 
 
 def _collect_completions(args) -> list[tuple[int, ...]]:
@@ -254,24 +285,28 @@ def _collect_completions(args) -> list[tuple[int, ...]]:
 def _lex_leaders(args) -> list[tuple[tuple[int, ...], int]]:
     """Orbit minima below the prefix, each with its automorphism count."""
     m, prefix = args
-    return [(flat, 1 + len(live)) for flat, live in _completions(m, prefix, _relabelings(m))]
+    return [(flat, 1 + len(buckets[-1])) for flat, buckets in _completions(m, prefix, _fresh_buckets(m))]
 
 
 def _orbit_minima(m: int, jobs: int):
     """(flat, m!/|Aut|) for every orbit minimum, in lexicographic order."""
-    chunks = _map_over_prefixes(m, _lex_leaders, jobs, _relabelings(m))
+    chunks = _map_over_prefixes(m, _lex_leaders, jobs, lex=True)
     return ((flat, math.factorial(m) // aut) for chunk in chunks for flat, aut in chunk)
 
 
-def _map_over_prefixes(m: int, worker, jobs: int, rels=()):
-    """Apply ``worker`` to every first-row search prefix, in prefix order."""
-    depth = m if m > 1 else 0
-    t, val_cells, forced = _fresh_state(m)
-    tasks = [(m, p) for p, _ in _search(m, t, val_cells, forced, 0, depth, rels)]
-    if jobs > 1 and len(tasks) > 1:
+def _map_over_prefixes(m: int, worker, jobs: int, lex: bool = False):
+    """Apply ``worker`` to every two-row search prefix, in prefix order, or
+    with one job to the empty prefix (a direct search, with no replay)."""
+    tasks = [(m, ())]
+    if jobs > 1:
+        t, val_cells, forced = _fresh_state(m)
+        buckets = _fresh_buckets(m) if lex else None
+        tasks = [(m, p) for p, _ in _search(m, t, val_cells, forced, 0, min(2 * m, m * m), buckets)]
+    if len(tasks) > 1:
+        # small chunks: the heaviest subtrees sit together early in prefix order
         ctx = multiprocessing.get_context()
         with ctx.Pool(processes=jobs) as pool:
-            yield from pool.imap(worker, tasks, chunksize=max(1, len(tasks) // (8 * jobs)))
+            yield from pool.imap(worker, tasks, chunksize=max(1, len(tasks) // (64 * jobs)))
     else:
         for task in tasks:
             yield worker(task)

@@ -3,7 +3,8 @@
 Matrices are lists of row lists.  ``rref``, ``rank``, ``kernel_basis`` and
 ``det`` share one fraction-free (Bareiss) Gauss-Jordan elimination.  Rational
 rows are scaled to ints (``scalars.integral``) and divided exactly with ``//``;
-other scalars (prime-field elements) pass through and divide with ``/``.
+a matrix with prime-field elements is lifted into their field, ints included,
+and divides with ``/``.
 Rationals become ``Fraction`` only when the pivot rows are normalized.
 """
 
@@ -29,8 +30,12 @@ def _eliminate(rows):
         ints, d = integral(row)
         mat.append(ints)
         scale *= d
-    rational = all(type(x) is int for row in mat for x in row)
+    field = next((x for row in mat for x in row if type(x) is not int), None)
+    rational = field is None
     div = floordiv if rational else truediv
+    if not rational:  # lift the int entries, or an int pivot would divide as float
+        one = field * 0 + 1
+        mat = [[one * x for x in row] for row in mat]
     pivots: list[int] = []
     sign, prev = 1, 1
     for c in range(len(mat[0]) if mat else 0):

@@ -191,7 +191,7 @@ class TestOrbitCensus:
         assert fixed_total % group_order == 0
         assert fixed_total // group_order == orbit_census(m).orbit_count
 
-    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_equals_the_collect_then_relabel_oracle(self, m, jobs):
         assert orbit_census(m, jobs=jobs) == relabel_classify(m)
@@ -202,6 +202,24 @@ class TestOrbitCensus:
         assert census.total == KNOWN_COUNTS[5]
         flats = [rep.flat() for rep, _ in census.representatives]
         assert flats == sorted(set(flats))
+        assert orbit_census(5, jobs=2) == census
+
+    def test_search_work_is_pinned(self, monkeypatch):
+        # consistency passes of the direct m = 4 search; a filter that waited
+        # for forced cells to be set would prune later and take more
+        from cubal import enumeration
+
+        calls = 0
+        consistent = enumeration._consistent
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return consistent(*args)
+
+        monkeypatch.setattr(enumeration, "_consistent", counting)
+        assert orbit_census(4).orbit_count == 188
+        assert calls == 2692
 
     def test_m4_sizes_are_group_order_over_stabilizer(self):
         perms = list(all_permutations(4))

@@ -54,6 +54,25 @@ def seeded_matrix(kind, n_rows, n_cols, rng):
     return mat
 
 
+def mixed_gf5_matrix(n_rows, n_cols, rng):
+    """A seeded GF(5) matrix with about half its entries, and all of its first
+    row, replaced by int representatives; the last entry stays in the field."""
+    mat = seeded_matrix("gf5", n_rows, n_cols, rng)
+    for r, row in enumerate(mat):
+        for c, x in enumerate(row):
+            if (r == 0 or rng.random() < 0.5) and (r, c) != (n_rows - 1, n_cols - 1):
+                row[c] = x.value + 5 * rng.randint(-1, 1)
+    return mat
+
+
+def lift_gf5(rows):
+    return [[x if isinstance(x, PrimeFieldElement) else PrimeFieldElement(x, 5) for x in row] for row in rows]
+
+
+def gf5_values(rows):
+    return [[x.value if isinstance(x, PrimeFieldElement) else x for x in row] for row in rows]
+
+
 def naive_det(rows):
     """Cofactor expansion, independent of the elimination code."""
     n = len(rows)
@@ -110,6 +129,20 @@ class TestDet:
             as_ints = [[x.value for x in row] for row in mat]
             assert det(mat) == PrimeFieldElement(int(naive_det(as_ints)), 5)
 
+    def test_int_pivot_beside_prime_field_entries(self):
+        g = lambda v: PrimeFieldElement(v, 5)
+        assert det([[1, 0], [0, g(2)]]) == g(2)
+        assert det([[2, 1], [g(3), 4]]) == g(2 * 4 - 3)
+
+    def test_mixed_int_and_prime_field_against_cofactor_expansion(self):
+        rng = random.Random("det:gf5-mixed")
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            mat = mixed_gf5_matrix(n, n, rng)
+            got = det(mat)
+            assert isinstance(got, PrimeFieldElement)
+            assert got == PrimeFieldElement(int(naive_det(gf5_values(mat))), 5)
+
 
 class TestRref:
     def test_pivots_of_full_rank_matrix(self):
@@ -151,6 +184,23 @@ class TestRrefOracle:
             assert rank(mat) == len(expected_pivots)
             if kind != "gf5":
                 assert all(type(x) is Fraction for row in reduced for x in row)
+
+    def test_int_pivot_beside_prime_field_entries(self):
+        g = lambda v: PrimeFieldElement(v, 5)
+        assert rref([[1, 0], [0, g(2)]]) == ([[1, 0], [0, 1]], [0, 1])
+        assert rank([[1, 2], [g(3), g(1)]]) == 1  # 3 * (1, 2) = (3, 1) mod 5
+
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_mixed_int_and_prime_field_matches_reference(self, shape):
+        rng = random.Random(f"rref:gf5-mixed:{shape}")
+        n_rows, n_cols = self.SHAPES[shape]
+        for _ in range(25):
+            mat = mixed_gf5_matrix(n_rows, n_cols, rng)
+            reduced, pivots = rref(mat)
+            assert (reduced, pivots) == fraction_rref(lift_gf5(mat))
+            assert all(isinstance(x, PrimeFieldElement) for row in reduced for x in row)
+            if n_rows == n_cols:
+                assert (len(pivots) == n_rows) == (naive_det(gf5_values(mat)) % 5 != 0)
 
     def test_zero_rows_and_zero_matrix(self):
         rng = random.Random("rref:zero")
