@@ -264,7 +264,7 @@ def _resume_state(m: int, prefix: tuple[int, ...], buckets=None):
             ok = ok and _lex_filter(buckets, forced, pos, v, f, trail) is not None
         assert ok, "prefix from the search must replay cleanly"
         val_cells[v].append(pos)
-    return t, val_cells, forced, buckets
+    return t, val_cells, forced
 
 
 def _to_operation(m: int, flat: tuple[int, ...]) -> Operation:
@@ -273,7 +273,7 @@ def _to_operation(m: int, flat: tuple[int, ...]) -> Operation:
 
 
 def _completions(m: int, prefix: tuple[int, ...], buckets=None):
-    t, val_cells, forced, buckets = _resume_state(m, prefix, buckets)
+    t, val_cells, forced = _resume_state(m, prefix, buckets)
     return _search(m, t, val_cells, forced, len(prefix), m * m, buckets)
 
 
