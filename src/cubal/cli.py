@@ -262,7 +262,7 @@ def _run_subalg(args, report):
 
 
 def _run_verify(args, report):
-    doc = verify_census(args.m, jobs=args.jobs)
+    doc = verify_census(args.m, jobs=args.jobs, max_m=_env_max_m())
     report["results"] = doc
     if doc["all_pass"]:
         return EXIT_OK

@@ -21,9 +21,9 @@ members, and the labelled count is the sum of these sizes.  Only
 one leaf per labelled table, and carry no buckets.
 
 With one job the search runs once from the root.  With more, the tree is
-partitioned along the assignments of the first two rows, which gives
-independent subtrees; partial results are concatenated in prefix order so
-the output never depends on the worker count.
+split on the assignments of the first two rows, and each worker follows its
+prefix from the root through the same search; partial results are
+concatenated in prefix order so the output never depends on the worker count.
 """
 
 from __future__ import annotations
@@ -198,8 +198,9 @@ def _lex_filter(buckets, known, pos: int, v: int, f: int, trail):
     return moved
 
 
-def _search(m: int, t: list[int], val_cells, forced, pos: int, stop: int, buckets=None):
-    """Yield (cells, buckets) for every consistent completion of t up to ``stop``.
+def _search(m: int, t: list[int], val_cells, forced, pos: int, stop: int, buckets=None, prefix=()):
+    """Yield (cells, buckets) for every consistent completion of t up to ``stop``
+    that starts with ``prefix``: in a prefix cell only the prefix's value is tried.
 
     With lex-leader ``buckets`` (see ``_lex_filter``), ``forced`` also holds
     each set cell's value, which the consistency pass never reads, and so is
@@ -209,14 +210,14 @@ def _search(m: int, t: list[int], val_cells, forced, pos: int, stop: int, bucket
         yield tuple(t[:stop]), buckets
         return
     f = forced[pos]
-    for v in range(m) if f < 0 else (f,):
+    for v in (prefix[pos],) if pos < len(prefix) else (range(m) if f < 0 else (f,)):
         t[pos] = v
         trail: list[int] = []
         if _consistent(t, m, pos, v, val_cells, forced, trail) and (
             buckets is None or (moved := _lex_filter(buckets, forced, pos, v, f, trail)) is not None
         ):
             val_cells[v].append(pos)
-            yield from _search(m, t, val_cells, forced, pos + 1, stop, buckets)
+            yield from _search(m, t, val_cells, forced, pos + 1, stop, buckets, prefix)
             val_cells[v].pop()
             if buckets is not None:
                 for w in moved:
@@ -237,34 +238,12 @@ def _relabelings(m: int) -> tuple:
     return tuple(rels)
 
 
-def _fresh_buckets(m: int) -> list[list]:
-    """Every relabeling waiting on cell 0, and an empty bucket per other cell."""
-    return [list(_relabelings(m))] + [[] for _ in range(m * m)]
-
-
-def _fresh_state(m: int):
-    """Empty t, val_cells and forced; forced has the never-known sentinel cell m²."""
-    return [-1] * (m * m), [[] for _ in range(m)], [-1] * (m * m + 1)
-
-
-def _resume_state(m: int, prefix: tuple[int, ...], buckets=None):
-    """Rebuild the search state after the given prefix, which the search produced.
-
-    Assignments are replayed through the consistency pass so the forced-value
-    bookkeeping matches what a direct search would hold at this point, and
-    through the lex-leader filter so ``buckets`` match too.
-    """
-    t, val_cells, forced = _fresh_state(m)
-    for pos, v in enumerate(prefix):
-        f = forced[pos]
-        t[pos] = v
-        trail: list[int] = []
-        ok = _consistent(t, m, pos, v, val_cells, forced, trail)
-        if buckets is not None:
-            ok = ok and _lex_filter(buckets, forced, pos, v, f, trail) is not None
-        assert ok, "prefix from the search must replay cleanly"
-        val_cells[v].append(pos)
-    return t, val_cells, forced
+def _search_from_root(m: int, stop: int, lex: bool, prefix=()):
+    """``_search`` from the empty table; forced has the never-known sentinel cell
+    m², and with ``lex`` every relabeling waits on cell 0."""
+    t, val_cells, forced = [-1] * (m * m), [[] for _ in range(m)], [-1] * (m * m + 1)
+    buckets = [list(_relabelings(m))] + [[] for _ in range(m * m)] if lex else None
+    return _search(m, t, val_cells, forced, 0, stop, buckets, prefix)
 
 
 def _to_operation(m: int, flat: tuple[int, ...]) -> Operation:
@@ -272,51 +251,39 @@ def _to_operation(m: int, flat: tuple[int, ...]) -> Operation:
     return Operation(rows, unchecked=True)
 
 
-def _completions(m: int, prefix: tuple[int, ...], buckets=None):
-    t, val_cells, forced = _resume_state(m, prefix, buckets)
-    return _search(m, t, val_cells, forced, len(prefix), m * m, buckets)
-
-
-def _collect_completions(args) -> list[tuple[int, ...]]:
-    m, prefix = args
-    return [flat for flat, _ in _completions(m, prefix)]
-
-
-def _lex_leaders(args) -> list[tuple[tuple[int, ...], int]]:
-    """Orbit minima below the prefix, each with its automorphism count."""
-    m, prefix = args
-    return [(flat, 1 + len(buckets[-1])) for flat, buckets in _completions(m, prefix, _fresh_buckets(m))]
+def _leaves(args) -> list[tuple[tuple[int, ...], int]]:
+    """Every leaf below the prefix, each with |Aut| (1 in the labelled search)."""
+    m, prefix, lex = args
+    leaves = _search_from_root(m, m * m, lex, prefix)
+    return [(flat, 1 + len(b[-1]) if lex else 1) for flat, b in leaves]
 
 
 def _orbit_minima(m: int, jobs: int):
     """(flat, m!/|Aut|) for every orbit minimum, in lexicographic order."""
-    chunks = _map_over_prefixes(m, _lex_leaders, jobs, lex=True)
+    chunks = _map_over_prefixes(m, jobs, lex=True)
     return ((flat, math.factorial(m) // aut) for chunk in chunks for flat, aut in chunk)
 
 
-def _map_over_prefixes(m: int, worker, jobs: int, lex: bool = False):
-    """Apply ``worker`` to every two-row search prefix, in prefix order, or
-    with one job to the empty prefix (a direct search, with no replay)."""
-    tasks = [(m, ())]
+def _map_over_prefixes(m: int, jobs: int, lex: bool = False):
+    """``_leaves`` of every two-row search prefix, in prefix order, or with one
+    job of the empty prefix (a direct search); each worker follows its prefix
+    through ``_search``."""
+    tasks = [(m, (), lex)]
     if jobs > 1:
-        t, val_cells, forced = _fresh_state(m)
-        buckets = _fresh_buckets(m) if lex else None
-        tasks = [(m, p) for p, _ in _search(m, t, val_cells, forced, 0, min(2 * m, m * m), buckets)]
+        tasks = [(m, p, lex) for p, _ in _search_from_root(m, min(2 * m, m * m), lex)]
     if len(tasks) > 1:
         # small chunks: the heaviest subtrees sit together early in prefix order
-        ctx = multiprocessing.get_context()
-        with ctx.Pool(processes=jobs) as pool:
-            yield from pool.imap(worker, tasks, chunksize=max(1, len(tasks) // (64 * jobs)))
+        processes = min(jobs, len(tasks))
+        with multiprocessing.get_context().Pool(processes=processes) as pool:
+            yield from pool.imap(_leaves, tasks, chunksize=max(1, len(tasks) // (64 * processes)))
     else:
-        for task in tasks:
-            yield worker(task)
+        yield from map(_leaves, tasks)
 
 
 def enumerate_operations(m: int, *, max_m: int = DEFAULT_MAX_M):
     """Yield every associative operation on {1, .., m} once, in lexicographic order."""
     _check_budget(m, max_m, "enumeration")
-    t, val_cells, forced = _fresh_state(m)
-    for flat, _ in _search(m, t, val_cells, forced, 0, m * m):
+    for flat, _ in _search_from_root(m, m * m, lex=False):
         yield _to_operation(m, flat)
 
 
@@ -331,8 +298,8 @@ def collect_operations(m: int, *, jobs: int = 1, max_m: int = DEFAULT_MAX_M) -> 
     """The full census as a list, in lexicographic order."""
     _check_budget(m, max_m, "enumeration")
     ops: list[Operation] = []
-    for chunk in _map_over_prefixes(m, _collect_completions, jobs):
-        ops.extend(_to_operation(m, flat) for flat in chunk)
+    for chunk in _map_over_prefixes(m, jobs):
+        ops.extend(_to_operation(m, flat) for flat, _ in chunk)
     return ops
 
 

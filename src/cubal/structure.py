@@ -133,22 +133,19 @@ def verify_isomorphism(a: Operation, b: Operation, pi: Permutation) -> bool:
 
     True iff f(X *_a Y) = f(X) *_b f(Y) for all basis pairs, where f is the
     basis relabeling E(s) -> E(pi(s)); this must hold when act(pi, a) = b.
-    Pairs are compared as index triples under ``_basis_product_triple``.
     E(s) E(t) vanishes unless s3 = t1, and pi(s3) = pi(t1) exactly when
-    s3 = t1 because pi is a bijection, so pairs with s3 != t1 vanish on both
-    sides and are skipped.
+    s3 = t1 because pi is a bijection, so those pairs vanish on both sides.
+    Otherwise the triple rule gives f(E(i,j,k) E(k,n,r)) = E(pi(i),
+    pi(a(j,n)), pi(r)) and E(pi(i),pi(j),pi(k)) E(pi(k),pi(n),pi(r)) =
+    E(pi(i), b(pi(j),pi(n)), pi(r)); the outer indices always agree, so the
+    m^5 pair identities hold exactly when b(pi(j), pi(n)) = pi(a(j, n)) for
+    all j, n, and those m^2 identities are what is computed.
     """
     m = a.m
     if b.m != m or pi.m != m:
         raise ValueError("size mismatch")
     idx = range(1, m + 1)
-    for s in itertools.product(idx, repeat=3):
-        ps = tuple(map(pi, s))
-        for n, r in itertools.product(idx, repeat=2):
-            prod = _basis_product_triple(a, s, (s[2], n, r))
-            if _basis_product_triple(b, ps, (ps[2], pi(n), pi(r))) != tuple(map(pi, prod)):
-                return False
-    return True
+    return all(b(pi(j), pi(n)) == pi(a(j, n)) for j in idx for n in idx)
 
 
 class LinearForm:

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from .cubic import CubicMatrix
-from .enumeration import collect_operations
+from .enumeration import DEFAULT_MAX_M, collect_operations
 from .linalg import rank
 from .operations import (
     Operation,
@@ -245,10 +245,10 @@ def verify_operation(op: Operation) -> dict:
     }
 
 
-def verify_census(m: int, *, jobs: int = 1, operations=None) -> dict:
+def verify_census(m: int, *, jobs: int = 1, max_m: int = DEFAULT_MAX_M, operations=None) -> dict:
     """Verify every operation of the census for m; the report is deterministic."""
     if operations is None:
-        operations = collect_operations(m, jobs=jobs)
+        operations = collect_operations(m, jobs=jobs, max_m=max_m)
     results = [verify_operation(op) for op in operations]
     checks = [k for k in results[0] if k not in ("operation", "witnesses")] if results else []
     all_pass = all(res[k] for res in results for k in checks)

@@ -84,6 +84,12 @@ class TestEnum:
         assert main(["enum", "--m", "5", "--census", str(out)]) == 2
         assert not out.exists()
 
+    def test_verify_follows_the_enumeration_budget(self, capsys, monkeypatch):
+        assert main(["verify", "--m", "6"]) == 2
+        monkeypatch.setenv("CUBAL_MAX_M", "2")
+        assert main(["verify", "--m", "3"]) == 2
+        assert main(["verify", "--m", "2"]) == 0
+
     def test_usage_error_is_exit_2(self, capsys):
         assert main(["enum"]) == 2
         assert main(["no-such-command"]) == 2

@@ -2,9 +2,11 @@
 
 import itertools
 import math
+import multiprocessing
 
 import pytest
 
+from cubal import enumeration
 from cubal.enumeration import (
     CensusResult,
     canonical_representative,
@@ -53,6 +55,47 @@ def relabel_classify(m):
         representatives.append((op, len(members)))
         assigned.update(members)
     return CensusResult(m=m, total=len(ops), representatives=tuple(representatives))
+
+
+def count_consistent(monkeypatch):
+    """Count the consistency passes from here on, in a one-item list."""
+    calls = [0]
+    consistent = enumeration._consistent
+
+    def counting(*args):
+        calls[0] += 1
+        return consistent(*args)
+
+    monkeypatch.setattr(enumeration, "_consistent", counting)
+    return calls
+
+
+class InProcessContext:
+    """Stands in for multiprocessing.get_context(): records the size of each
+    pool asked for and maps its tasks in this process."""
+
+    def __init__(self):
+        self.processes = []
+
+    def Pool(self, processes):
+        self.processes.append(processes)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    ctx = InProcessContext()
+    monkeypatch.setattr(multiprocessing, "get_context", lambda *args: ctx)
+    return ctx
 
 
 class TestCounts:
@@ -207,19 +250,9 @@ class TestOrbitCensus:
     def test_search_work_is_pinned(self, monkeypatch):
         # consistency passes of the direct m = 4 search; a filter that waited
         # for forced cells to be set would prune later and take more
-        from cubal import enumeration
-
-        calls = 0
-        consistent = enumeration._consistent
-
-        def counting(*args):
-            nonlocal calls
-            calls += 1
-            return consistent(*args)
-
-        monkeypatch.setattr(enumeration, "_consistent", counting)
+        calls = count_consistent(monkeypatch)
         assert orbit_census(4).orbit_count == 188
-        assert calls == 2692
+        assert calls[0] == 2692
 
     def test_m4_sizes_are_group_order_over_stabilizer(self):
         perms = list(all_permutations(4))
@@ -232,6 +265,25 @@ class TestOrbitCensus:
             orbit_census(6)  # m = 6 needs max_m=6 (CUBAL_MAX_M=6 on the CLI)
         with pytest.raises(CapacityError):
             orbit_census(7, max_m=7)  # hard cap stays at 6
+
+
+class TestSplitSearch:
+    def test_split_search_work_is_pinned(self, monkeypatch, in_process_pool):
+        # the split into two-row prefixes plus every worker's walk down its
+        # prefix and through its subtree; a worker that strayed from its
+        # prefix, or dropped part of it, would take a different count
+        calls = count_consistent(monkeypatch)
+        split = orbit_census(4, jobs=2)
+        assert calls[0] == 3012
+        assert split == orbit_census(4)
+        calls[0] = 0
+        assert len(collect_operations(4, jobs=2)) == KNOWN_COUNTS[4]
+        assert calls[0] == 43633
+
+    def test_pool_never_outnumbers_its_tasks(self, in_process_pool):
+        assert orbit_census(2, jobs=64) == orbit_census(2)  # 5 two-row prefixes
+        assert collect_operations(2, jobs=64) == collect_operations(2)  # 8 of them
+        assert in_process_pool.processes == [5, 8]
 
 
 class TestCensusResultInvariants:

@@ -52,6 +52,18 @@ def random_cubic(m, rng, span=6):
     )
 
 
+def pair_loop_isomorphism(a, b, pi):
+    """The m^5 basis-pair check that verify_isomorphism reduces to m^2 identities."""
+    idx = range(1, a.m + 1)
+    for s in itertools.product(idx, repeat=3):
+        ps = tuple(map(pi, s))
+        for n, r in itertools.product(idx, repeat=2):
+            prod = _basis_product_triple(a, s, (s[2], n, r))
+            if _basis_product_triple(b, ps, (ps[2], pi(n), pi(r))) != tuple(map(pi, prod)):
+                return False
+    return True
+
+
 class TestAccompanyingAlgebra:
     def test_unit_rule_matching(self):
         u12 = AccompanyingElement.unit(2, 1, 2)
@@ -242,6 +254,7 @@ class TestVerifyIsomorphism:
             for pi in all_permutations(3):
                 for b in candidates:
                     assert verify_isomorphism(a, b, pi) == (act(pi, a) == b)
+                    assert pair_loop_isomorphism(a, b, pi) == (act(pi, a) == b)
 
 
 class TestTripleRule:
