@@ -234,6 +234,21 @@ def character_search(a: Operation) -> list[LinearForm]:
     return [unit]
 
 
+def _zero_product_block(fixed: CubicMatrix, op: Operation, side: str) -> list[list]:
+    """The m^2 x m^2 block that ``_solve_zero_product`` solves, by the triple rule."""
+    m, rows = fixed.m, op.rows
+    block = [[0] * (m * m) for _ in range(m * m)]
+    for flat, val in fixed.integer_multiple().nonzero_items():
+        i, j, k = flat // (m * m), flat // m % m, flat % m
+        for n in range(m):
+            if side == "left":
+                r, c = i * m + rows[j][n] - 1, k * m + n
+            else:
+                r, c = (rows[n][j] - 1) * m + k, n * m + i
+            block[r][c] += val
+    return block
+
+
 def _solve_zero_product(
     fixed: CubicMatrix, op: Operation, side: str
 ) -> CubicMatrix | None:
@@ -241,26 +256,20 @@ def _solve_zero_product(
 
     The outer index of X away from fixed passes through the product, so on
     flat coordinates X -> fixed * X is M (x) I_m and X -> X * fixed is
-    I_m (x) N.  The m^2 x m^2 block M (N) is the slice r = 1 (i = 1) of the
-    products with E(k, n, 1) (with E(1, l, k)).  As rref(M (x) I) =
+    I_m (x) N.  The m^2 x m^2 block M (N) acts on the slice r = 1 (i = 1) and
+    is built in one pass over the entries of A, the int multiple of fixed
+    (the same kernel), by the triple rule: left, A[i, l, k] adds to row
+    (i, a(l, n)), column (k, n), for every n; right, A[k, n, r] adds to row
+    (a(l, n), r), column (l, k), for every l.  As rref(M (x) I) =
     rref(M) (x) I, its first kernel vector, placed on that same slice, is
     exactly the first kernel vector of the whole m^3 x m^3 map.
     """
     m = fixed.m
     if op.m != m:
         raise ValueError("size mismatch")
-    fixed = fixed.integer_multiple()  # the same kernel, with int columns
-    mm = m * m
-    block = slice(None, None, m) if side == "left" else slice(mm)
-    columns = []
-    for p, q in itertools.product(range(1, m + 1), repeat=2):
-        if side == "left":
-            columns.append(fixed.mul(CubicMatrix.basis(m, p, q, 1), op).entries[block])
-        else:
-            columns.append(CubicMatrix.basis(m, 1, p, q).mul(fixed, op).entries[block])
-    for vec in kernel_basis([list(row) for row in zip(*columns)]):
-        entries = [0] * (mm * m)
-        entries[block] = vec
+    for vec in kernel_basis(_zero_product_block(fixed, op, side)):
+        entries = [0] * (m * m * m)
+        entries[slice(None, None, m) if side == "left" else slice(m * m)] = vec
         return CubicMatrix(m, entries)
     return None
 

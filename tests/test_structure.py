@@ -26,6 +26,7 @@ from cubal.structure import (
     LinearForm,
     SpannedSubspace,
     _basis_product_triple,
+    _zero_product_block,
     accompanying_image,
     character_search,
     count_subalgebras_from_invariants,
@@ -386,6 +387,22 @@ def full_zero_divisor_witness(a, op, side):
     return CubicMatrix(m, kernel[0]) if kernel else None
 
 
+def dense_product_block(fixed, op, side):
+    """The m^2 x m^2 zero-divisor block built column by column from dense
+    products with E(k, n, 1) (side="left") or E(1, l, k) (side="right"), on
+    the int multiple of fixed; _zero_product_block builds it by the triple rule."""
+    m = fixed.m
+    fixed = fixed.integer_multiple()
+    block = slice(None, None, m) if side == "left" else slice(m * m)
+    columns = []
+    for p, q in itertools.product(range(1, m + 1), repeat=2):
+        if side == "left":
+            columns.append(fixed.mul(E(m, p, q, 1), op).entries[block])
+        else:
+            columns.append(E(m, 1, p, q).mul(fixed, op).entries[block])
+    return [list(row) for row in zip(*columns)]
+
+
 def support(x):
     m = x.m
     return [t for t in itertools.product(range(1, m + 1), repeat=3) if x.entry(*t) != 0]
@@ -435,6 +452,40 @@ class TestBlockZeroDivisorSolve:
                 assert all(i == 1 for i, _, _ in support(right))
             found += (left is not None) + (right is not None)
         assert found > 0
+
+
+class TestZeroProductBlock:
+    """The triple-rule block against the dense-product oracle, entry for entry
+    and type for type."""
+
+    DRAWS = {
+        "int": lambda rng: rng.choice((0, 0, rng.randint(-3, 3))),
+        "fraction": lambda rng: Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+        "gf5": lambda rng: PrimeFieldElement(rng.randint(0, 4), 5),
+    }
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("kind", list(DRAWS))
+    def test_every_table_up_to_m3(self, side, kind, census2, census3):
+        rng = random.Random(f"block:{side}:{kind}")
+        draw = self.DRAWS[kind]
+        for op in [Operation([[1]])] + census2 + census3:
+            m = op.m
+            a = CubicMatrix(m, [draw(rng) for _ in range(m**3)])
+            block, expected = _zero_product_block(a, op, side), dense_product_block(a, op, side)
+            assert block == expected
+            assert [[type(x) for x in row] for row in block] == [
+                [type(x) for x in row] for row in expected
+            ]
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_basis_matrix_blocks(self, side, census3):
+        # a single entry fills exactly m cells, one per free index
+        for op in census3[::13]:
+            for t in itertools.product(range(1, 4), repeat=3):
+                block = _zero_product_block(E(3, *t), op, side)
+                assert block == dense_product_block(E(3, *t), op, side)
+                assert sorted(x for row in block for x in row if x) == [1, 1, 1]
 
 
 class TestSpans:

@@ -1,8 +1,11 @@
 """The batch check battery used by the verify command."""
 
+import pytest
+
 from cubal import verify
 from cubal.cubic import CubicMatrix
 from cubal.operations import Operation
+from cubal.structure import AccompanyingElement
 from cubal.verify import (
     check_accompanying,
     check_commutativity,
@@ -24,6 +27,14 @@ CHECK_KEYS = (
     "zero_divisors",
     "plenary_powers",
 )
+
+
+@pytest.fixture(autouse=True)
+def fresh_accompanying_cache():
+    """No test sees a table-free theorem_3 result cached by another, mutated or not."""
+    verify._accompanying_trials.cache_clear()
+    yield
+    verify._accompanying_trials.cache_clear()
 
 
 def test_single_operation_report_shape():
@@ -80,6 +91,36 @@ def test_accompanying_check_fails_on_a_wrong_triple_rule(monkeypatch):
         lambda op, s, t: None if s[2] != t[0] else (t[2], op(s[1], t[1]), s[0]),
     )
     assert not check_accompanying(op)
+
+
+def test_accompanying_check_fails_when_the_map_drops_a_fiber(monkeypatch):
+    op = Operation(CYCLE3)
+    assert check_accompanying(op)
+    image = verify.accompanying_image
+
+    def drop_last_fiber(x):
+        coeffs = [list(row) for row in image(x).coeffs]
+        coeffs[-1][-1] = 0
+        return AccompanyingElement(coeffs)
+
+    monkeypatch.setattr(verify, "accompanying_image", drop_last_fiber)
+    verify._accompanying_trials.cache_clear()
+    assert not check_accompanying(op)
+
+
+def test_accompanying_check_fails_on_an_unbalanced_trial(monkeypatch):
+    # images and rank stay right; only the trial elements see the mutation
+    op = Operation(CYCLE3)
+    balance = verify._fiber_balance
+    monkeypatch.setattr(verify, "_fiber_balance", lambda x: balance(x).scale(2))
+    assert not check_accompanying(op)
+
+
+def test_table_free_facts_are_computed_once_per_m():
+    ops = [Operation(CYCLE3), Operation([[1, 1, 1], [1, 1, 1], [1, 1, 1]])]
+    assert all(check_accompanying(op) for op in ops)
+    info = verify._accompanying_trials.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_isomorphism_check_fails_when_pi_does_not_carry_the_table(monkeypatch):
