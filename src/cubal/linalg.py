@@ -83,20 +83,18 @@ def kernel_basis(rows) -> list[list]:
     """A basis of the right null space; empty when the kernel is trivial.
 
     Each vector has a 1 in one free column and the negated reduced entries in
-    the pivot columns, so the basis is exact and deterministic.  Only those
-    entries (pivot rows by free columns) are normalized.
+    the pivot columns, so the basis is exact and deterministic.
     """
     if not rows:
         return []
     n_cols = len(rows[0])
-    mat, pivots, _, _, normalize = _eliminate(rows)
-    d = mat[0][pivots[0]] if pivots else 1
+    mat, pivots = rref(rows)
     basis = []
     for f in (c for c in range(n_cols) if c not in pivots):
         vec: list = [0] * n_cols
         vec[f] = 1
         for r, c in enumerate(pivots):
             if mat[r][f] != 0:
-                vec[c] = -normalize(mat[r][f], d)
+                vec[c] = -mat[r][f]
         basis.append(vec)
     return basis

@@ -236,15 +236,15 @@ def character_search(a: Operation) -> list[LinearForm]:
 
 def _zero_product_block(fixed: CubicMatrix, op: Operation, side: str) -> list[list]:
     """The m^2 x m^2 block that ``_solve_zero_product`` solves, by the triple rule."""
-    m, rows = fixed.m, op.rows
+    m = fixed.m
+    a = [[x - 1 for x in row] for row in op.rows]
+    if side == "left":  # A[i, l, k]: row (i, a(l, n)), column (k, n)
+        cells = lambda i, l, k: [(i * m + a[l][n], k * m + n) for n in range(m)]
+    else:  # A[k, n, r]: row (a(l, n), r), column (l, k)
+        cells = lambda k, n, r: [(a[l][n] * m + r, l * m + k) for l in range(m)]
     block = [[0] * (m * m) for _ in range(m * m)]
     for flat, val in fixed.integer_multiple().nonzero_items():
-        i, j, k = flat // (m * m), flat // m % m, flat % m
-        for n in range(m):
-            if side == "left":
-                r, c = i * m + rows[j][n] - 1, k * m + n
-            else:
-                r, c = (rows[n][j] - 1) * m + k, n * m + i
+        for r, c in cells(flat // (m * m), flat // m % m, flat % m):
             block[r][c] += val
     return block
 

@@ -79,19 +79,20 @@ def check_characters(op: Operation) -> bool:
 def check_accompanying(op: Operation, trials: int = 5) -> bool:
     """The fiber-sum map is a surjective homomorphism with the stated kernel.
 
-    The basis images, surjectivity, and the kernel-ideal test and fiber balance
-    of the seeded trials are checked once per (m, trials) by ``_accompanying_trials``;
-    each table runs the law on basis pairs and the two dense products of each trial.
+    Basis images, surjectivity and the seeded trials' kernel-ideal facts are
+    checked once per (m, trials) by ``_accompanying_trials``; each table runs
+    only the law on basis pairs and the two dense products of each trial.
     """
     m = op.m
     pairs = _accompanying_trials(m, trials)
     # phi(E(i, j, k)) = u(i, k): on basis pairs the law is one on (i, r) pairs
     triples = list(itertools.product(range(1, m + 1), repeat=3))
-    for s, t in itertools.product(triples, repeat=2):
-        prod = _basis_product_triple(op, s, t)
-        outer = None if prod is None else (prod[0], prod[2])
-        if outer != ((s[0], t[2]) if s[2] == t[0] else None):
-            return False
+    for s in triples:
+        for t in triples:
+            prod = _basis_product_triple(op, s, t)
+            outer = None if prod is None else (prod[0], prod[2])
+            if outer != ((s[0], t[2]) if s[2] == t[0] else None):
+                return False
     return pairs is not None and all(
         in_kernel_ideal(balanced.mul(y, op)) and in_kernel_ideal(y.mul(balanced, op))
         for balanced, y in pairs
@@ -101,8 +102,7 @@ def check_accompanying(op: Operation, trials: int = 5) -> bool:
 @functools.lru_cache(maxsize=None)
 def _accompanying_trials(m: int, trials: int):
     """The table-free facts of theorem_3: the (balanced, y) trial pairs, or None."""
-    idx = range(1, m + 1)
-    triples = list(itertools.product(idx, repeat=3))
+    triples = list(itertools.product(range(1, m + 1), repeat=3))
     images = [accompanying_image(CubicMatrix.basis(m, *s)) for s in triples]
     if images != [AccompanyingElement.unit(m, s[0], s[2]) for s in triples]:
         return None
@@ -115,7 +115,11 @@ def _accompanying_trials(m: int, trials: int):
     # positive scaling keeps kernel-ideal membership, so trials run on int multiples
     for _ in range(trials):
         x = random_cubic(m, rng).integer_multiple()
-        fiber_sums_vanish = all(sum(x.entry(i, n, j) for n in idx) == 0 for i in idx for j in idx)
+        fiber_sums_vanish = all(
+            sum(x.entry(i, n, j) for n in range(1, m + 1)) == 0
+            for i in range(1, m + 1)
+            for j in range(1, m + 1)
+        )
         if in_kernel_ideal(x) != fiber_sums_vanish:
             return None
         balanced = x - _fiber_balance(x)

@@ -255,58 +255,3 @@ class TestKernel:
             for vec in basis:
                 for row in mat:
                     assert sum(a * b for a, b in zip(row, vec)) == 0
-
-
-def rref_kernel(rows):
-    """The kernel basis read off the whole normalized rref, the construction
-    kernel_basis used before it normalized only the entries it reads."""
-    if not rows:
-        return []
-    n_cols = len(rows[0])
-    mat, pivots = rref(rows)
-    basis = []
-    for f in (c for c in range(n_cols) if c not in pivots):
-        vec = [0] * n_cols
-        vec[f] = 1
-        for r, c in enumerate(pivots):
-            if mat[r][f] != 0:
-                vec[c] = -mat[r][f]
-        basis.append(vec)
-    return basis
-
-
-def types(vectors):
-    return [[type(x) for x in vec] for vec in vectors]
-
-
-class TestKernelOracle:
-    """kernel_basis against the rref-built kernel, value for value and type for type."""
-
-    @pytest.mark.parametrize("kind", ["rational", "int", "mixed", "sparse", "gf5", "gf5-mixed"])
-    @pytest.mark.parametrize("shape", list(TestRrefOracle.SHAPES))
-    def test_matches_the_rref_kernel(self, kind, shape):
-        rng = random.Random(f"kernel:{kind}:{shape}")
-        n_rows, n_cols = TestRrefOracle.SHAPES[shape]
-        found = 0
-        for _ in range(25):
-            if kind == "gf5-mixed":
-                mat = mixed_gf5_matrix(n_rows, n_cols, rng)
-            else:
-                mat = seeded_matrix(kind, n_rows, n_cols, rng)
-            basis, expected = kernel_basis(mat), rref_kernel(mat)
-            assert basis == expected
-            assert types(basis) == types(expected)
-            found += len(basis)
-        if n_cols >= n_rows:  # a wide or square shape has kernels to compare
-            assert found > 0
-
-    def test_zero_divisor_blocks(self):
-        # m^2 x m^2 with dependent rows, as the zero-divisor solves build them
-        rng = random.Random("kernel:blocks")
-        for n in (4, 9, 16):
-            for kind in ("int", "rational", "gf5"):
-                mat = seeded_matrix(kind, n, n, rng)
-                mat[-1] = [a + b for a, b in zip(mat[0], mat[1])]
-                basis, expected = kernel_basis(mat), rref_kernel(mat)
-                assert basis and basis == expected
-                assert types(basis) == types(expected)
