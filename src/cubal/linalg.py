@@ -61,7 +61,9 @@ def rref(rows) -> tuple[list[list], list[int]]:
     """Reduced row echelon form and the list of pivot columns."""
     mat, pivots, _, _, normalize = _eliminate(rows)
     d = mat[0][pivots[0]] if pivots else 1
-    return [[normalize(x, d) for x in row] for row in mat], pivots
+    # nearly every entry of a Gauss-Jordan form is 0 or the pivot value
+    common = {0: normalize(0, d), d: normalize(d, d)}
+    return [[common[x] if x in common else normalize(x, d) for x in row] for row in mat], pivots
 
 
 def rank(rows) -> int:

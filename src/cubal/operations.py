@@ -228,11 +228,10 @@ def is_invariant(J, a: Operation) -> bool:
 def invariance_violation(J, a: Operation) -> tuple[int, int, int] | None:
     """The first (s, t, a(s, t)) escaping J, or None when J is invariant."""
     J = _validate_subset(J, a.m)
-    for s in sorted(J):
-        for t in sorted(J):
-            v = a(s, t)
-            if v not in J:
-                return (s, t, v)
+    for s, t in itertools.product(sorted(J), repeat=2):
+        v = a(s, t)
+        if v not in J:
+            return (s, t, v)
     return None
 
 

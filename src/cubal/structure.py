@@ -363,39 +363,49 @@ def _basis_product_triple(op: Operation, s, t):
 
 
 def is_subalgebra(span: SpannedSubspace, op: Operation) -> bool:
-    """True iff every product of two spanning basis matrices stays in the span."""
-    if span.m != op.m:
-        raise ValueError("size mismatch")
-    for s in span.triples:
-        for t in span.triples:
-            prod = _basis_product_triple(op, s, t)
-            if prod is not None and prod not in span.triples:
-                return False
-    return True
+    """True iff every product of two spanning basis matrices stays in the span.
+    Only pairs E(s) E(t) with s3 = t1 are tried, as the rest vanish: this is
+    the right-ideal loop of ``_absorbs`` with the span as its own factors."""
+    return _absorbs(span, op, "right", span.triples)
 
 
-def _absorbs(span: SpannedSubspace, op: Operation, side: str) -> bool:
-    """True iff every basis matrix times a span member (side="left") or a
-    span member times every basis matrix (side="right") stays in the span."""
+def _absorbs(span: SpannedSubspace, op: Operation, side: str, factors) -> bool:
+    """True iff every factor times a span member (side="left") or every span
+    member times a factor (side="right") stays in the span.
+
+    E(s) E(t) vanishes unless s3 = t1, and zero lies in every span, so only
+    meeting pairs are visited: the factors are indexed once by their last
+    (left) or first (right) index, m^2 per member when they are all m^3
+    basis matrices.  The triple rule gives E(f1, a(f2, s2), s3) on the left
+    and E(s1, a(s2, f2), f3) on the right.
+    """
     if span.m != op.m:
         raise ValueError("size mismatch")
-    for t in itertools.product(range(1, op.m + 1), repeat=3):
-        for s in span.triples:
-            pair = (t, s) if side == "left" else (s, t)
-            prod = _basis_product_triple(op, *pair)
-            if prod is not None and prod not in span.triples:
-                return False
-    return True
+    rows, inside = op.rows, span.triples
+    meeting: list[list] = [[] for _ in range(op.m + 1)]
+    for f in factors:
+        meeting[f[2] if side == "left" else f[0]].append(f)
+    if side == "left":
+        return all(
+            (f1, rows[f2 - 1][s2 - 1], s3) in inside
+            for s1, s2, s3 in inside
+            for f1, f2, _ in meeting[s1]
+        )
+    return all(
+        (s1, rows[s2 - 1][f2 - 1], f3) in inside
+        for s1, s2, s3 in inside
+        for _, f2, f3 in meeting[s3]
+    )
 
 
 def is_left_ideal(span: SpannedSubspace, op: Operation) -> bool:
     """True iff multiplying any basis matrix onto the span from the left stays inside."""
-    return _absorbs(span, op, "left")
+    return _absorbs(span, op, "left", itertools.product(range(1, op.m + 1), repeat=3))
 
 
 def is_right_ideal(span: SpannedSubspace, op: Operation) -> bool:
     """True iff multiplying any basis matrix onto the span from the right stays inside."""
-    return _absorbs(span, op, "right")
+    return _absorbs(span, op, "right", itertools.product(range(1, op.m + 1), repeat=3))
 
 
 def is_ideal(span: SpannedSubspace, op: Operation) -> bool:

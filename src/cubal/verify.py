@@ -23,11 +23,13 @@ from .operations import (
     classify_power_sequence,
     classify_symmetry,
     enumerate_invariant_subsets,
+    is_invariant,
     power_sequence,
 )
 from .scalars import format_scalar
 from .structure import (
     AccompanyingElement,
+    SpannedSubspace,
     _basis_product_triple,
     accompanying_image,
     character_search,
@@ -36,7 +38,6 @@ from .structure import (
     is_ideal,
     is_subalgebra,
     left_zero_divisor_witness,
-    subalgebra_span,
     verify_isomorphism,
 )
 
@@ -143,21 +144,18 @@ def check_subalgebras(op: Operation) -> bool:
     """Invariant subsets span subalgebras; the image span is a two-sided ideal;
     the block/inclusion/disjointness identities hold on the spanning triples."""
     m = op.m
-    invariant = [J for J in enumerate_invariant_subsets(op) if J]
     blocks = list(itertools.product(range(1, m + 1), repeat=2))
-    for J in invariant:
-        spans = {}
-        for (i, k) in blocks:
-            span = subalgebra_span(op, J, i, k)
-            if not is_subalgebra(span, op):
-                return False
-            spans[(i, k)] = span.triples
-        for b1, b2 in itertools.combinations(blocks, 2):
-            if spans[b1] & spans[b2]:
-                return False
-    for J1, J2 in itertools.combinations(invariant, 2):
-        s1 = subalgebra_span(op, J1, 1, 1).triples
-        s2 = subalgebra_span(op, J2, 1, 1).triples
+    first_block = {}
+    for J in filter(None, enumerate_invariant_subsets(op)):
+        if not is_invariant(J, op):
+            return False
+        spans = [SpannedSubspace(m, frozenset((i, j, k) for j in J)) for i, k in blocks]
+        if not all(is_subalgebra(span, op) for span in spans):
+            return False
+        if any(s1.triples & s2.triples for s1, s2 in itertools.combinations(spans, 2)):
+            return False
+        first_block[J] = spans[0].triples
+    for (J1, s1), (J2, s2) in itertools.combinations(first_block.items(), 2):
         if J1 <= J2 and not s1 <= s2:
             return False
         if J2 <= J1 and not s2 <= s1:
@@ -222,20 +220,26 @@ def _make_singular(x: CubicMatrix) -> CubicMatrix:
 
 
 def check_plenary_powers(op: Operation) -> bool:
-    """Squaring a basis matrix E(j, i, j) tracks the index squaring orbit of i."""
+    """Squaring a basis matrix E(j, i, j) tracks the index squaring orbit of i.
+
+    Only the m^2 squares E(j, i, j)^2 are dense products, checked against the
+    triple rule; each walk step squares one of them, so walks run on triples.
+    """
     m = op.m
     steps = 2 * m
+    square = lambda s: _basis_product_triple(op, s, s)
     for j in range(1, m + 1):
         for i in range(1, m + 1):
+            e = CubicMatrix.basis(m, j, i, j)
+            if e.mul(e, op) != CubicMatrix.basis(m, *square((j, i, j))):
+                return False
             seq = power_sequence(i, op, steps)
-            mat = CubicMatrix.basis(m, j, i, j)
+            t = (j, i, j)
             for n in range(steps + 1):
-                if mat != CubicMatrix.basis(m, j, seq[n], j):
+                if t != (j, seq[n], j):
                     return False
-                mat = mat.mul(mat, op)
-            matrix_class = _classify_squaring(
-                CubicMatrix.basis(m, j, i, j), lambda x: x.mul(x, op)
-            )
+                t = square(t)
+            matrix_class = _classify_squaring((j, i, j), square)
             index_class = classify_power_sequence(i, op)
             if (matrix_class.tag, matrix_class.entry, matrix_class.period) != (
                 index_class.tag, index_class.entry, index_class.period

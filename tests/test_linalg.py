@@ -185,6 +185,24 @@ class TestRrefOracle:
             if kind != "gf5":
                 assert all(type(x) is Fraction for row in reduced for x in row)
 
+    @pytest.mark.parametrize("kind", ["rational", "int", "sparse", "gf5", "gf5-mixed"])
+    def test_every_entry_matches_in_value_and_type(self, kind):
+        # rref shares one normalized 0 and one normalized pivot value per call
+        rng = random.Random(f"rref:types:{kind}")
+        field = PrimeFieldElement if kind.startswith("gf5") else Fraction
+        for n_rows, n_cols in self.SHAPES.values():
+            for _ in range(10):
+                if kind == "gf5-mixed":
+                    mat = mixed_gf5_matrix(n_rows, n_cols, rng)
+                    expected = fraction_rref(lift_gf5(mat))[0]
+                else:
+                    mat = seeded_matrix(kind, n_rows, n_cols, rng)
+                    expected = fraction_rref(mat)[0]
+                reduced = rref(mat)[0]
+                assert [[(x, type(x)) for x in row] for row in reduced] == [
+                    [(x, field) for x in row] for row in expected
+                ]
+
     def test_int_pivot_beside_prime_field_entries(self):
         g = lambda v: PrimeFieldElement(v, 5)
         assert rref([[1, 0], [0, g(2)]]) == ([[1, 0], [0, 1]], [0, 1])

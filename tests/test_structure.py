@@ -403,6 +403,38 @@ def dense_product_block(fixed, op, side):
     return [list(row) for row in zip(*columns)]
 
 
+def all_pairs_closed(span, op, lefts, rights):
+    """True iff every nonvanishing E(s) E(t), s in lefts and t in rights, lies
+    in the span: the loop over all pairs that _absorbs cuts to meeting ones."""
+    for s in lefts:
+        for t in rights:
+            prod = _basis_product_triple(op, s, t)
+            if prod is not None and prod not in span.triples:
+                return False
+    return True
+
+
+def all_pairs_verdicts(span, op):
+    every = list(itertools.product(range(1, op.m + 1), repeat=3))
+    left = all_pairs_closed(span, op, every, span.triples)
+    right = all_pairs_closed(span, op, span.triples, every)
+    return {
+        "subalgebra": all_pairs_closed(span, op, span.triples, span.triples),
+        "left": left,
+        "right": right,
+        "ideal": left and right,
+    }
+
+
+def library_verdicts(span, op):
+    return {
+        "subalgebra": is_subalgebra(span, op),
+        "left": is_left_ideal(span, op),
+        "right": is_right_ideal(span, op),
+        "ideal": is_ideal(span, op),
+    }
+
+
 def support(x):
     m = x.m
     return [t for t in itertools.product(range(1, m + 1), repeat=3) if x.entry(*t) != 0]
@@ -573,6 +605,48 @@ class TestImageIdeal:
         span = SpannedSubspace(2, frozenset({(1, 1, 1), (2, 1, 1), (1, 1, 2), (2, 1, 2)}))
         assert is_left_ideal(span, op)
         assert not is_right_ideal(span, op)
+
+
+class TestAllPairsOracle:
+    """Subalgebra and ideal tests that visit only meeting pairs agree with the
+    loops over all pairs, and both verdicts occur for each test."""
+
+    @staticmethod
+    def tables(census2, census3):
+        return [Operation([[1]])] + census2 + census3
+
+    def test_block_and_image_ideal_spans(self, census2, census3):
+        seen = {key: set() for key in ("subalgebra", "left", "right", "ideal")}
+        for op in self.tables(census2, census3):
+            m = op.m
+            spans = [image_ideal_span(op)] + [
+                subalgebra_span(op, J, i, k)
+                for J in enumerate_invariant_subsets(op)
+                if J
+                for i, k in itertools.product(range(1, m + 1), repeat=2)
+            ]
+            for span in spans:
+                verdicts = library_verdicts(span, op)
+                assert verdicts == all_pairs_verdicts(span, op)
+                for key, value in verdicts.items():
+                    seen[key].add(value)
+        assert seen["subalgebra"] == {True}
+        assert all(seen[key] == {True, False} for key in ("left", "right", "ideal"))
+
+    def test_seeded_random_spans(self, census2, census3):
+        rng = random.Random("absorbs:random-spans")
+        seen = {key: set() for key in ("subalgebra", "left", "right", "ideal")}
+        for op in self.tables(census2, census3):
+            every = list(itertools.product(range(1, op.m + 1), repeat=3))
+            for _ in range(20):
+                n = len(every)
+                size = min(n, rng.choice((0, 1, 2, 3, n - 1, n, rng.randint(0, n))))
+                span = SpannedSubspace(op.m, frozenset(rng.sample(every, size)))
+                verdicts = library_verdicts(span, op)
+                assert verdicts == all_pairs_verdicts(span, op)
+                for key, value in verdicts.items():
+                    seen[key].add(value)
+        assert all(values == {True, False} for values in seen.values())
 
 
 class TestSubalgebraCounts:

@@ -5,12 +5,13 @@ import pytest
 from cubal import verify
 from cubal.cubic import CubicMatrix
 from cubal.operations import Operation
-from cubal.structure import AccompanyingElement
+from cubal.structure import AccompanyingElement, SpannedSubspace
 from cubal.verify import (
     check_accompanying,
     check_commutativity,
     check_isomorphisms,
     check_plenary_powers,
+    check_subalgebras,
     check_zero_divisors,
     verify_census,
     verify_operation,
@@ -157,3 +158,44 @@ def test_plenary_check_fails_on_a_product_that_doubles(monkeypatch):
     mul = CubicMatrix.mul
     monkeypatch.setattr(CubicMatrix, "mul", lambda x, y, op: mul(x, y, op).scale(2))
     assert not check_plenary_powers(op)
+
+
+def test_plenary_check_fails_when_a_square_keeps_its_middle_index(monkeypatch):
+    op = Operation(CYCLE3)
+    monkeypatch.setattr(
+        verify,
+        "_basis_product_triple",
+        lambda op, s, t: None if s[2] != t[0] else (s[0], s[1], t[2]),
+    )
+    assert not check_plenary_powers(op)
+
+
+def test_plenary_check_fails_on_a_power_sequence_off_by_one(monkeypatch):
+    op = Operation(CYCLE3)
+    power_sequence = verify.power_sequence
+    monkeypatch.setattr(
+        verify, "power_sequence", lambda i, op, steps: power_sequence(i, op, steps + 1)[1:]
+    )
+    assert not check_plenary_powers(op)
+
+
+def test_subalgebra_check_fails_when_the_image_ideal_drops_a_triple(monkeypatch):
+    op = Operation(CYCLE3)
+    assert check_subalgebras(op)
+    span = verify.image_ideal_span
+    monkeypatch.setattr(
+        verify,
+        "image_ideal_span",
+        lambda op: SpannedSubspace(op.m, span(op).triples - {min(span(op).triples)}),
+    )
+    assert not check_subalgebras(op)
+
+
+def test_subalgebra_check_fails_on_a_non_invariant_subset(monkeypatch):
+    # {2, 3} is not closed in the cyclic group: a(2, 2) = 3 but a(2, 3) = 1
+    op = Operation(CYCLE3)
+    subsets = verify.enumerate_invariant_subsets
+    monkeypatch.setattr(
+        verify, "enumerate_invariant_subsets", lambda op: subsets(op) + [frozenset({2, 3})]
+    )
+    assert not check_subalgebras(op)
