@@ -9,8 +9,8 @@ one check at a time; each check's best repeat is reported, with their sum.
 The first repeat also fills the once-per-m cache of ``check_accompanying``,
 so ``--repeat 1`` includes that fill.  A check that returns false on any
 table makes the exit status 1.  The last line of stdout is one JSON object.
-Standard library only; cubal is imported from the ``src`` beside this
-directory.
+Standard library only; cubal and perfbench's ``workloads`` are imported
+from this checkout.
 """
 
 from __future__ import annotations
