@@ -107,6 +107,8 @@ class CubicMatrix:
 
         The inner loop runs on the operands' nonzero entries scaled to ints
         (``scalars.integral``); each output entry is divided once by both scales.
+        The right factor is split into (n, r, value) by its first index, and
+        each left entry (i, l, k) looks up its row offsets i m^2 + (a(l, n) - 1) m.
         """
         self._require_same_size(other)
         m = self.m
@@ -118,19 +120,16 @@ class CubicMatrix:
         b_vals, db = integral(v for _, v in b_items)
         by_k: list[list] = [[] for _ in range(m)]
         for (flat, _), val in zip(b_items, b_vals):
-            by_k[flat // mm].append((flat, val))
+            by_k[flat // mm].append((flat // m % m, flat % m, val))
         out: list = [0] * (mm * m)
-        rows = op.rows
+        offsets = [[(j - 1) * m for j in row] for row in op.rows]
         for (aflat, _), aval in zip(a_items, a_vals):
             i0, rem = divmod(aflat, mm)
             l0, k0 = divmod(rem, m)
-            row_l = rows[l0]
             base = i0 * mm
-            for bflat, bval in by_k[k0]:
-                n0 = (bflat // m) % m
-                j0 = row_l[n0] - 1
-                idx = base + j0 * m + bflat % m
-                out[idx] = out[idx] + aval * bval
+            row = [base + o for o in offsets[l0]]
+            for n0, r0, bval in by_k[k0]:
+                out[row[n0] + r0] += aval * bval
         scale = da * db
         if scale != 1:
             out = [Fraction(x, scale) if x else 0 for x in out]

@@ -21,7 +21,8 @@ members, and the labelled count is the sum of these sizes.  Only
 one leaf per labelled table, and carry no buckets.
 
 With one job the search runs once from the root.  With more, the tree is
-split on the assignments of the first two rows, and each worker follows its
+split on the first row (the plain search) or the first two rows (the
+lex-leader search, whose first rows are few), and each worker follows its
 prefix from the root through the same search; partial results are
 concatenated in prefix order so the output never depends on the worker count.
 """
@@ -265,12 +266,12 @@ def _orbit_minima(m: int, jobs: int):
 
 
 def _map_over_prefixes(m: int, jobs: int, lex: bool = False):
-    """``_leaves`` of every two-row search prefix, in prefix order, or with one
-    job of the empty prefix (a direct search); each worker follows its prefix
-    through ``_search``."""
+    """``_leaves`` of every search prefix of two rows (``lex``) or one row, in
+    prefix order, or with one job of the empty prefix (a direct search); each
+    worker follows its prefix through ``_search``."""
     tasks = [(m, (), lex)]
     if jobs > 1:
-        tasks = [(m, p, lex) for p, _ in _search_from_root(m, min(2 * m, m * m), lex)]
+        tasks = [(m, p, lex) for p, _ in _search_from_root(m, min(2 * m, m * m) if lex else m, lex)]
     if len(tasks) > 1:
         # small chunks: the heaviest subtrees sit together early in prefix order
         processes = min(jobs, len(tasks))

@@ -1,19 +1,33 @@
 """Exact Gaussian elimination over any field scalar.
 
 Matrices are lists of row lists.  ``rref``, ``rank``, ``kernel_basis`` and
-``det`` share one fraction-free (Bareiss) Gauss-Jordan elimination.  Rational
-rows are scaled to ints (``scalars.integral``) and divided exactly with ``//``;
-a matrix with prime-field elements is lifted into their field, ints included,
-and divides with ``/``.
-Rationals become ``Fraction`` only when the pivot rows are normalized.
+``det`` share one fraction-free (Bareiss) Gauss-Jordan elimination, whose
+forward half ``first_dependent_column`` runs up to the first pivotless column.
+Rational rows are scaled to ints (``scalars.integral``) and a matrix with
+prime-field elements is lifted into their field, ints included; both divide
+exactly with ``//``.  Rationals become ``Fraction`` only when normalized.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import floordiv, truediv
+from operator import truediv
 
 from .scalars import integral
+
+
+def _integral_rows(rows):
+    """Int-scaled (or field-lifted) rows, the product of their scales, and whether rational."""
+    mat, scale = [], 1
+    for row in rows:
+        ints, d = integral(row)
+        mat.append(ints)
+        scale *= d
+    field = next((x for row in mat for x in row if type(x) is not int), None)
+    if field is not None:  # lift the int entries, or an int pivot would floor-divide
+        one = field * 0 + 1
+        mat = [[one * x for x in row] for row in mat]
+    return mat, scale, field is None
 
 
 def _eliminate(rows):
@@ -25,17 +39,7 @@ def _eliminate(rows):
     pivot.  Returns the rows, the pivot columns, the sign of the row swaps,
     the product of the row scales, and the normalizing division.
     """
-    mat, scale = [], 1
-    for row in rows:
-        ints, d = integral(row)
-        mat.append(ints)
-        scale *= d
-    field = next((x for row in mat for x in row if type(x) is not int), None)
-    rational = field is None
-    div = floordiv if rational else truediv
-    if not rational:  # lift the int entries, or an int pivot would divide as float
-        one = field * 0 + 1
-        mat = [[one * x for x in row] for row in mat]
+    mat, scale, rational = _integral_rows(rows)
     pivots: list[int] = []
     sign, prev = 1, 1
     for c in range(len(mat[0]) if mat else 0):
@@ -51,10 +55,28 @@ def _eliminate(rows):
         for k, row in enumerate(mat):
             if k != r:
                 f = row[c]
-                mat[k] = [div(p * a - f * b, prev) for a, b in zip(row, top)]
+                mat[k] = [(p * a - f * b) // prev for a, b in zip(row, top)]
         prev = p
         pivots.append(c)
     return mat, pivots, sign, scale, (Fraction if rational else truediv)
+
+
+def first_dependent_column(rows) -> int | None:
+    """The first column that depends on those before it (the first without a
+    pivot in ``rref(rows)``), or None: the forward half of ``_eliminate``,
+    removing each pivot row and keeping the other rows from the next column on."""
+    mat, _, _ = _integral_rows(rows)
+    prev = 1
+    for c in range(len(mat[0]) if mat else 0):
+        pivot_row = next((k for k, row in enumerate(mat) if row[0] != 0), None)
+        if pivot_row is None:
+            return c
+        top = mat.pop(pivot_row)
+        p, tail = top[0], top[1:]
+        for k, row in enumerate(mat):
+            mat[k] = [(p * a - row[0] * b) // prev for a, b in zip(row[1:], tail)]
+        prev = p
+    return None
 
 
 def rref(rows) -> tuple[list[list], list[int]]:

@@ -65,7 +65,7 @@ class PrimeFieldElement:
     """An element of the field with p elements, p prime.
 
     Interoperates with Python ints so generic code can compare against 0 and
-    1 and start sums at 0.
+    1 and start sums at 0.  Division is exact, so ``//`` is ``/``.
     """
 
     __slots__ = ("value", "p")
@@ -87,8 +87,8 @@ class PrimeFieldElement:
     __sub__ = _field_op(lambda a, b, p: a - b)
     __rsub__ = _field_op(lambda a, b, p: b - a)
     __mul__ = __rmul__ = _field_op(lambda a, b, p: a * b)
-    __truediv__ = _field_op(lambda a, b, p: a * pow(b, -1, p))
-    __rtruediv__ = _field_op(lambda a, b, p: b * pow(a, -1, p))
+    __truediv__ = __floordiv__ = _field_op(lambda a, b, p: a * pow(b, -1, p))
+    __rtruediv__ = __rfloordiv__ = _field_op(lambda a, b, p: b * pow(a, -1, p))
 
     def __neg__(self):
         return PrimeFieldElement(-self.value, self.p)

@@ -2,10 +2,11 @@
 
 Covers the basis-relabeling isomorphisms between equivalent operations, the
 multiplicative-linear-form (character) decision procedure, exact
-zero-divisor solvers, and the subalgebras and ideals spanned by basis
-matrices.  It also holds the accompanying algebra: ``AccompanyingElement``
-is the library's one m x m matrix type, and ``accompanying_image``, the
-surjection onto it, is the one place the middle-index fiber sums are taken.
+zero-divisor solvers (an m^2 x m^2 block, reduced up to its first dependent
+column), and the subalgebras and ideals spanned by basis matrices.  It also
+holds the accompanying algebra: ``AccompanyingElement`` is the library's one
+m x m matrix type, and ``accompanying_image``, the surjection onto it, is
+the one place the middle-index fiber sums are taken.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 from .cubic import CubicMatrix
 from .errors import FormatError
-from .linalg import det, kernel_basis
+from .linalg import det, first_dependent_column, kernel_basis
 from .operations import (
     Operation,
     Permutation,
@@ -262,16 +263,23 @@ def _solve_zero_product(
     (i, a(l, n)), column (k, n), for every n; right, A[k, n, r] adds to row
     (a(l, n), r), column (l, k), for every l.  As rref(M (x) I) =
     rref(M) (x) I, its first kernel vector, placed on that same slice, is
-    exactly the first kernel vector of the whole m^3 x m^3 map.
+    exactly the first kernel vector of the whole m^3 x m^3 map.  That vector
+    is 1 at the first pivotless column f, minus the reduced column f before
+    it, 0 after.  Row operations act on each column prefix alone and the
+    reduced form is unique, so the rref of the first f + 1 columns is the
+    prefix of rref(M): its kernel vector, padded with 0s, is the same in value and type.
     """
     m = fixed.m
     if op.m != m:
         raise ValueError("size mismatch")
-    for vec in kernel_basis(_zero_product_block(fixed, op, side)):
-        entries = [0] * (m * m * m)
-        entries[slice(None, None, m) if side == "left" else slice(m * m)] = vec
-        return CubicMatrix(m, entries)
-    return None
+    block = _zero_product_block(fixed, op, side)
+    f = first_dependent_column(block)
+    if f is None:
+        return None
+    entries = [0] * (m * m * m)
+    vec = kernel_basis([row[: f + 1] for row in block])[0] + [0] * (m * m - f - 1)
+    entries[slice(None, None, m) if side == "left" else slice(m * m)] = vec
+    return CubicMatrix(m, entries)
 
 
 def left_zero_divisor_witness(a_mat: CubicMatrix, op: Operation) -> CubicMatrix | None:

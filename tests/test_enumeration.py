@@ -269,21 +269,24 @@ class TestOrbitCensus:
 
 class TestSplitSearch:
     def test_split_search_work_is_pinned(self, monkeypatch, in_process_pool):
-        # the split into two-row prefixes plus every worker's walk down its
-        # prefix and through its subtree; a worker that strayed from its
-        # prefix, or dropped part of it, would take a different count
+        # the split into prefixes plus every worker's walk down its prefix
+        # and through its subtree; a worker that strayed from its prefix, or
+        # dropped part of it, would take a different count.  The labelled
+        # split is the one-job search's 35,305 passes plus m = 4 prefix
+        # cells for each of its 215 one-row prefixes
         calls = count_consistent(monkeypatch)
         split = orbit_census(4, jobs=2)
         assert calls[0] == 3012
         assert split == orbit_census(4)
         calls[0] = 0
         assert len(collect_operations(4, jobs=2)) == KNOWN_COUNTS[4]
-        assert calls[0] == 43633
+        assert calls[0] == 36165
 
     def test_pool_never_outnumbers_its_tasks(self, in_process_pool):
         assert orbit_census(2, jobs=64) == orbit_census(2)  # 5 two-row prefixes
-        assert collect_operations(2, jobs=64) == collect_operations(2)  # 8 of them
-        assert in_process_pool.processes == [5, 8]
+        # 4 one-row prefixes: each of the 4 first rows begins one of the 8 tables
+        assert collect_operations(2, jobs=64) == collect_operations(2)
+        assert in_process_pool.processes == [5, 4]
 
 
 class TestCensusResultInvariants:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cubal.linalg import det, kernel_basis, rank, rref
+from cubal.linalg import det, first_dependent_column, kernel_basis, rank, rref
 from cubal.scalars import PrimeFieldElement
 
 
@@ -273,3 +273,62 @@ class TestKernel:
             for vec in basis:
                 for row in mat:
                     assert sum(a * b for a, b in zip(row, vec)) == 0
+
+
+def first_missing_pivot(rows):
+    """The first column without a pivot in rref(rows), or None."""
+    pivots = rref(rows)[1]
+    return next((c for c in range(len(rows[0]) if rows else 0) if c not in pivots), None)
+
+
+class TestFirstDependentColumn:
+    """The forward elimination stops where rref finds its first free column."""
+
+    SHAPES = TestRrefOracle.SHAPES
+
+    @staticmethod
+    def matrix(kind, n_rows, n_cols, rng):
+        if kind == "gf5-mixed":
+            mat = mixed_gf5_matrix(n_rows, n_cols, rng)
+        else:
+            mat = seeded_matrix(kind, n_rows, n_cols, rng)
+        if n_cols > 2 and rng.random() < 0.5:
+            # make a middle column a combination of two earlier ones
+            c = rng.randrange(2, n_cols)
+            a, b = rng.randrange(c), rng.randrange(c)
+            lam, mu = rng.randint(-2, 2), rng.randint(-2, 2)
+            for row in mat:
+                row[c] = lam * row[a] + mu * row[b]
+        return mat
+
+    @pytest.mark.parametrize("kind", ["int", "rational", "mixed", "sparse", "gf5", "gf5-mixed"])
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_matches_the_first_free_column_of_rref(self, kind, shape):
+        rng = random.Random(f"dependent:{kind}:{shape}")
+        n_rows, n_cols = self.SHAPES[shape]
+        seen = set()
+        for _ in range(40):
+            mat = self.matrix(kind, n_rows, n_cols, rng)
+            snapshot = [list(row) for row in mat]
+            f = first_dependent_column(mat)
+            assert f == first_missing_pivot(mat)
+            assert mat == snapshot
+            seen.add(f is None)
+        if n_rows >= n_cols > 1 and kind != "sparse":
+            assert seen == {True, False}
+
+    def test_zero_matrix_identity_and_short_rows(self):
+        assert first_dependent_column([[0] * 3 for _ in range(2)]) == 0
+        assert first_dependent_column([[Fraction(0)], [0]]) == 0
+        identity = [[int(r == c) for c in range(4)] for r in range(4)]
+        assert first_dependent_column(identity) is None
+        assert first_dependent_column(lift_gf5(identity)) is None
+        # the rows run out before the columns do
+        assert first_dependent_column([[1, 0, 5], [0, 1, 7]]) == 2
+
+    def test_prime_field_floor_division_is_exact_division(self):
+        for a in range(5):
+            for b in range(1, 5):
+                x, y = PrimeFieldElement(a, 5), PrimeFieldElement(b, 5)
+                for q, expected in ((x // y, x / y), (a // y, a / y), (x // b, x / b)):
+                    assert isinstance(q, PrimeFieldElement) and q == expected

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from cubal.cubic import CubicMatrix
+from cubal.enumeration import orbit_census
 from cubal.linalg import kernel_basis, rank
 from cubal.operations import (
     Operation,
@@ -387,6 +388,35 @@ def full_zero_divisor_witness(a, op, side):
     return CubicMatrix(m, kernel[0]) if kernel else None
 
 
+def whole_block_witness(a, op, side):
+    """The first kernel vector of the whole m^2 x m^2 block, on the slice
+    E(k, n, 1) (side="left") or E(1, l, k) (side="right"), or None."""
+    m = a.m
+    kernel = kernel_basis(_zero_product_block(a, op, side))
+    if not kernel:
+        return None
+    entries = [0] * (m**3)
+    entries[slice(None, None, m) if side == "left" else slice(m * m)] = kernel[0]
+    return CubicMatrix(m, entries)
+
+
+def typed(x):
+    """The entries of a cubic matrix with their types, which == ignores
+    (Fraction(1) == 1); None stays None."""
+    return None if x is None else [(v, type(v)) for v in x.entries]
+
+
+def adjoin(op, kind):
+    """op extended by e = m + 1 acting as an identity or as a zero; the
+    table stays associative either way."""
+    e = op.m + 1
+    if kind == "identity":
+        rows = [list(r) + [i] for i, r in enumerate(op.rows, start=1)] + [list(range(1, e + 1))]
+    else:
+        rows = [list(r) + [e] for r in op.rows] + [[e] * e]
+    return Operation(rows)
+
+
 def dense_product_block(fixed, op, side):
     """The m^2 x m^2 zero-divisor block built column by column from dense
     products with E(k, n, 1) (side="left") or E(1, l, k) (side="right"), on
@@ -459,7 +489,7 @@ class TestBlockZeroDivisorSolve:
         for op in census3:
             for a in self.elements(3, rng):
                 w = self.SOLVERS[side](a, op)
-                assert w == full_zero_divisor_witness(a, op, side)
+                assert typed(w) == typed(full_zero_divisor_witness(a, op, side))
                 found += w is not None
         assert 0 < found < 2 * len(census3)
 
@@ -469,7 +499,22 @@ class TestBlockZeroDivisorSolve:
         sample = [right_symmetric(4), left_symmetric(4)] + rng.sample(census4, 8)
         for op in sample:
             for a in self.elements(4, rng):
-                assert self.SOLVERS[side](a, op) == full_zero_divisor_witness(a, op, side)
+                w = self.SOLVERS[side](a, op)
+                assert typed(w) == typed(full_zero_divisor_witness(a, op, side))
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_m5_tables_with_an_adjoined_identity_or_zero(self, side):
+        # the m = 5 tables of the benchmark's dense solves are built this way
+        rng = random.Random(f"adjoin:{side}")
+        reps = [rep for rep, _ in orbit_census(4).representatives]
+        found = 0
+        for n, op in enumerate(rng.sample(reps, 6)):
+            op5 = adjoin(op, ("identity", "zero")[n % 2])
+            for a in self.elements(5, rng):
+                w = self.SOLVERS[side](a, op5)
+                assert typed(w) == typed(whole_block_witness(a, op5, side))
+                found += w is not None
+        assert 0 < found < 12
 
     def test_witness_lies_on_one_outer_slice(self, census3):
         """Left witnesses are supported on E(k, n, 1), right ones on E(1, l, k)."""
