@@ -4,7 +4,9 @@ A character is a nonzero linear form that is multiplicative.  Writing the
 multiplicativity equations on basis matrices forces all coefficients with
 distinct outer indices to zero, confines the survivors to one diagonal
 slice, and finally squares each survivor to zero: nothing remains.  The
-one-dimensional case keeps exactly the unit form.
+one-dimensional case keeps exactly the unit form.  A linear form is given
+by one coefficient per basis matrix, so it is a CubicMatrix: chi(E(i,j,k))
+is its entry (i, j, k).
 
 As an independent check, this demo exhausts ALL linear forms over the
 two- and three-element fields for m = 2 (2^8 and 3^8 coefficient vectors)
@@ -14,7 +16,7 @@ and confirms none is multiplicative.
 import itertools
 
 from cubal import (
-    LinearForm,
+    CubicMatrix,
     Operation,
     character_search,
     collect_operations,
@@ -33,7 +35,7 @@ print("\nExhaustive finite-field oracle at m=2:")
 census2 = collect_operations(2)
 for p in (2, 3):
     elements = [PrimeFieldElement(v, p) for v in range(p)]
-    forms = [LinearForm(2, coeffs) for coeffs in itertools.product(elements, repeat=8)]
+    forms = [CubicMatrix(2, coeffs) for coeffs in itertools.product(elements, repeat=8)]
     hits = sum(
         1
         for op in census2

@@ -211,7 +211,7 @@ def _run_char(args, report):
         "characters": [
             {
                 "m": chi.m,
-                "coefficients": [format_scalar(c) for c in chi.coeffs],
+                "coefficients": [format_scalar(c) for c in chi.entries],
             }
             for chi in chars
         ],
@@ -253,7 +253,7 @@ def _run_subalg(args, report):
         "image": sorted(image(op)),
         "nonempty_invariant_count": nonempty,
         "subalgebra_count_lower_bound": nonempty,
-        "image_ideal_triples": [list(t) for t in ideal.sorted_triples()],
+        "image_ideal_triples": [list(t) for t in sorted(ideal.triples)],
     }
     if args.list_invariant_sets:
         results["invariant_subsets"] = [sorted(J) for J in invariant]

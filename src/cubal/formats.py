@@ -28,11 +28,18 @@ def operation_to_doc(op: Operation) -> dict:
     return {"m": op.m, "table": [list(row) for row in op.rows]}
 
 
+def _doc_m(doc) -> int:
+    m = doc["m"]
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+        raise FormatError(f'"m" must be a positive integer, got {m!r}')
+    return m
+
+
 def operation_from_doc(doc, *, unchecked: bool = False) -> Operation:
     if not isinstance(doc, dict) or "m" not in doc or "table" not in doc:
         raise FormatError('operation document needs "m" and "table" keys')
     table = doc["table"]
-    if not isinstance(table, list) or len(table) != doc["m"]:
+    if not isinstance(table, list) or len(table) != _doc_m(doc):
         raise FormatError('"table" must hold m rows')
     return Operation(table, unchecked=unchecked)
 
@@ -92,7 +99,7 @@ def cubic_to_doc(x: CubicMatrix) -> dict:
 def cubic_from_doc(doc) -> CubicMatrix:
     if not isinstance(doc, dict) or "m" not in doc or "entries" not in doc:
         raise FormatError('cubic matrix document needs "m" and "entries" keys')
-    m = doc["m"]
+    m = _doc_m(doc)
     nested = doc["entries"]
     try:
         if len(nested) != m:

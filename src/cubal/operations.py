@@ -275,6 +275,8 @@ class PowerSequence:
 
 def power_sequence(i: int, a: Operation, steps: int) -> list[int]:
     """The first ``steps + 1`` terms of the squaring orbit of i."""
+    if not 1 <= i <= a.m:
+        raise FormatError(f"start index {i} outside 1..{a.m}")
     seq = [i]
     x = i
     for _ in range(steps):

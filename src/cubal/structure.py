@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cubic import CubicMatrix
 from .errors import FormatError
@@ -21,7 +20,6 @@ from .linalg import det, first_dependent_column, kernel_basis
 from .operations import (
     Operation,
     Permutation,
-    enumerate_invariant_subsets,
     image,
     invariance_violation,
 )
@@ -46,6 +44,9 @@ class AccompanyingElement:
     @classmethod
     def unit(cls, m: int, i: int, j: int) -> "AccompanyingElement":
         """The basis unit u(i, j)."""
+        for idx in (i, j):
+            if not 1 <= idx <= m:
+                raise FormatError(f"index {idx} outside 1..{m}")
         rows = [[0] * m for _ in range(m)]
         rows[i - 1][j - 1] = 1
         return cls(rows)
@@ -53,9 +54,6 @@ class AccompanyingElement:
     @property
     def m(self) -> int:
         return len(self.coeffs)
-
-    def coeff(self, i: int, j: int):
-        return self.coeffs[i - 1][j - 1]
 
     def mul(self, other: "AccompanyingElement") -> "AccompanyingElement":
         """Bilinear extension of the unit rule; matrix product of coefficients."""
@@ -149,54 +147,9 @@ def verify_isomorphism(a: Operation, b: Operation, pi: Permutation) -> bool:
     return all(b(pi(j), pi(n)) == pi(a(j, n)) for j in idx for n in idx)
 
 
-class LinearForm:
-    """A linear form on cubic matrices, one coefficient per basis entry."""
-
-    __slots__ = ("m", "coeffs")
-
-    def __init__(self, m: int, coeffs):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != m * m * m:
-            raise FormatError(f"expected {m}**3 coefficients, got {len(coeffs)}")
-        self.m = m
-        self.coeffs = coeffs
-
-    @classmethod
-    def from_entries(cls, m: int, values: dict) -> "LinearForm":
-        """Build from a {(i, j, k): coefficient} mapping; missing entries are 0."""
-        coeffs = [0] * (m * m * m)
-        for (i, j, k), val in values.items():
-            coeffs[((i - 1) * m + (j - 1)) * m + (k - 1)] = val
-        return cls(m, coeffs)
-
-    def coeff(self, i: int, j: int, k: int):
-        return self.coeffs[((i - 1) * self.m + (j - 1)) * self.m + (k - 1)]
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LinearForm)
-            and self.m == other.m
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.m, self.coeffs))
-
-    def __repr__(self):
-        m = self.m
-        nz = ", ".join(
-            f"({idx // (m * m) + 1},{(idx // m) % m + 1},{idx % m + 1})={val}"
-            for idx, val in enumerate(self.coeffs)
-            if val != 0
-        )
-        return f"LinearForm(m={m}, {{{nz or '0'}}})"
-
-
-def is_character(chi: LinearForm, a: Operation) -> bool:
-    """True iff chi is nonzero and multiplicative on every basis pair.
+def is_character(chi: CubicMatrix, a: Operation) -> bool:
+    """True iff the linear form with coefficients chi (chi(E(s)) = chi.entry(*s))
+    is nonzero and multiplicative on every basis pair.
 
     Bilinearity of the product and linearity of chi make the basis check
     sufficient: chi(E(s)) chi(E(t)) must equal chi of the basis product
@@ -206,7 +159,7 @@ def is_character(chi: LinearForm, a: Operation) -> bool:
         raise ValueError("size mismatch")
     if chi.is_zero():
         return False
-    c = chi.coeff
+    c = chi.entry
     triples = list(itertools.product(range(1, a.m + 1), repeat=3))
     for s in triples:
         left = c(*s)
@@ -217,8 +170,9 @@ def is_character(chi: LinearForm, a: Operation) -> bool:
     return True
 
 
-def character_search(a: Operation) -> list[LinearForm]:
-    """All characters (nonzero multiplicative linear forms) of the algebra of a.
+def character_search(a: Operation) -> list[CubicMatrix]:
+    """All characters (nonzero multiplicative linear forms) of the algebra of a,
+    each as the cubic matrix of its coefficients.
 
     The multiplicativity equations collapse quickly: coefficients with
     distinct outer indices square to zero, so the support lies on entries
@@ -230,7 +184,7 @@ def character_search(a: Operation) -> list[LinearForm]:
     """
     if a.m >= 2:
         return []
-    unit = LinearForm.from_entries(1, {(1, 1, 1): Fraction(1)})
+    unit = CubicMatrix.basis(1, 1, 1, 1)
     assert is_character(unit, a)
     return [unit]
 
@@ -312,12 +266,6 @@ class SpannedSubspace:
             for idx in (i, j, k):
                 if not 1 <= idx <= self.m:
                     raise FormatError(f"triple ({i},{j},{k}) outside 1..{self.m}")
-
-    def __contains__(self, triple) -> bool:
-        return triple in self.triples
-
-    def sorted_triples(self) -> list[tuple[int, int, int]]:
-        return sorted(self.triples)
 
 
 def subalgebra_span(op: Operation, members, i: int, k: int) -> SpannedSubspace:
@@ -418,12 +366,3 @@ def is_right_ideal(span: SpannedSubspace, op: Operation) -> bool:
 
 def is_ideal(span: SpannedSubspace, op: Operation) -> bool:
     return is_left_ideal(span, op) and is_right_ideal(span, op)
-
-
-def count_subalgebras_from_invariants(op: Operation) -> int:
-    """The number of nonempty invariant subsets of the index set.
-
-    Each one spans a subalgebra in every (i, k) block, so this is a lower
-    bound on the subalgebra count of the algebra of op.
-    """
-    return sum(1 for J in enumerate_invariant_subsets(op) if J)

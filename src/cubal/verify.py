@@ -42,6 +42,8 @@ from .structure import (
 )
 
 RNG_SEED = 20250809
+ACCOMPANYING_TRIALS = 5
+ZERO_DIVISOR_TRIALS = 4
 
 
 def random_cubic(m: int, rng: random.Random, *, span: int = 9) -> CubicMatrix:
@@ -77,15 +79,15 @@ def check_characters(op: Operation) -> bool:
     return len(chars) == (1 if op.m == 1 else 0)
 
 
-def check_accompanying(op: Operation, trials: int = 5) -> bool:
+def check_accompanying(op: Operation) -> bool:
     """The fiber-sum map is a surjective homomorphism with the stated kernel.
 
     Basis images, surjectivity and the seeded trials' kernel-ideal facts are
-    checked once per (m, trials) by ``_accompanying_trials``; each table runs
-    only the law on basis pairs and the two dense products of each trial.
+    checked once per m by ``_accompanying_trials``; each table runs only the
+    law on basis pairs and the two dense products of each trial.
     """
     m = op.m
-    pairs = _accompanying_trials(m, trials)
+    pairs = _accompanying_trials(m)
     # phi(E(i, j, k)) = u(i, k): on basis pairs the law is one on (i, r) pairs
     triples = list(itertools.product(range(1, m + 1), repeat=3))
     for s in triples:
@@ -101,7 +103,7 @@ def check_accompanying(op: Operation, trials: int = 5) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-def _accompanying_trials(m: int, trials: int):
+def _accompanying_trials(m: int):
     """The table-free facts of theorem_3: the (balanced, y) trial pairs, or None."""
     triples = list(itertools.product(range(1, m + 1), repeat=3))
     images = [accompanying_image(CubicMatrix.basis(m, *s)) for s in triples]
@@ -114,7 +116,7 @@ def _accompanying_trials(m: int, trials: int):
     rng = random.Random(RNG_SEED)
     pairs = []
     # positive scaling keeps kernel-ideal membership, so trials run on int multiples
-    for _ in range(trials):
+    for _ in range(ACCOMPANYING_TRIALS):
         x = random_cubic(m, rng).integer_multiple()
         fiber_sums_vanish = all(
             sum(x.entry(i, n, j) for n in range(1, m + 1)) == 0
@@ -186,13 +188,13 @@ def check_commutativity(op: Operation) -> tuple[bool, dict]:
     return ok, witness
 
 
-def check_zero_divisors(op: Operation, trials: int = 4) -> bool:
+def check_zero_divisors(op: Operation) -> bool:
     """Witnesses from the kernel solver are exact; for the two projection
     operations the determinant criterion and the always-divisor rule hold."""
     m = op.m
     rng = random.Random(f"{RNG_SEED}:{op.flat()}")
     kind = classify_symmetry(op)
-    for _ in range(trials):
+    for _ in range(ZERO_DIVISOR_TRIALS):
         a_mat = random_cubic(m, rng)
         if rng.random() < 0.5 and m >= 2:
             a_mat = _make_singular(a_mat)
@@ -264,11 +266,9 @@ def verify_operation(op: Operation) -> dict:
     }
 
 
-def verify_census(m: int, *, jobs: int = 1, max_m: int = DEFAULT_MAX_M, operations=None) -> dict:
+def verify_census(m: int, *, jobs: int = 1, max_m: int = DEFAULT_MAX_M) -> dict:
     """Verify every operation of the census for m; the report is deterministic."""
-    if operations is None:
-        operations = collect_operations(m, jobs=jobs, max_m=max_m)
-    results = [verify_operation(op) for op in operations]
+    results = [verify_operation(op) for op in collect_operations(m, jobs=jobs, max_m=max_m)]
     checks = [k for k in results[0] if k not in ("operation", "witnesses")] if results else []
     all_pass = all(res[k] for res in results for k in checks)
     return {"m": m, "total": len(results), "results": results, "all_pass": all_pass}

@@ -171,6 +171,36 @@ class TestDeterminism:
             results.append(doc["results"])
         assert hashlib.sha256(dump_json(results).encode()).hexdigest() == sha256
 
+    @pytest.mark.parametrize(
+        "table, sha256",
+        [
+            (CYCLE3,
+             "57b74105b212312e9f2d0dc0e619a4a20784e830d53403bb87ac1d966f807a7c"),
+            (RIGHT_PROJ3,
+             "13eae86f1c668df5e80aa3c5f4a7b3c148d6b7c4000e32b1931bbd13bfa73025"),
+            (LEFT_PROJ3,
+             "c25a0a929ec20986b46124c38d88b61d1c6efd63a64c7f1cac585dbcdb5d19b7"),
+            (MONOGENIC4,
+             "b07353f23f8021716fcdb872c3c7d277017ff4846cb5c9a98ce49fc199f585e7"),
+            ([[1]],
+             "e4f78d6f26062326df962f475e01080f1a22da3f1dcf1c57fdace44684617a16"),
+            ([[1, 1], [2, 2]],
+             "6508950e13593b698695321daf43c104c980d7140aa3f12b807dcaa3e1ace42b"),
+        ],
+        ids=["cycle3", "right-proj3", "left-proj3", "monogenic4", "m1", "left-proj2"],
+    )
+    def test_pinned_table_report_digests(self, capsys, table_file, table, sha256):
+        """char, subalg --list-invariant-sets and classify on one table; the
+        digest covers the results only, as for the algebra digests."""
+        op = table_file(table)
+        runs = [("char",), ("subalg", "--list-invariant-sets"), ("classify",)]
+        results = []
+        for command, *flags in runs:
+            code, doc = run_cli(capsys, command, "--op", op, *flags)
+            assert code == 0
+            results.append(doc["results"])
+        assert hashlib.sha256(dump_json(results).encode()).hexdigest() == sha256
+
     def test_bad_jobs_rejected(self, capsys):
         assert main(["enum", "--m", "2", "--jobs", "0"]) == 2
 
@@ -326,6 +356,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "internal error" not in err
         assert err.count("cubal: ") == 4
+        # an "m" that is not a positive int is named, even when the data fit it
+        for m, n in (("2", 2), (True, 1), (2.0, 2), (0, 0)):
+            table = tmp_path / "m_table.json"
+            table.write_text(json.dumps({"m": m, "table": [[1] * n] * n}))
+            cubic = tmp_path / "m_cubic.json"
+            cubic.write_text(json.dumps({"m": m, "entries": [[["1"] * n] * n] * n}))
+            for argv in (["classify", "--op", str(table)], ["phi", str(cubic)]):
+                assert main(argv) == 2
+                err = capsys.readouterr().err
+                assert err == f'cubal: "m" must be a positive integer, got {m!r}\n'
 
     @pytest.mark.parametrize(
         "exc",

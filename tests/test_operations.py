@@ -283,6 +283,13 @@ class TestPowerSequences:
         assert got.cycle == frozenset({2, 4})
         assert 1 not in got.cycle
 
+    @pytest.mark.parametrize("start", [0, -1, 4])
+    def test_start_index_range_checked(self, cycle3, start):
+        with pytest.raises(FormatError, match=f"start index {start} outside 1..3"):
+            power_sequence(start, cycle3, 3)
+        with pytest.raises(FormatError, match=f"start index {start} outside 1..3"):
+            classify_power_sequence(start, cycle3)
+
     def test_limit_undefined_for_cycles(self, cycle3):
         with pytest.raises(ValueError):
             classify_power_sequence(2, cycle3).limit

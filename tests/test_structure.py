@@ -9,6 +9,7 @@ import pytest
 
 from cubal.cubic import CubicMatrix
 from cubal.enumeration import orbit_census
+from cubal.errors import FormatError
 from cubal.linalg import kernel_basis, rank
 from cubal.operations import (
     Operation,
@@ -24,13 +25,11 @@ from cubal.operations import (
 from cubal.scalars import PrimeFieldElement
 from cubal.structure import (
     AccompanyingElement,
-    LinearForm,
     SpannedSubspace,
     _basis_product_triple,
     _zero_product_block,
     accompanying_image,
     character_search,
-    count_subalgebras_from_invariants,
     image_ideal_span,
     in_kernel_ideal,
     is_character,
@@ -85,6 +84,12 @@ class TestAccompanyingAlgebra:
         u12 = AccompanyingElement.unit(2, 1, 2)
         u21 = AccompanyingElement.unit(2, 2, 1)
         assert u12.mul(u21) != u21.mul(u12)
+
+    @pytest.mark.parametrize("bad", [0, -1, 3])
+    def test_unit_index_range_checked(self, bad):
+        for i, j in ((bad, 1), (1, bad)):
+            with pytest.raises(FormatError, match=f"index {bad} outside 1..2"):
+                AccompanyingElement.unit(2, i, j)
 
     def test_associative_on_units(self):
         units = [
@@ -274,21 +279,21 @@ class TestTripleRule:
 class TestCharacters:
     def test_m1_unit_form_is_a_character(self):
         one = Operation([[1]])
-        chi = LinearForm.from_entries(1, {(1, 1, 1): Fraction(1)})
+        chi = CubicMatrix(1, [Fraction(1)])
         assert is_character(chi, one)
 
     def test_zero_form_is_never_a_character(self, m2_ops):
-        zero = LinearForm(2, [0] * 8)
+        zero = CubicMatrix.zero(2)
         assert not is_character(zero, m2_ops[2])
 
     def test_single_corner_form_fails(self, m2_ops):
-        chi = LinearForm.from_entries(2, {(1, 1, 1): Fraction(1)})
+        chi = E(2, 1, 1, 1)
         assert not is_character(chi, m2_ops[2])
 
     def test_search_m1(self):
         chars = character_search(Operation([[1]]))
         assert len(chars) == 1
-        assert chars[0].coeff(1, 1, 1) == 1
+        assert chars[0].entry(1, 1, 1) == 1
 
     def test_search_empty_for_all_m2_and_m3(self, census2, census3):
         for op in census2 + census3:
@@ -300,7 +305,7 @@ class TestCharacters:
         is multiplicative, for any of the eight operations."""
         elements = [PrimeFieldElement(v, p) for v in range(p)]
         forms = [
-            LinearForm(2, coeffs)
+            CubicMatrix(2, coeffs)
             for coeffs in itertools.product(elements, repeat=8)
         ]
         nonzero_forms = [chi for chi in forms if not chi.is_zero()]
@@ -694,12 +699,16 @@ class TestAllPairsOracle:
         assert all(values == {True, False} for values in seen.values())
 
 
+def nonempty_invariant_count(op):
+    return sum(1 for J in enumerate_invariant_subsets(op) if J)
+
+
 class TestSubalgebraCounts:
     def test_seven_nonempty_invariant_subsets(self, all_invariant3):
-        assert count_subalgebras_from_invariants(all_invariant3) == 7
+        assert nonempty_invariant_count(all_invariant3) == 7
 
     def test_cycle_table(self, cycle3):
-        assert count_subalgebras_from_invariants(cycle3) == 2
+        assert nonempty_invariant_count(cycle3) == 2
 
     def test_m1(self):
-        assert count_subalgebras_from_invariants(Operation([[1]])) == 1
+        assert nonempty_invariant_count(Operation([[1]])) == 1

@@ -53,7 +53,7 @@ def test_m1_battery():
 
 
 def test_m2_battery_every_check_green(census2):
-    doc = verify_census(2, operations=census2)
+    doc = verify_census(2)
     assert doc["all_pass"] is True
     assert doc["total"] == 8
     assert [entry["operation"] for entry in doc["results"]] == [
@@ -61,8 +61,8 @@ def test_m2_battery_every_check_green(census2):
     ]
 
 
-def test_reports_are_deterministic(census2):
-    assert verify_census(2, operations=census2) == verify_census(2, operations=census2)
+def test_reports_are_deterministic():
+    assert verify_census(2) == verify_census(2)
 
 
 def test_zero_divisor_check_fails_on_a_non_annihilating_witness(monkeypatch):

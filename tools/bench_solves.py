@@ -36,11 +36,11 @@ from cubal.structure import left_zero_divisor_witness, right_zero_divisor_witnes
 from workloads import BATTERY_M, _product, dense_setup
 
 
-def battery_draws(op, trials: int = 4) -> list:
+def battery_draws(op) -> list:
     """The elements ``verify.check_zero_divisors`` solves for op, in its order."""
     rng = random.Random(f"{verify.RNG_SEED}:{op.flat()}")
     draws = []
-    for _ in range(trials):
+    for _ in range(verify.ZERO_DIVISOR_TRIALS):
         a = verify.random_cubic(op.m, rng)
         if rng.random() < 0.5 and op.m >= 2:
             a = verify._make_singular(a)
