@@ -55,14 +55,25 @@ def _check_budget(m: int, max_m: int, what: str) -> None:
         raise CapacityError(f"{what} for m={m} exceeds the budget of {cap}; {hint}")
 
 
+def _pin(forced, trail, c: int, w: int) -> bool:
+    """Force the unset cell c to w, recorded on ``trail`` for undo; False if an
+    earlier triple forced it to another value."""
+    f = forced[c]
+    if f < 0:
+        forced[c] = w
+        trail.append(c)
+        return True
+    return f == w
+
+
 def _consistent(t: list[int], m: int, pos: int, v: int, val_cells, forced, trail) -> bool:
     """Process every associativity triple touched by assigning cell pos = v.
 
     A triple (x, y, z) compares t[t[x,y], z] with t[x, t[y,z]]; it is visited
     as soon as any of its four contributing cells is filled, which is exactly
     when the new cell plays one of the four roles below.  Fully determined
-    triples are checked; triples with a single undetermined cell pin that
-    cell's value in ``forced`` (recorded on ``trail`` for undo), so later
+    triples are checked; a triple with a single unset cell pins that cell's
+    value through ``_pin``, the one place a forced value is written, so later
     cells are branched on only when genuinely free.  The caller must have
     stored v in t[pos] already: a triple may mention its own inner-product
     cell (for instance when t[x,y] = x), and those lookups must resolve to v.
@@ -81,22 +92,10 @@ def _consistent(t: list[int], m: int, pos: int, v: int, val_cells, forced, trail
                 if rhs >= 0:
                     if lhs != rhs:
                         return False
-                else:
-                    c = base_i + q
-                    w = forced[c]
-                    if w < 0:
-                        forced[c] = lhs
-                        trail.append(c)
-                    elif w != lhs:
-                        return False
-            elif rhs >= 0:
-                c = base_v + z
-                w = forced[c]
-                if w < 0:
-                    forced[c] = rhs
-                    trail.append(c)
-                elif w != rhs:
+                elif not _pin(forced, trail, base_i + q, lhs):
                     return False
+            elif rhs >= 0 and not _pin(forced, trail, base_v + z, rhs):
+                return False
     # role 2: the new cell is the inner product of (x, i, j)
     for x in range(m):
         p = t[x * m + i]
@@ -107,22 +106,10 @@ def _consistent(t: list[int], m: int, pos: int, v: int, val_cells, forced, trail
                 if rhs >= 0:
                     if lhs != rhs:
                         return False
-                else:
-                    c = x * m + v
-                    w = forced[c]
-                    if w < 0:
-                        forced[c] = lhs
-                        trail.append(c)
-                    elif w != lhs:
-                        return False
-            elif rhs >= 0:
-                c = p * m + j
-                w = forced[c]
-                if w < 0:
-                    forced[c] = rhs
-                    trail.append(c)
-                elif w != rhs:
+                elif not _pin(forced, trail, x * m + v, lhs):
                     return False
+            elif rhs >= 0 and not _pin(forced, trail, p * m + j, rhs):
+                return False
     # role 3: the new cell is the outer-left product of (x, y, j), t[x,y] = i
     for c0 in val_cells[i]:
         q = t[(c0 % m) * m + j]
@@ -132,13 +119,8 @@ def _consistent(t: list[int], m: int, pos: int, v: int, val_cells, forced, trail
             if rhs >= 0:
                 if rhs != v:
                     return False
-            else:
-                w = forced[c]
-                if w < 0:
-                    forced[c] = v
-                    trail.append(c)
-                elif w != v:
-                    return False
+            elif not _pin(forced, trail, c, v):
+                return False
     # role 4: the new cell is the outer-right product of (i, y, z), t[y,z] = j
     for c0 in val_cells[j]:
         p = t[base_i + c0 // m]
@@ -148,36 +130,30 @@ def _consistent(t: list[int], m: int, pos: int, v: int, val_cells, forced, trail
             if lhs >= 0:
                 if lhs != v:
                     return False
-            else:
-                w = forced[c]
-                if w < 0:
-                    forced[c] = v
-                    trail.append(c)
-                elif w != v:
-                    return False
+            elif not _pin(forced, trail, c, v):
+                return False
     return True
 
 
-def _lex_filter(buckets, known, pos: int, v: int, f: int, trail):
+def _lex_filter(buckets, known, pos: int, v: int, f: int, trail, moved) -> bool:
     """Advance the relabelings waiting on the cells that have just become known.
 
     ``known[c]`` is the value of cell c once it is set or forced, else -1.
-    The new cells are ``pos`` (set to v, unless forced already: f >= 0) and
-    the newly forced ``trail``.  Each relabeling (src, img, k), with
+    The new cells are ``pos`` (set to v here, unless forced already: f >= 0)
+    and the newly forced ``trail``.  Each relabeling (src, img, k), with
     act(pi, t)[c] = img[t[src[c]]], agrees with t on cells 0 .. k-1 and
     waits in ``buckets[w]``, w the first cell that its comparison of cell k
     with cell src[k] still lacks; the sentinel m² is never known, so
     ``buckets[m²]`` holds those that agree everywhere.  One that reads larger
     is dropped.  One that reads smaller means no completion is an orbit
-    minimum: the appends are undone, ``known[pos]`` reset, and None returned.
-    Otherwise the buckets appended to are returned, to pop on backtrack.
+    minimum, and False is returned.  Every bucket appended to is recorded
+    on ``moved``; nothing is undone here, on either outcome.
     """
     if f < 0:
         known[pos] = v
         cells = (pos, *trail)
     else:
         cells = trail
-    moved = []
     for c in cells:
         for rel in buckets[c]:
             src, img, k = rel
@@ -190,13 +166,10 @@ def _lex_filter(buckets, known, pos: int, v: int, f: int, trail):
             elif img[b] > a:
                 continue
             else:
-                for w in moved:
-                    buckets[w].pop()
-                known[pos] = f
-                return None
+                return False
             buckets[w].append(rel if k == rel[2] else (src, img, k))
             moved.append(w)
-    return moved
+    return True
 
 
 def _search(m: int, t: list[int], val_cells, forced, pos: int, stop: int, buckets=None, prefix=()):
@@ -206,26 +179,30 @@ def _search(m: int, t: list[int], val_cells, forced, pos: int, stop: int, bucket
     With lex-leader ``buckets`` (see ``_lex_filter``), ``forced`` also holds
     each set cell's value, which the consistency pass never reads, and so is
     the table of known values.  With none, every completion is yielded.
+    After each value, pruned or not, this is the one place it is undone: the
+    buckets on ``moved`` are popped, ``forced[pos]`` is reset (a no-op in the
+    labelled search, which never writes it) and the cells on ``trail`` are
+    freed, so the search returns every argument as it found it.
     """
     if pos == stop:
         yield tuple(t[:stop]), buckets
         return
     f = forced[pos]
+    trail: list[int] = []
+    moved: list[int] = []
     for v in (prefix[pos],) if pos < len(prefix) else (range(m) if f < 0 else (f,)):
         t[pos] = v
-        trail: list[int] = []
         if _consistent(t, m, pos, v, val_cells, forced, trail) and (
-            buckets is None or (moved := _lex_filter(buckets, forced, pos, v, f, trail)) is not None
+            buckets is None or _lex_filter(buckets, forced, pos, v, f, trail, moved)
         ):
             val_cells[v].append(pos)
             yield from _search(m, t, val_cells, forced, pos + 1, stop, buckets, prefix)
             val_cells[v].pop()
-            if buckets is not None:
-                for w in moved:
-                    buckets[w].pop()
-                forced[pos] = f
-        for c in trail:
-            forced[c] = -1
+        while moved:
+            buckets[moved.pop()].pop()
+        forced[pos] = f
+        while trail:
+            forced[trail.pop()] = -1
     t[pos] = -1
 
 

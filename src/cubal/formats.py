@@ -132,17 +132,21 @@ def census_to_doc(census: CensusResult) -> dict:
 
 def census_from_doc(doc) -> CensusResult:
     try:
-        m = doc["m"]
+        m = _doc_m(doc)
         representatives = tuple(
             (Operation(entry["representative"]), entry["size"])
             for entry in doc["orbits"]
         )
-        total = doc["total"]
+        stated_total = doc["total"]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad census document: {exc}") from None
+    for rep, size in representatives:
+        if rep.m != m or not isinstance(size, int) or isinstance(size, bool) or size < 1:
+            raise FormatError(f"an orbit needs {m} rows and a positive int size: {rep.m}, {size!r}")
     if doc.get("orbit_count") != len(representatives):
         raise FormatError("orbit_count disagrees with the orbit list")
-    if total != sum(size for _, size in representatives):
+    total = sum(size for _, size in representatives)
+    if stated_total != total:
         raise FormatError("total disagrees with the orbit sizes")
     return CensusResult(m=m, total=total, representatives=representatives)
 

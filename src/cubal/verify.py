@@ -188,17 +188,27 @@ def check_commutativity(op: Operation) -> tuple[bool, dict]:
     return ok, witness
 
 
+def zero_divisor_trials(op: Operation):
+    """Yield the elements ``check_zero_divisors`` solves for op, in its order:
+    dense draws seeded from the table, about half of them (for m >= 2) made
+    singular by copying the first outer slice over the last, which makes two
+    accompanying rows equal.  Each is the int multiple of its draw; positive
+    scaling keeps zero products and det == 0."""
+    m = op.m
+    rng = random.Random(f"{RNG_SEED}:{op.flat()}")
+    for _ in range(ZERO_DIVISOR_TRIALS):
+        a = random_cubic(m, rng)
+        if rng.random() < 0.5 and m >= 2:
+            a = CubicMatrix(m, a.entries[: (m - 1) * m * m] + a.entries[: m * m])
+        yield a.integer_multiple()
+
+
 def check_zero_divisors(op: Operation) -> bool:
     """Witnesses from the kernel solver are exact; for the two projection
     operations the determinant criterion and the always-divisor rule hold."""
     m = op.m
-    rng = random.Random(f"{RNG_SEED}:{op.flat()}")
     kind = classify_symmetry(op)
-    for _ in range(ZERO_DIVISOR_TRIALS):
-        a_mat = random_cubic(m, rng)
-        if rng.random() < 0.5 and m >= 2:
-            a_mat = _make_singular(a_mat)
-        a_mat = a_mat.integer_multiple()  # positive scaling keeps zero products, det == 0
+    for a_mat in zero_divisor_trials(op):
         witness = left_zero_divisor_witness(a_mat, op)
         if witness is not None:
             if witness.is_zero() or not a_mat.mul(witness, op).is_zero():
@@ -210,15 +220,6 @@ def check_zero_divisors(op: Operation) -> bool:
         if kind == "left" and m >= 2 and witness is None:
             return False
     return True
-
-
-def _make_singular(x: CubicMatrix) -> CubicMatrix:
-    """Copy the first outer slice over the last, forcing equal accompanying rows."""
-    m = x.m
-    entries = list(x.entries)
-    mm = m * m
-    entries[(m - 1) * mm : m * mm] = entries[0:mm]
-    return CubicMatrix(m, entries)
 
 
 def check_plenary_powers(op: Operation) -> bool:

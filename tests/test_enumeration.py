@@ -1,5 +1,6 @@
 """Census counts, lexicographic streaming, the naive-scan oracle, orbit classification."""
 
+import hashlib
 import itertools
 import math
 import multiprocessing
@@ -57,17 +58,24 @@ def relabel_classify(m):
     return CensusResult(m=m, total=len(ops), representatives=tuple(representatives))
 
 
-def count_consistent(monkeypatch):
-    """Count the consistency passes from here on, in a one-item list."""
-    calls = [0]
+def record_trails(monkeypatch):
+    """Count the consistency passes from here on, the passes that hold and the
+    cells they force, in a three-item list, and hash (pos, v, trail, forced
+    values of the trail) of each pass that holds into the returned sha256."""
+    stats, digest = [0, 0, 0], hashlib.sha256()
     consistent = enumeration._consistent
 
-    def counting(*args):
-        calls[0] += 1
-        return consistent(*args)
+    def recording(t, m, pos, v, val_cells, forced, trail):
+        stats[0] += 1
+        ok = consistent(t, m, pos, v, val_cells, forced, trail)
+        if ok:
+            stats[1] += 1
+            stats[2] += len(trail)
+            digest.update(repr((pos, v, tuple(trail), tuple(forced[c] for c in trail))).encode())
+        return ok
 
-    monkeypatch.setattr(enumeration, "_consistent", counting)
-    return calls
+    monkeypatch.setattr(enumeration, "_consistent", recording)
+    return stats, digest
 
 
 class InProcessContext:
@@ -250,7 +258,7 @@ class TestOrbitCensus:
     def test_search_work_is_pinned(self, monkeypatch):
         # consistency passes of the direct m = 4 search; a filter that waited
         # for forced cells to be set would prune later and take more
-        calls = count_consistent(monkeypatch)
+        calls, _ = record_trails(monkeypatch)
         assert orbit_census(4).orbit_count == 188
         assert calls[0] == 2692
 
@@ -274,7 +282,7 @@ class TestSplitSearch:
         # dropped part of it, would take a different count.  The labelled
         # split is the one-job search's 35,305 passes plus m = 4 prefix
         # cells for each of its 215 one-row prefixes
-        calls = count_consistent(monkeypatch)
+        calls, _ = record_trails(monkeypatch)
         split = orbit_census(4, jobs=2)
         assert calls[0] == 3012
         assert split == orbit_census(4)
@@ -287,6 +295,43 @@ class TestSplitSearch:
         # 4 one-row prefixes: each of the 4 first rows begins one of the 8 tables
         assert collect_operations(2, jobs=64) == collect_operations(2)
         assert in_process_pool.processes == [5, 4]
+
+
+class TestSearchBookkeeping:
+    @pytest.mark.parametrize(
+        "run, stats, sha256",
+        [
+            (
+                lambda: orbit_census(4),
+                [2692, 1409, 652],
+                "43c52781413772ad2f829a819a7245c1c2260371fbe0059d8a5fff534fbdec71",
+            ),
+            (
+                lambda: collect_operations(4),
+                [35305, 21453, 8079],
+                "b39a2d8e0777710448f16f8145aac264924f1d75ee9bec321df796f3d423fc95",
+            ),
+        ],
+        ids=["orbit_census", "collect_operations"],
+    )
+    def test_forced_cell_trails_are_pinned(self, monkeypatch, run, stats, sha256):
+        # every pass that holds, the cells it forces and their values, in order:
+        # a change to the pin rule or to the undo shows here first
+        got, digest = record_trails(monkeypatch)
+        run()
+        assert got == stats
+        assert digest.hexdigest() == sha256
+
+    @pytest.mark.parametrize("lex", [False, True], ids=["labelled", "lex"])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_the_search_leaves_no_trace(self, m, lex):
+        t, val_cells, forced = [-1] * (m * m), [[] for _ in range(m)], [-1] * (m * m + 1)
+        buckets = [list(enumeration._relabelings(m))] + [[] for _ in range(m * m)] if lex else None
+        state = [t, val_cells, forced, buckets]
+        before = repr(state)
+        leaves = sum(1 for _ in enumeration._search(m, t, val_cells, forced, 0, m * m, buckets))
+        assert leaves == (orbit_census(m).orbit_count if lex else KNOWN_COUNTS[m])
+        assert repr(state) == before
 
 
 class TestCensusResultInvariants:

@@ -127,6 +127,36 @@ class TestCensusFormats:
         with pytest.raises(FormatError):
             census_from_doc(doc)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("m", "2"), ("m", 3), ("m", True),
+            ("size", "1"), ("size", True), ("size", 0), ("size", 1.0),
+        ],
+    )
+    def test_ill_typed_doc_rejected(self, field, value):
+        # one orbit, the constant table on two symbols; a size stands in the total too
+        orbits = [{"representative": [[1, 1], [1, 1]], "size": 1}]
+        doc = {"m": 2, "total": 1, "orbit_count": 1, "orbits": orbits}
+        if field == "m":
+            doc["m"] = value
+        else:
+            doc["orbits"][0]["size"] = doc["total"] = value
+        with pytest.raises(FormatError):
+            census_from_doc(doc)
+
+    def test_representative_of_another_size_rejected(self):
+        rep = [[1, 1, 1], [1, 1, 1], [1, 1, 1]]
+        orbits = [{"representative": rep, "size": 1}]
+        doc = {"m": "2", "total": 1, "orbit_count": 1, "orbits": orbits}
+        with pytest.raises(FormatError):
+            census_from_doc(doc)
+        doc["m"] = 2
+        with pytest.raises(FormatError):
+            census_from_doc(doc)
+        doc["m"] = 3
+        assert census_from_doc(doc).m == 3
+
 
 class TestDumpJson:
     def test_deterministic_and_newline_terminated(self):

@@ -1,5 +1,7 @@
 """The batch check battery used by the verify command."""
 
+from fractions import Fraction
+
 import pytest
 
 from cubal import verify
@@ -15,6 +17,7 @@ from cubal.verify import (
     check_zero_divisors,
     verify_census,
     verify_operation,
+    zero_divisor_trials,
 )
 
 from conftest import CYCLE3
@@ -72,6 +75,25 @@ def test_zero_divisor_check_fails_on_a_non_annihilating_witness(monkeypatch):
         verify, "left_zero_divisor_witness", lambda a, op: CubicMatrix.basis(op.m, 1, 1, 1)
     )
     assert not check_zero_divisors(op)
+
+
+def test_zero_divisor_check_solves_exactly_the_trials(census3, monkeypatch):
+    # the timing tool solves the trials; they must be what the check solves
+    solved = []
+    solve = verify.left_zero_divisor_witness
+    monkeypatch.setattr(
+        verify, "left_zero_divisor_witness", lambda a, op: solved.append(a) or solve(a, op)
+    )
+    for op in census3[::10]:
+        solved.clear()
+        trials = list(zero_divisor_trials(op))
+        assert check_zero_divisors(op)
+        assert solved == trials and len(trials) == verify.ZERO_DIVISOR_TRIALS
+        assert all(v.denominator == 1 for a in trials for v in map(Fraction, a.entries))
+    # half the draws, for m >= 2, copy the first outer slice over the last
+    draws = [a for op in census3 for a in zero_divisor_trials(op)]
+    singular = sum(a.entries[:9] == a.entries[18:] for a in draws)
+    assert 0.3 < singular / len(draws) < 0.7
 
 
 def test_accompanying_check_fails_on_a_wrong_dense_product(monkeypatch):

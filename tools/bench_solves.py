@@ -6,8 +6,9 @@ and on the battery's seeded draws.
 Two sets of elements.  ``dense``: the generic and the singular element of
 each case of perfbench's dense-algebra workload (``dense_setup(seed)``: two
 m = 4 projections, two m = 4 tables and four m = 5 tables).  ``battery``:
-the elements that ``verify.check_zero_divisors`` draws for each of the 113
-associative tables on three symbols, seeded from the table itself.  One
+the elements that ``verify.zero_divisor_trials`` yields, and so
+``verify.check_zero_divisors`` solves, for each of the 113 associative
+tables on three symbols, seeded from the table itself.  One
 repeat solves the left and the right witness of every element of one set;
 each set's best repeat is reported, with their sum.  Every witness is
 checked once against perfbench's reference product, which does not use
@@ -22,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import platform
-import random
 import sys
 import time
 from pathlib import Path
@@ -30,22 +30,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from cubal import verify
 from cubal.enumeration import collect_operations
 from cubal.structure import left_zero_divisor_witness, right_zero_divisor_witness
+from cubal.verify import zero_divisor_trials
 from workloads import BATTERY_M, _product, dense_setup
-
-
-def battery_draws(op) -> list:
-    """The elements ``verify.check_zero_divisors`` solves for op, in its order."""
-    rng = random.Random(f"{verify.RNG_SEED}:{op.flat()}")
-    draws = []
-    for _ in range(verify.ZERO_DIVISOR_TRIALS):
-        a = verify.random_cubic(op.m, rng)
-        if rng.random() < 0.5 and op.m >= 2:
-            a = verify._make_singular(a)
-        draws.append(a.integer_multiple())
-    return draws
 
 
 def solve_all(pairs) -> list:
@@ -68,7 +56,7 @@ def main(argv=None) -> int:
         p.error("--repeat must be at least 1")
     sets = {
         "dense": [(c.op, a) for c in dense_setup(args.seed) for a in c.elements],
-        "battery": [(op, a) for op in collect_operations(BATTERY_M) for a in battery_draws(op)],
+        "battery": [(op, a) for op in collect_operations(BATTERY_M) for a in zero_divisor_trials(op)],
     }
     best = {name: float("inf") for name in sets}
     found, failed = {}, []
