@@ -9,12 +9,15 @@ product attached to an associative operation a multiplies basis elements by
 and extends bilinearly: entry (i, j, r) of a product is the sum of
 A[i, l, k] * B[k, n, r] over all k and all pairs (l, n) with a(l, n) = j.
 The map onto the m x m accompanying algebra, which sums each middle-index
-fiber, is ``structure.accompanying_image``.
+fiber, is ``structure.accompanying_image``.  Each matrix is scaled to ints
+once, on first use: the product, that map and the zero-divisor block all run
+on this form, and a product's entries are made from it only when read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import FormatError
 from .operations import Operation
@@ -24,15 +27,32 @@ from .scalars import integral
 class CubicMatrix:
     """An immutable m x m x m array of exact scalars."""
 
-    __slots__ = ("m", "entries", "_nz")
+    __slots__ = ("m", "_entries", "_form")
 
     def __init__(self, m: int, entries):
         entries = tuple(entries)
         if len(entries) != m * m * m:
             raise FormatError(f"expected {m}**3 entries, got {len(entries)}")
         self.m = m
-        self.entries = entries
-        self._nz = None
+        self._entries = entries
+        self._form = None
+
+    @classmethod
+    def _from_form(cls, m: int, items: tuple, d: int) -> "CubicMatrix":
+        """The matrix whose ``integral_items()`` are (items, d); entries come later."""
+        x = object.__new__(cls)
+        x.m, x._entries, x._form = m, None, (items, d)
+        return x
+
+    @property
+    def entries(self) -> tuple:
+        """The m^3 entries in flat order; int / d is a Fraction when d != 1."""
+        if self._entries is None:
+            (items, d), out = self._form, [0] * self.m**3
+            for flat, x in items:
+                out[flat] = x if d == 1 else Fraction(x, d)
+            self._entries = tuple(out)
+        return self._entries
 
     @classmethod
     def zero(cls, m: int) -> "CubicMatrix":
@@ -67,17 +87,24 @@ class CubicMatrix:
         return self.entries[((i - 1) * self.m + (j - 1)) * self.m + (k - 1)]
 
     def nonzero_items(self):
-        """Cached tuple of (flat_index, value) over nonzero entries."""
-        if self._nz is None:
-            self._nz = tuple((idx, val) for idx, val in enumerate(self.entries) if val != 0)
-        return self._nz
+        """Tuple of (flat_index, value) over nonzero entries."""
+        return tuple((idx, val) for idx, val in enumerate(self.entries) if val != 0)
+
+    def integral_items(self) -> tuple[tuple, int]:
+        """Cached (flat_index, int) pairs of the nonzero entries, each int / d for
+        d > 0 their lcm denominator (``scalars.integral``; d = 1 for prime fields)."""
+        if self._form is None:
+            nz = self.nonzero_items()
+            ints, d = integral(v for _, v in nz)
+            self._form = (tuple(zip([flat for flat, _ in nz], ints)), d)
+        return self._form
 
     def is_zero(self) -> bool:
-        return not self.nonzero_items()
+        return not self.integral_items()[0]
 
     def integer_multiple(self) -> "CubicMatrix":
         """self times the lcm of its denominators, a multiple with int entries."""
-        return CubicMatrix(self.m, integral(self.entries)[0])
+        return CubicMatrix._from_form(self.m, self.integral_items()[0], 1)
 
     def _require_same_size(self, other: "CubicMatrix"):
         if not isinstance(other, CubicMatrix):
@@ -105,35 +132,37 @@ class CubicMatrix:
     def mul(self, other: "CubicMatrix", op: Operation) -> "CubicMatrix":
         """The product of self and other under the operation's multiplication.
 
-        The inner loop runs on the operands' nonzero entries scaled to ints
-        (``scalars.integral``); each output entry is divided once by both scales.
-        The right factor is split into (n, r, value) by its first index, and
-        each left entry (i, l, k) looks up its row offsets i m^2 + (a(l, n) - 1) m.
+        The inner loop runs on the operands' ``integral_items``, built once per
+        matrix; the int sums over da * db, reduced by their gcd, are the
+        product's form, and its entries are made only when read.  The right
+        factor is split into (n, r, value) by its first index, and each left
+        entry (i, l, k) looks up its row offsets i m^2 + (a(l, n) - 1) m.
         """
         self._require_same_size(other)
         m = self.m
         if op.m != m:
             raise ValueError(f"operation acts on {op.m} symbols, matrices have m={m}")
         mm = m * m
-        a_items, b_items = self.nonzero_items(), other.nonzero_items()
-        a_vals, da = integral(v for _, v in a_items)
-        b_vals, db = integral(v for _, v in b_items)
+        a_items, da = self.integral_items()
+        b_items, db = other.integral_items()
         by_k: list[list] = [[] for _ in range(m)]
-        for (flat, _), val in zip(b_items, b_vals):
+        for flat, val in b_items:
             by_k[flat // mm].append((flat // m % m, flat % m, val))
         out: list = [0] * (mm * m)
         offsets = [[(j - 1) * m for j in row] for row in op.rows]
-        for (aflat, _), aval in zip(a_items, a_vals):
+        for aflat, aval in a_items:
             i0, rem = divmod(aflat, mm)
             l0, k0 = divmod(rem, m)
             base = i0 * mm
             row = [base + o for o in offsets[l0]]
             for n0, r0, bval in by_k[k0]:
                 out[row[n0] + r0] += aval * bval
-        scale = da * db
-        if scale != 1:
-            out = [Fraction(x, scale) if x else 0 for x in out]
-        return CubicMatrix(m, out)
+        d = da * db
+        if d == 1:  # the sums are the entries; a prime-field 0 keeps its type
+            return CubicMatrix(m, out)
+        g = gcd(d, *out)
+        items = tuple((flat, x // g) for flat, x in enumerate(out) if x)
+        return CubicMatrix._from_form(m, items, d // g)
 
     def plenary_power(self, n: int, op: Operation) -> "CubicMatrix":
         """n successive squarings under the operation's multiplication."""

@@ -3,14 +3,16 @@
 Matrices are lists of row lists.  ``rref``, ``rank``, ``kernel_basis`` and
 ``det`` share one fraction-free (Bareiss) Gauss-Jordan elimination, whose
 forward half ``first_dependent_column`` runs up to the first pivotless column.
-Rational rows are scaled to ints (``scalars.integral``) and a matrix with
-prime-field elements is lifted into their field, ints included; both divide
-exactly with ``//``.  Rationals become ``Fraction`` only when normalized.
+Rational rows are scaled to ints (``scalars.integral``; all-int rows, such
+as every zero-divisor block, in one scan) and a matrix with prime-field
+elements is lifted into their field, ints included; both divide exactly with
+``//``.  Rationals become ``Fraction`` only when normalized.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from operator import truediv
 
 from .scalars import integral
@@ -18,6 +20,8 @@ from .scalars import integral
 
 def _integral_rows(rows):
     """Int-scaled (or field-lifted) rows, the product of their scales, and whether rational."""
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
+        return list(rows), 1, True
     mat, scale = [], 1
     for row in rows:
         ints, d = integral(row)
@@ -61,22 +65,25 @@ def _eliminate(rows):
     return mat, pivots, sign, scale, (Fraction if rational else truediv)
 
 
-def first_dependent_column(rows) -> int | None:
+def first_dependent_column(rows) -> tuple[int | None, list[int]]:
     """The first column that depends on those before it (the first without a
-    pivot in ``rref(rows)``), or None: the forward half of ``_eliminate``,
-    removing each pivot row and keeping the other rows from the next column on."""
+    pivot in ``rref(rows)``), or None, and the indices of the rows that took
+    the pivots before it: the forward half of ``_eliminate``, removing each
+    pivot row and keeping the other rows from the next column on."""
     mat, _, _ = _integral_rows(rows)
+    left, used = list(range(len(mat))), []
     prev = 1
     for c in range(len(mat[0]) if mat else 0):
         pivot_row = next((k for k, row in enumerate(mat) if row[0] != 0), None)
         if pivot_row is None:
-            return c
+            return c, used
+        used.append(left.pop(pivot_row))
         top = mat.pop(pivot_row)
         p, tail = top[0], top[1:]
         for k, row in enumerate(mat):
             mat[k] = [(p * a - row[0] * b) // prev for a, b in zip(row[1:], tail)]
         prev = p
-    return None
+    return None, used
 
 
 def rref(rows) -> tuple[list[list], list[int]]:

@@ -4,8 +4,10 @@ Every algebraic routine in the package manipulates scalars only through
 arithmetic operators and comparisons with the integers 0 and 1, so any field
 element type with int interop plugs in.  Python ints are accepted as exact
 rational values throughout.  The hot loops run on ints: ``integral`` scales a
-run of rationals by the lcm of their denominators, once, and the product and
-elimination kernels divide that scale back out at the end.
+run of rationals by the lcm of their denominators.  A cubic matrix is scaled
+once, on first use, and keeps that form for every product, fiber sum and
+zero-divisor block it enters; elimination scales its rows once per call.
+Both divide the scale back out only where a rational is read.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .cubic import CubicMatrix
 from .errors import FormatError
@@ -102,14 +103,16 @@ def accompanying_image(x: CubicMatrix) -> AccompanyingElement:
     Maps E(i, n, j) to u(i, j); on a general matrix the (i, j) coefficient
     is the middle-index fiber sum, so the coefficient matrix is the
     accompanying matrix of x.  This is an algebra homomorphism for every
-    operation's multiplication.
+    operation's multiplication.  The sums run on x's ``integral_items``.
     """
     m = x.m
-    e = x.entries
-    return AccompanyingElement(
-        [sum(e[(i * m + n) * m + j] for n in range(m)) for j in range(m)]
-        for i in range(m)
-    )
+    items, d = x.integral_items()
+    sums: list = [0] * (m * m)
+    for flat, v in items:
+        sums[flat // (m * m) * m + flat % m] += v
+    if d != 1:
+        sums = [Fraction(s, d) if s else 0 for s in sums]
+    return AccompanyingElement(sums[i * m : i * m + m] for i in range(m))
 
 
 def permute_indices(pi: Permutation, x: CubicMatrix) -> CubicMatrix:
@@ -198,7 +201,7 @@ def _zero_product_block(fixed: CubicMatrix, op: Operation, side: str) -> list[li
     else:  # A[k, n, r]: row (a(l, n), r), column (l, k)
         cells = lambda k, n, r: [(a[l][n] * m + r, l * m + k) for l in range(m)]
     block = [[0] * (m * m) for _ in range(m * m)]
-    for flat, val in fixed.integer_multiple().nonzero_items():
+    for flat, val in fixed.integral_items()[0]:
         for r, c in cells(flat // (m * m), flat // m % m, flat % m):
             block[r][c] += val
     return block
@@ -212,9 +215,9 @@ def _solve_zero_product(
     The outer index of X away from fixed passes through the product, so on
     flat coordinates X -> fixed * X is M (x) I_m and X -> X * fixed is
     I_m (x) N.  The m^2 x m^2 block M (N) acts on the slice r = 1 (i = 1) and
-    is built in one pass over the entries of A, the int multiple of fixed
-    (the same kernel), by the triple rule: left, A[i, l, k] adds to row
-    (i, a(l, n)), column (k, n), for every n; right, A[k, n, r] adds to row
+    is built in one pass over A, the cached int multiple of fixed (its
+    ``integral_items``, the same kernel), by the triple rule: left, A[i, l, k]
+    adds to row (i, a(l, n)), column (k, n), for every n; right, A[k, n, r] adds to row
     (a(l, n), r), column (l, k), for every l.  As rref(M (x) I) =
     rref(M) (x) I, its first kernel vector, placed on that same slice, is
     exactly the first kernel vector of the whole m^3 x m^3 map.  That vector
@@ -222,16 +225,19 @@ def _solve_zero_product(
     it, 0 after.  Row operations act on each column prefix alone and the
     reduced form is unique, so the rref of the first f + 1 columns is the
     prefix of rref(M): its kernel vector, padded with 0s, is the same in value and type.
+    The f rows that took the pivots before f span the rows of that prefix,
+    so only they are reduced (one zero row when f = 0).
     """
     m = fixed.m
     if op.m != m:
         raise ValueError("size mismatch")
     block = _zero_product_block(fixed, op, side)
-    f = first_dependent_column(block)
+    f, pivot_rows = first_dependent_column(block)
     if f is None:
         return None
     entries = [0] * (m * m * m)
-    vec = kernel_basis([row[: f + 1] for row in block])[0] + [0] * (m * m - f - 1)
+    prefix = [block[k][: f + 1] for k in pivot_rows] or [[0]]
+    vec = kernel_basis(prefix)[0] + [0] * (m * m - f - 1)
     entries[slice(None, None, m) if side == "left" else slice(m * m)] = vec
     return CubicMatrix(m, entries)
 

@@ -83,28 +83,24 @@ def check_accompanying(op: Operation) -> bool:
     """The fiber-sum map is a surjective homomorphism with the stated kernel.
 
     Basis images, surjectivity and the seeded trials' kernel-ideal facts are
-    checked once per m by ``_accompanying_trials``; each table runs only the
-    law on basis pairs and the two dense products of each trial.
+    checked once per m by ``_accompanying_trials``; each table runs the law
+    phi(xy) = phi(x) phi(y) on one seeded dense pair and the two dense
+    products of each kernel trial.
     """
-    m = op.m
-    pairs = _accompanying_trials(m)
-    # phi(E(i, j, k)) = u(i, k): on basis pairs the law is one on (i, r) pairs
-    triples = list(itertools.product(range(1, m + 1), repeat=3))
-    for s in triples:
-        for t in triples:
-            prod = _basis_product_triple(op, s, t)
-            outer = None if prod is None else (prod[0], prod[2])
-            if outer != ((s[0], t[2]) if s[2] == t[0] else None):
-                return False
-    return pairs is not None and all(
-        in_kernel_ideal(balanced.mul(y, op)) and in_kernel_ideal(y.mul(balanced, op))
-        for balanced, y in pairs
+    trials = _accompanying_trials(op.m)
+    if trials is None:
+        return False
+    pairs, (x, y, phi_xy) = trials
+    return accompanying_image(x.mul(y, op)) == phi_xy and all(
+        in_kernel_ideal(balanced.mul(z, op)) and in_kernel_ideal(z.mul(balanced, op))
+        for balanced, z in pairs
     )
 
 
 @functools.lru_cache(maxsize=None)
 def _accompanying_trials(m: int):
-    """The table-free facts of theorem_3: the (balanced, y) trial pairs, or None."""
+    """The table-free facts of theorem_3: the (balanced, y) trial pairs and a
+    dense pair (x, y) with phi(x) phi(y), or None."""
     triples = list(itertools.product(range(1, m + 1), repeat=3))
     images = [accompanying_image(CubicMatrix.basis(m, *s)) for s in triples]
     if images != [AccompanyingElement.unit(m, s[0], s[2]) for s in triples]:
@@ -130,7 +126,8 @@ def _accompanying_trials(m: int):
         if not in_kernel_ideal(balanced):
             return None
         pairs.append((balanced, y))
-    return tuple(pairs)
+    x, y = random_cubic(m, rng), random_cubic(m, rng)
+    return tuple(pairs), (x, y, accompanying_image(x).mul(accompanying_image(y)))
 
 
 def _fiber_balance(x: CubicMatrix) -> CubicMatrix:

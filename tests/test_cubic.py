@@ -14,7 +14,7 @@ from cubal.operations import Operation, power_sequence
 from cubal.scalars import PrimeFieldElement
 from cubal.structure import AccompanyingElement, accompanying_image
 
-from conftest import CYCLE3
+from conftest import CYCLE3, dense_product
 
 
 E = CubicMatrix.basis
@@ -24,21 +24,6 @@ def random_cubic(m, rng, span=9):
     return CubicMatrix(
         m, [Fraction(rng.randint(-span, span), rng.randint(1, 5)) for _ in range(m**3)]
     )
-
-
-def reference_product(x, y, op):
-    """Entry (i, j, r) of XY: the sum of X[i, l, k] Y[k, n, r] over k and all
-    (l, n) with a(l, n) = j, on the raw entries with no scaling."""
-    m = x.m
-    idx = range(1, m + 1)
-    return [
-        sum(
-            (x.entry(i, l, k) * y.entry(k, n, r)
-             for k in idx for l in idx for n in idx if op(l, n) == j),
-            0,
-        )
-        for i in idx for j in idx for r in idx
-    ]
 
 
 @pytest.fixture
@@ -214,12 +199,24 @@ class TestProduct:
         for op in ops:
             for _ in range(3):
                 x, y = (CubicMatrix(op.m, [draw() for _ in range(op.m**3)]) for _ in range(2))
-                assert list(x.mul(y, op).entries) == reference_product(x, y, op)
+                assert list(x.mul(y, op).entries) == dense_product(x, y, op)
                 # a basis or zero operand on either side keeps the scale of the other
                 e = E(op.m, op.m, 1, 1)
-                assert list(e.mul(y, op).entries) == reference_product(e, y, op)
-                assert list(x.mul(e, op).entries) == reference_product(x, e, op)
+                assert list(e.mul(y, op).entries) == dense_product(e, y, op)
+                assert list(x.mul(e, op).entries) == dense_product(x, e, op)
                 assert x.mul(CubicMatrix.zero(op.m), op).is_zero()
+
+    def test_whole_products_of_fractions_have_int_entries(self, census3):
+        # the int sums over da * db are reduced by their gcd, so a product
+        # whose entries are all whole comes out over 1, with int entries
+        half = CubicMatrix(1, [Fraction(1, 2)])
+        assert half.mul(CubicMatrix(1, [2]), Operation([[1]])).entries == (1,)
+        rng = random.Random(14)
+        x = CubicMatrix(3, [rng.randint(-9, 9) for _ in range(27)])
+        xy = x.scale(Fraction(1, 6)).mul(CubicMatrix(3, [6] * 27), census3[40])
+        assert xy == x.mul(CubicMatrix(3, [1] * 27), census3[40])
+        assert {type(v) for v in xy.entries} == {int}
+        assert xy.integral_items()[1] == 1
 
     def test_m1_commutative(self):
         op = Operation([[1]])

@@ -310,21 +310,33 @@ class TestFirstDependentColumn:
         for _ in range(40):
             mat = self.matrix(kind, n_rows, n_cols, rng)
             snapshot = [list(row) for row in mat]
-            f = first_dependent_column(mat)
+            f, used = first_dependent_column(mat)
             assert f == first_missing_pivot(mat)
             assert mat == snapshot
+            # one pivot row per column before f, independent on those columns,
+            # so they span the rows of the first f + 1 columns (a cut of a
+            # mixed GF(5) row may hold only ints, so those are lifted first)
+            cut = n_cols if f is None else f
+            field = lift_gf5 if kind == "gf5-mixed" else list
+            assert len(used) == len(set(used)) == cut
+            assert rank(field([mat[k][:cut] for k in used])) == cut
+            if f is not None:
+                assert rank(field([row[: f + 1] for row in mat])) == cut
             seen.add(f is None)
         if n_rows >= n_cols > 1 and kind != "sparse":
             assert seen == {True, False}
 
     def test_zero_matrix_identity_and_short_rows(self):
-        assert first_dependent_column([[0] * 3 for _ in range(2)]) == 0
-        assert first_dependent_column([[Fraction(0)], [0]]) == 0
+        assert first_dependent_column([[0] * 3 for _ in range(2)]) == (0, [])
+        assert first_dependent_column([[Fraction(0)], [0]]) == (0, [])
         identity = [[int(r == c) for c in range(4)] for r in range(4)]
-        assert first_dependent_column(identity) is None
-        assert first_dependent_column(lift_gf5(identity)) is None
+        assert first_dependent_column(identity) == (None, [0, 1, 2, 3])
+        assert first_dependent_column(lift_gf5(identity)) == (None, [0, 1, 2, 3])
         # the rows run out before the columns do
-        assert first_dependent_column([[1, 0, 5], [0, 1, 7]]) == 2
+        assert first_dependent_column([[1, 0, 5], [0, 1, 7]]) == (2, [0, 1])
+        # pivot rows are indexed in the matrix as given, in pivot order
+        assert first_dependent_column([[0, 0, 1], [0, 2, 0], [3, 1, 0]]) == (None, [2, 1, 0])
+        assert first_dependent_column([[0, 1], [1, 1], [2, 2]]) == (None, [1, 0])
 
     def test_prime_field_floor_division_is_exact_division(self):
         for a in range(5):

@@ -1,20 +1,27 @@
 """Randomized invariants driven by hypothesis."""
 
 import itertools
+import sys
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from cubal import cubic
 from cubal.cubic import CubicMatrix
 from cubal.enumeration import collect_operations
 from cubal.operations import (
+    Operation,
     Permutation,
     act,
     check_associative,
     closure,
     is_invariant,
 )
-from cubal.structure import accompanying_image
+from cubal.scalars import PrimeFieldElement, integral
+from cubal.structure import AccompanyingElement, accompanying_image
+
+from conftest import dense_product
 
 OPS3 = collect_operations(3)
 
@@ -92,3 +99,103 @@ def test_invariant_subsets_are_closure_fixed_points(op):
             J = frozenset(members)
             if is_invariant(J, op):
                 assert closure(J, op) == J
+
+
+# --- the cached int form behind products and phi ---------------------------
+
+OPS_UP_TO_3 = [Operation([[1]])] + collect_operations(2) + OPS3
+SCALARS = {
+    "int": st.integers(-9, 9),
+    "fraction": rationals,
+    "mixed": st.one_of(
+        st.just(0), st.integers(-3, 3), st.fractions(-3, 3, max_denominator=7)
+    ),
+    "gf7": st.integers(0, 6).map(lambda v: PrimeFieldElement(v, 7)),
+}
+
+
+@st.composite
+def product_cases(draw):
+    """A table on up to three symbols and three dense matrices of one entry kind."""
+    op = draw(st.sampled_from(OPS_UP_TO_3))
+    scalar = SCALARS[draw(st.sampled_from(sorted(SCALARS)))]
+    entries = st.lists(scalar, min_size=op.m**3, max_size=op.m**3)
+    return op, *(draw(entries.map(lambda e, m=op.m: CubicMatrix(m, e))) for _ in range(3))
+
+
+def whole(x) -> bool:
+    return all(getattr(v, "denominator", 1) == 1 for v in x.entries)
+
+
+def expected_types(x, y, values) -> list:
+    """The entry types of x.mul(y): with two whole operands, int, or the
+    field's type where the sum of the nonzero terms (from int 0) is a
+    prime-field element; otherwise int where the entry is 0 or every entry
+    of the product is whole, and Fraction elsewhere."""
+    if whole(x) and whole(y):
+        return [type(v) if isinstance(v, PrimeFieldElement) else int for v in values]
+    every_whole = all(Fraction(v).denominator == 1 for v in values)
+    return [int if v == 0 or every_whole else Fraction for v in values]
+
+
+def fiber_sums(x) -> AccompanyingElement:
+    m, e = x.m, x.entries
+    return AccompanyingElement(
+        [sum(e[(i * m + n) * m + j] for n in range(m)) for j in range(m)] for i in range(m)
+    )
+
+
+def checked_product(x, y, op):
+    """x.mul(y, op), checked against the dense reference value for value and
+    type for type."""
+    xy = x.mul(y, op)
+    values = dense_product(x, y, op)
+    assert list(xy.entries) == values
+    assert [type(v) for v in xy.entries] == expected_types(x, y, values)
+    return xy
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=product_cases())
+def test_products_match_the_reference_through_chains(case):
+    op, x, y, z = case
+    xy, yz = checked_product(x, y, op), checked_product(y, z, op)
+    assert checked_product(xy, z, op) == checked_product(x, yz, op)
+    power = x
+    for _ in range(3):
+        power = checked_product(power, power, op)
+    assert x.plenary_power(3, op) == power
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=product_cases())
+def test_phi_of_a_product_is_phi_of_its_entries(case):
+    op, x, y, z = case
+    for product in (x.mul(y, op), x.mul(y, op).mul(z, op), x.plenary_power(3, op)):
+        image = accompanying_image(product)
+        assert image == accompanying_image(CubicMatrix(op.m, product.entries))
+        assert image == fiber_sums(product)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=product_cases())
+def test_each_matrix_is_scaled_at_most_once(case):
+    op, x, y, z = case
+    scaled = []
+
+    def counted(values):
+        scaled.append(sys._getframe(1).f_locals["self"])  # the matrix being scaled
+        return integral(values)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cubic, "integral", counted)
+        for _ in range(3):
+            products = [x.mul(y, op), y.mul(x, op), x.mul(x, op)]
+            products += [x.mul(y, op).mul(z, op), x.plenary_power(3, op)]
+            for p in products:
+                accompanying_image(p)
+            x.integer_multiple().is_zero()
+    # repeated products reuse the operands' form: scaled holds each matrix
+    # (kept alive by the list, so ids are not reused) at most once
+    assert len(scaled) == len({id(s) for s in scaled})
+    assert {id(x), id(y), id(z)} <= {id(s) for s in scaled}

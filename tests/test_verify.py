@@ -1,5 +1,6 @@
 """The batch check battery used by the verify command."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from cubal import verify
 from cubal.cubic import CubicMatrix
 from cubal.operations import Operation
-from cubal.structure import AccompanyingElement, SpannedSubspace
+from cubal.structure import AccompanyingElement, SpannedSubspace, accompanying_image
 from cubal.verify import (
     check_accompanying,
     check_commutativity,
@@ -106,14 +107,30 @@ def test_accompanying_check_fails_on_a_wrong_dense_product(monkeypatch):
     assert not check_accompanying(op)
 
 
-def test_accompanying_check_fails_on_a_wrong_triple_rule(monkeypatch):
-    op = Operation(CYCLE3)
-    monkeypatch.setattr(
-        verify,
-        "_basis_product_triple",
-        lambda op, s, t: None if s[2] != t[0] else (t[2], op(s[1], t[1]), s[0]),
-    )
-    assert not check_accompanying(op)
+def test_accompanying_check_fails_when_the_product_drops_a_term(monkeypatch, census3):
+    # the product misses the one term X[i, l, k] Y[k, n, r] of the first
+    # meeting pair of nonzero entries, so phi(xy) moves by that term
+    mul = CubicMatrix.mul
+
+    def drop_one_term(x, y, op):
+        m = x.m
+        for (s, u), (t, v) in itertools.product(x.nonzero_items(), y.nonzero_items()):
+            i, l, k = s // (m * m), s // m % m, s % m
+            if t // (m * m) == k:
+                n, r = t // m % m, t % m
+                term = CubicMatrix.basis(m, i + 1, op(l + 1, n + 1), r + 1).scale(u * v)
+                return mul(x, y, op) - term
+        return mul(x, y, op)
+
+    for op in census3[::7] + [Operation([[1]])]:
+        assert check_accompanying(op)
+        # the dense pair's law fails alone, whatever the kernel trials say
+        x, y, phi_xy = verify._accompanying_trials(op.m)[1]
+        assert accompanying_image(drop_one_term(x, y, op)) != phi_xy
+        monkeypatch.setattr(CubicMatrix, "mul", drop_one_term)
+        assert not check_accompanying(op)
+        assert verify_operation(op)["theorem_3"] is False
+        monkeypatch.setattr(CubicMatrix, "mul", mul)
 
 
 def test_accompanying_check_fails_when_the_map_drops_a_fiber(monkeypatch):
