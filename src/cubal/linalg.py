@@ -1,37 +1,31 @@
-"""Exact Gaussian elimination over any field scalar.
+"""Exact Gaussian elimination over the rationals.
 
 Matrices are lists of row lists.  ``rref``, ``rank``, ``kernel_basis`` and
 ``det`` share one fraction-free (Bareiss) Gauss-Jordan elimination, whose
 forward half ``first_dependent_column`` runs up to the first pivotless column.
-Rational rows are scaled to ints (``scalars.integral``; all-int rows, such
-as every zero-divisor block, in one scan) and a matrix with prime-field
-elements is lifted into their field, ints included; both divide exactly with
-``//``.  Rationals become ``Fraction`` only when normalized.
+Rows are scaled to ints (``scalars.integral``; all-int rows, such as every
+zero-divisor block, in one scan), so every division is exact with ``//``.
+Entries become ``Fraction`` only when normalized.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from operator import truediv
 
 from .scalars import integral
 
 
 def _integral_rows(rows):
-    """Int-scaled (or field-lifted) rows, the product of their scales, and whether rational."""
+    """Int-scaled rows and the product of their scales."""
     if set(map(type, chain.from_iterable(rows))) <= {int}:
-        return list(rows), 1, True
+        return list(rows), 1
     mat, scale = [], 1
     for row in rows:
         ints, d = integral(row)
         mat.append(ints)
         scale *= d
-    field = next((x for row in mat for x in row if type(x) is not int), None)
-    if field is not None:  # lift the int entries, or an int pivot would floor-divide
-        one = field * 0 + 1
-        mat = [[one * x for x in row] for row in mat]
-    return mat, scale, field is None
+    return mat, scale
 
 
 def _eliminate(rows):
@@ -40,10 +34,10 @@ def _eliminate(rows):
     A pivot p at (r, c) replaces every other row by (p * row - row[c] * row_r)
     over the previous pivot.  Every entry stays a minor of the scaled matrix,
     so the division is exact, and every pivot entry ends equal to the last
-    pivot.  Returns the rows, the pivot columns, the sign of the row swaps,
-    the product of the row scales, and the normalizing division.
+    pivot.  Returns the rows, the pivot columns, the sign of the row swaps
+    and the product of the row scales.
     """
-    mat, scale, rational = _integral_rows(rows)
+    mat, scale = _integral_rows(rows)
     pivots: list[int] = []
     sign, prev = 1, 1
     for c in range(len(mat[0]) if mat else 0):
@@ -62,7 +56,7 @@ def _eliminate(rows):
                 mat[k] = [(p * a - f * b) // prev for a, b in zip(row, top)]
         prev = p
         pivots.append(c)
-    return mat, pivots, sign, scale, (Fraction if rational else truediv)
+    return mat, pivots, sign, scale
 
 
 def first_dependent_column(rows) -> tuple[int | None, list[int]]:
@@ -70,7 +64,7 @@ def first_dependent_column(rows) -> tuple[int | None, list[int]]:
     pivot in ``rref(rows)``), or None, and the indices of the rows that took
     the pivots before it: the forward half of ``_eliminate``, removing each
     pivot row and keeping the other rows from the next column on."""
-    mat, _, _ = _integral_rows(rows)
+    mat, _ = _integral_rows(rows)
     left, used = list(range(len(mat))), []
     prev = 1
     for c in range(len(mat[0]) if mat else 0):
@@ -88,11 +82,11 @@ def first_dependent_column(rows) -> tuple[int | None, list[int]]:
 
 def rref(rows) -> tuple[list[list], list[int]]:
     """Reduced row echelon form and the list of pivot columns."""
-    mat, pivots, _, _, normalize = _eliminate(rows)
+    mat, pivots, _, _ = _eliminate(rows)
     d = mat[0][pivots[0]] if pivots else 1
     # nearly every entry of a Gauss-Jordan form is 0 or the pivot value
-    common = {0: normalize(0, d), d: normalize(d, d)}
-    return [[common[x] if x in common else normalize(x, d) for x in row] for row in mat], pivots
+    common = {0: Fraction(0), d: Fraction(1)}
+    return [[common[x] if x in common else Fraction(x, d) for x in row] for row in mat], pivots
 
 
 def rank(rows) -> int:
@@ -106,8 +100,8 @@ def det(rows):
         raise ValueError("determinant needs a square matrix")
     if not rows:
         return Fraction(1)
-    mat, _, sign, scale, normalize = _eliminate(rows)
-    return normalize(sign * mat[-1][-1], scale)
+    mat, _, sign, scale = _eliminate(rows)
+    return Fraction(sign * mat[-1][-1], scale)
 
 
 def kernel_basis(rows) -> list[list]:

@@ -7,6 +7,8 @@ subsets are all invariant).  Tests cross-check all of them against the
 enumerator and brute force.
 """
 
+import itertools
+
 import pytest
 
 from cubal.enumeration import collect_operations, orbit_census
@@ -78,6 +80,24 @@ def dense_product(x, y, op) -> list:
             0,
         )
         for i in idx for j in idx for r in idx
+    ]
+
+
+def mod_p_characters(op, p) -> list:
+    """Every nonzero c in (Z/p)^(m^3), indexed by flat (i, j, k), with
+    c[s] c[t] = c[E(s)E(t)] (mod p) on every basis pair: the triple rule
+    E(i, j, k)E(k, n, r) = E(i, a(j, n), r), and 0 where the inner indices
+    differ.  Exhausts all p^(m^3) vectors, with no library code."""
+    m = len(op.rows)
+    flat = lambda i, j, k: (i * m + j) * m + k
+    rules = [
+        (flat(i, j, k), flat(l, n, r), flat(i, op.rows[j][n] - 1, r) if k == l else None)
+        for i, j, k, l, n, r in itertools.product(range(m), repeat=6)
+    ]
+    return [
+        c
+        for c in itertools.product(range(p), repeat=m**3)
+        if any(c) and all((c[s] * c[t] - (0 if u is None else c[u])) % p == 0 for s, t, u in rules)
     ]
 
 

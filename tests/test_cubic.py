@@ -11,7 +11,6 @@ import pytest
 from cubal.cubic import CubicMatrix
 from cubal.errors import FormatError
 from cubal.operations import Operation, power_sequence
-from cubal.scalars import PrimeFieldElement
 from cubal.structure import AccompanyingElement, accompanying_image
 
 from conftest import CYCLE3, dense_product
@@ -147,6 +146,12 @@ class TestProduct:
         with pytest.raises(ValueError):
             E(3, 1, 1, 1).mul(E(3, 1, 1, 1), right_proj2)
 
+    def test_float_entries_raise_type_error(self, right_proj2):
+        x = CubicMatrix(2, [0.5, 1.0] + [0] * 6)
+        for left, right in ((x, E(2, 1, 1, 1)), (E(2, 1, 1, 1), x), (x, x)):
+            with pytest.raises(TypeError, match="0.5"):
+                left.mul(right, right_proj2)
+
     def test_bilinearity_random(self, census3):
         rng = random.Random(10)
         for _ in range(25):
@@ -185,14 +190,13 @@ class TestProduct:
                 assert not a.mul(b, op).is_zero()
                 assert b.mul(a, op).is_zero()
 
-    @pytest.mark.parametrize("kind", ["rational", "int", "mixed", "gf7"])
+    @pytest.mark.parametrize("kind", ["rational", "int", "mixed"])
     def test_matches_reference_product(self, kind, census3):
         rng = random.Random(f"mul:{kind}")
         draw = {
             "rational": lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
             "int": lambda: rng.randint(-9, 9),
             "mixed": lambda: rng.choice((0, rng.randint(-3, 3), Fraction(rng.randint(-3, 3), 7))),
-            "gf7": lambda: PrimeFieldElement(rng.randint(0, 6), 7),
         }[kind]
         ops = [Operation(CYCLE3), Operation([[1, 2], [1, 2]]), Operation([[1]])]
         ops += [census3[rng.randrange(len(census3))] for _ in range(6)]

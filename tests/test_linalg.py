@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from cubal.linalg import det, first_dependent_column, kernel_basis, rank, rref
-from cubal.scalars import PrimeFieldElement
 
 
 def random_matrix(n, rng):
@@ -14,7 +13,7 @@ def random_matrix(n, rng):
 
 
 def fraction_rref(rows):
-    """Reference Gauss-Jordan on Fraction (or field) entries, dividing each
+    """Reference Gauss-Jordan on Fraction entries, dividing each
     pivot row by its pivot as it goes; independent of the fraction-free code."""
     mat = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in rows]
     pivots = []
@@ -44,7 +43,6 @@ def seeded_matrix(kind, n_rows, n_cols, rng):
         "int": lambda: rng.randint(-5, 5),
         "mixed": lambda: rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-3, 3), 4))),
         "sparse": lambda: rng.choice((0, 0, 0, 1, -1, Fraction(1, 2))),
-        "gf5": lambda: PrimeFieldElement(rng.randint(0, 4), 5),
     }[kind]
     mat = [[draw() for _ in range(n_cols)] for _ in range(n_rows)]
     if n_rows > 1 and rng.random() < 0.5:
@@ -52,25 +50,6 @@ def seeded_matrix(kind, n_rows, n_cols, rng):
             lam, mu = draw(), draw()
             mat[k] = [lam * a + mu * b for a, b in zip(mat[k - 1], mat[rng.randrange(k)])]
     return mat
-
-
-def mixed_gf5_matrix(n_rows, n_cols, rng):
-    """A seeded GF(5) matrix with about half its entries, and all of its first
-    row, replaced by int representatives; the last entry stays in the field."""
-    mat = seeded_matrix("gf5", n_rows, n_cols, rng)
-    for r, row in enumerate(mat):
-        for c, x in enumerate(row):
-            if (r == 0 or rng.random() < 0.5) and (r, c) != (n_rows - 1, n_cols - 1):
-                row[c] = x.value + 5 * rng.randint(-1, 1)
-    return mat
-
-
-def lift_gf5(rows):
-    return [[x if isinstance(x, PrimeFieldElement) else PrimeFieldElement(x, 5) for x in row] for row in rows]
-
-
-def gf5_values(rows):
-    return [[x.value if isinstance(x, PrimeFieldElement) else x for x in row] for row in rows]
 
 
 def naive_det(rows):
@@ -107,10 +86,6 @@ class TestDet:
                 mat = random_matrix(n, rng)
                 assert det(mat) == naive_det(mat)
 
-    def test_over_prime_field(self):
-        g = lambda v: PrimeFieldElement(v, 5)
-        assert det([[g(2), g(1)], [g(3), g(4)]]) == g(2 * 4 - 3)
-
     @pytest.mark.parametrize("kind", ["int", "rational", "mixed", "sparse"])
     def test_seeded_against_cofactor_expansion(self, kind):
         rng = random.Random(f"det:{kind}")
@@ -120,28 +95,6 @@ class TestDet:
             got = det(mat)
             assert got == naive_det(mat)
             assert type(got) is Fraction
-
-    def test_prime_field_against_cofactor_expansion(self):
-        rng = random.Random("det:gf5")
-        for _ in range(40):
-            n = rng.randint(1, 4)
-            mat = seeded_matrix("gf5", n, n, rng)
-            as_ints = [[x.value for x in row] for row in mat]
-            assert det(mat) == PrimeFieldElement(int(naive_det(as_ints)), 5)
-
-    def test_int_pivot_beside_prime_field_entries(self):
-        g = lambda v: PrimeFieldElement(v, 5)
-        assert det([[1, 0], [0, g(2)]]) == g(2)
-        assert det([[2, 1], [g(3), 4]]) == g(2 * 4 - 3)
-
-    def test_mixed_int_and_prime_field_against_cofactor_expansion(self):
-        rng = random.Random("det:gf5-mixed")
-        for _ in range(40):
-            n = rng.randint(1, 4)
-            mat = mixed_gf5_matrix(n, n, rng)
-            got = det(mat)
-            assert isinstance(got, PrimeFieldElement)
-            assert got == PrimeFieldElement(int(naive_det(gf5_values(mat))), 5)
 
 
 class TestRref:
@@ -170,7 +123,7 @@ class TestRrefOracle:
         "single-column": (6, 1),
     }
 
-    @pytest.mark.parametrize("kind", ["rational", "int", "mixed", "sparse", "gf5"])
+    @pytest.mark.parametrize("kind", ["rational", "int", "mixed", "sparse"])
     @pytest.mark.parametrize("shape", list(SHAPES))
     def test_matches_reference(self, kind, shape):
         rng = random.Random(f"rref:{kind}:{shape}")
@@ -182,43 +135,20 @@ class TestRrefOracle:
             assert pivots == expected_pivots
             assert reduced == expected
             assert rank(mat) == len(expected_pivots)
-            if kind != "gf5":
-                assert all(type(x) is Fraction for row in reduced for x in row)
+            assert all(type(x) is Fraction for row in reduced for x in row)
 
-    @pytest.mark.parametrize("kind", ["rational", "int", "sparse", "gf5", "gf5-mixed"])
+    @pytest.mark.parametrize("kind", ["rational", "int", "sparse"])
     def test_every_entry_matches_in_value_and_type(self, kind):
         # rref shares one normalized 0 and one normalized pivot value per call
         rng = random.Random(f"rref:types:{kind}")
-        field = PrimeFieldElement if kind.startswith("gf5") else Fraction
         for n_rows, n_cols in self.SHAPES.values():
             for _ in range(10):
-                if kind == "gf5-mixed":
-                    mat = mixed_gf5_matrix(n_rows, n_cols, rng)
-                    expected = fraction_rref(lift_gf5(mat))[0]
-                else:
-                    mat = seeded_matrix(kind, n_rows, n_cols, rng)
-                    expected = fraction_rref(mat)[0]
+                mat = seeded_matrix(kind, n_rows, n_cols, rng)
+                expected = fraction_rref(mat)[0]
                 reduced = rref(mat)[0]
                 assert [[(x, type(x)) for x in row] for row in reduced] == [
-                    [(x, field) for x in row] for row in expected
+                    [(x, Fraction) for x in row] for row in expected
                 ]
-
-    def test_int_pivot_beside_prime_field_entries(self):
-        g = lambda v: PrimeFieldElement(v, 5)
-        assert rref([[1, 0], [0, g(2)]]) == ([[1, 0], [0, 1]], [0, 1])
-        assert rank([[1, 2], [g(3), g(1)]]) == 1  # 3 * (1, 2) = (3, 1) mod 5
-
-    @pytest.mark.parametrize("shape", list(SHAPES))
-    def test_mixed_int_and_prime_field_matches_reference(self, shape):
-        rng = random.Random(f"rref:gf5-mixed:{shape}")
-        n_rows, n_cols = self.SHAPES[shape]
-        for _ in range(25):
-            mat = mixed_gf5_matrix(n_rows, n_cols, rng)
-            reduced, pivots = rref(mat)
-            assert (reduced, pivots) == fraction_rref(lift_gf5(mat))
-            assert all(isinstance(x, PrimeFieldElement) for row in reduced for x in row)
-            if n_rows == n_cols:
-                assert (len(pivots) == n_rows) == (naive_det(gf5_values(mat)) % 5 != 0)
 
     def test_zero_rows_and_zero_matrix(self):
         rng = random.Random("rref:zero")
@@ -247,6 +177,16 @@ class TestRrefOracle:
         rref(mat)
         det(mat)
         assert mat == snapshot
+
+
+@pytest.mark.parametrize("solve", [det, rank, rref, kernel_basis, first_dependent_column])
+@pytest.mark.parametrize(
+    "rows", [[[0.5, 1.0], [1.0, 3.0]], [[1, Fraction(1, 3)], [3, 0.5]]], ids=["floats", "mixed"]
+)
+def test_float_entries_raise_type_error(solve, rows):
+    # a float has no exact int scale: det([[0.5, 1.0], [1.0, 3.0]]) is 1/2, not 0.0
+    with pytest.raises(TypeError, match="0.5"):
+        solve(rows)
 
 
 class TestKernel:
@@ -288,10 +228,7 @@ class TestFirstDependentColumn:
 
     @staticmethod
     def matrix(kind, n_rows, n_cols, rng):
-        if kind == "gf5-mixed":
-            mat = mixed_gf5_matrix(n_rows, n_cols, rng)
-        else:
-            mat = seeded_matrix(kind, n_rows, n_cols, rng)
+        mat = seeded_matrix(kind, n_rows, n_cols, rng)
         if n_cols > 2 and rng.random() < 0.5:
             # make a middle column a combination of two earlier ones
             c = rng.randrange(2, n_cols)
@@ -301,7 +238,7 @@ class TestFirstDependentColumn:
                 row[c] = lam * row[a] + mu * row[b]
         return mat
 
-    @pytest.mark.parametrize("kind", ["int", "rational", "mixed", "sparse", "gf5", "gf5-mixed"])
+    @pytest.mark.parametrize("kind", ["int", "rational", "mixed", "sparse"])
     @pytest.mark.parametrize("shape", list(SHAPES))
     def test_matches_the_first_free_column_of_rref(self, kind, shape):
         rng = random.Random(f"dependent:{kind}:{shape}")
@@ -314,14 +251,12 @@ class TestFirstDependentColumn:
             assert f == first_missing_pivot(mat)
             assert mat == snapshot
             # one pivot row per column before f, independent on those columns,
-            # so they span the rows of the first f + 1 columns (a cut of a
-            # mixed GF(5) row may hold only ints, so those are lifted first)
+            # so they span the rows of the first f + 1 columns
             cut = n_cols if f is None else f
-            field = lift_gf5 if kind == "gf5-mixed" else list
             assert len(used) == len(set(used)) == cut
-            assert rank(field([mat[k][:cut] for k in used])) == cut
+            assert rank([mat[k][:cut] for k in used]) == cut
             if f is not None:
-                assert rank(field([row[: f + 1] for row in mat])) == cut
+                assert rank([row[: f + 1] for row in mat]) == cut
             seen.add(f is None)
         if n_rows >= n_cols > 1 and kind != "sparse":
             assert seen == {True, False}
@@ -331,16 +266,8 @@ class TestFirstDependentColumn:
         assert first_dependent_column([[Fraction(0)], [0]]) == (0, [])
         identity = [[int(r == c) for c in range(4)] for r in range(4)]
         assert first_dependent_column(identity) == (None, [0, 1, 2, 3])
-        assert first_dependent_column(lift_gf5(identity)) == (None, [0, 1, 2, 3])
         # the rows run out before the columns do
         assert first_dependent_column([[1, 0, 5], [0, 1, 7]]) == (2, [0, 1])
         # pivot rows are indexed in the matrix as given, in pivot order
         assert first_dependent_column([[0, 0, 1], [0, 2, 0], [3, 1, 0]]) == (None, [2, 1, 0])
         assert first_dependent_column([[0, 1], [1, 1], [2, 2]]) == (None, [1, 0])
-
-    def test_prime_field_floor_division_is_exact_division(self):
-        for a in range(5):
-            for b in range(1, 5):
-                x, y = PrimeFieldElement(a, 5), PrimeFieldElement(b, 5)
-                for q, expected in ((x // y, x / y), (a // y, a / y), (x // b, x / b)):
-                    assert isinstance(q, PrimeFieldElement) and q == expected

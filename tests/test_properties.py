@@ -18,7 +18,7 @@ from cubal.operations import (
     closure,
     is_invariant,
 )
-from cubal.scalars import PrimeFieldElement, integral
+from cubal.scalars import integral
 from cubal.structure import AccompanyingElement, accompanying_image
 
 from conftest import dense_product
@@ -110,7 +110,6 @@ SCALARS = {
     "mixed": st.one_of(
         st.just(0), st.integers(-3, 3), st.fractions(-3, 3, max_denominator=7)
     ),
-    "gf7": st.integers(0, 6).map(lambda v: PrimeFieldElement(v, 7)),
 }
 
 
@@ -128,12 +127,11 @@ def whole(x) -> bool:
 
 
 def expected_types(x, y, values) -> list:
-    """The entry types of x.mul(y): with two whole operands, int, or the
-    field's type where the sum of the nonzero terms (from int 0) is a
-    prime-field element; otherwise int where the entry is 0 or every entry
-    of the product is whole, and Fraction elsewhere."""
+    """The entry types of x.mul(y): with two whole operands, int; otherwise
+    int where the entry is 0 or every entry of the product is whole, and
+    Fraction elsewhere."""
     if whole(x) and whole(y):
-        return [type(v) if isinstance(v, PrimeFieldElement) else int for v in values]
+        return [int] * len(values)
     every_whole = all(Fraction(v).denominator == 1 for v in values)
     return [int if v == 0 or every_whole else Fraction for v in values]
 
