@@ -11,7 +11,9 @@ A[i, l, k] * B[k, n, r] over all k and all pairs (l, n) with a(l, n) = j.
 The map onto the m x m accompanying algebra, which sums each middle-index
 fiber, is ``structure.accompanying_image``.  Each matrix is scaled to ints
 once, on first use: the product, that map and the zero-divisor block all run
-on this form, and a product's entries are made from it only when read.
+on this form, and a product's entries are made from it only when read; a
+right factor's form is split by first index once and kept with it.  Entries
+must be ints or Fractions where they enter; the library's results skip that scan.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from math import gcd
 
 from .errors import FormatError
 from .operations import Operation
-from .scalars import integral
+from .scalars import integral, require_rational
 
 
 class CubicMatrix:
@@ -33,22 +35,28 @@ class CubicMatrix:
         entries = tuple(entries)
         if len(entries) != m * m * m:
             raise FormatError(f"expected {m}**3 entries, got {len(entries)}")
-        self.m = m
-        self._entries = entries
-        self._form = None
+        require_rational(*entries)
+        self.m, self._entries, self._form = m, entries, None
+
+    @classmethod
+    def _trusted(cls, m: int, entries) -> "CubicMatrix":
+        """The matrix of m^3 ints and Fractions the library computed, unchecked."""
+        x = object.__new__(cls)
+        x.m, x._entries, x._form = m, tuple(entries), None
+        return x
 
     @classmethod
     def _from_form(cls, m: int, items: tuple, d: int) -> "CubicMatrix":
         """The matrix whose ``integral_items()`` are (items, d); entries come later."""
         x = object.__new__(cls)
-        x.m, x._entries, x._form = m, None, (items, d)
+        x.m, x._entries, x._form = m, None, (items, d, None)
         return x
 
     @property
     def entries(self) -> tuple:
         """The m^3 entries in flat order; int / d is a Fraction when d != 1."""
         if self._entries is None:
-            (items, d), out = self._form, [0] * self.m**3
+            (items, d, _), out = self._form, [0] * self.m**3
             for flat, x in items:
                 out[flat] = x if d == 1 else Fraction(x, d)
             self._entries = tuple(out)
@@ -56,7 +64,7 @@ class CubicMatrix:
 
     @classmethod
     def zero(cls, m: int) -> "CubicMatrix":
-        return cls(m, (0,) * (m * m * m))
+        return cls._trusted(m, (0,) * (m * m * m))
 
     @classmethod
     def basis(cls, m: int, i: int, j: int, k: int) -> "CubicMatrix":
@@ -66,7 +74,7 @@ class CubicMatrix:
                 raise FormatError(f"index {idx} outside 1..{m}")
         entries = [0] * (m * m * m)
         entries[((i - 1) * m + (j - 1)) * m + (k - 1)] = 1
-        return cls(m, entries)
+        return cls._trusted(m, entries)
 
     @classmethod
     def from_nested(cls, nested) -> "CubicMatrix":
@@ -96,8 +104,8 @@ class CubicMatrix:
         if self._form is None:
             nz = self.nonzero_items()
             ints, d = integral(v for _, v in nz)
-            self._form = (tuple(zip([flat for flat, _ in nz], ints)), d)
-        return self._form
+            self._form = (tuple(zip([flat for flat, _ in nz], ints)), d, None)
+        return self._form[:2]
 
     def is_zero(self) -> bool:
         return not self.integral_items()[0]
@@ -108,7 +116,7 @@ class CubicMatrix:
 
     def _require_same_size(self, other: "CubicMatrix"):
         if not isinstance(other, CubicMatrix):
-            raise TypeError(f"expected a CubicMatrix, got {type(other).__name__}")
+            raise TypeError(f"expected a CubicMatrix, got {other!r}")
         if self.m != other.m:
             raise ValueError(f"dimension mismatch: {self.m} vs {other.m}")
 
@@ -124,7 +132,8 @@ class CubicMatrix:
         return CubicMatrix(self.m, (-a for a in self.entries))
 
     def scale(self, scalar) -> "CubicMatrix":
-        return CubicMatrix(self.m, (scalar * a for a in self.entries))
+        require_rational(scalar)
+        return CubicMatrix._trusted(self.m, (scalar * a for a in self.entries))
 
     def __rmul__(self, scalar):
         return self.scale(scalar)
@@ -135,26 +144,27 @@ class CubicMatrix:
         The inner loop runs on the operands' ``integral_items``, built once per
         matrix; the int sums over da * db, reduced by their gcd, are the
         product's form, and its entries are made only when read.  The right
-        factor is split into (n, r, value) by its first index, and each left
-        entry (i, l, k) looks up its row offsets i m^2 + (a(l, n) - 1) m.
+        factor's items are split into (n, r, value) by their first index once,
+        as the third part of its form, and each left entry at flat
+        (i m + l) m + k reads its row offsets from ``op._row_plan()``.
         """
         self._require_same_size(other)
         m = self.m
         if op.m != m:
             raise ValueError(f"operation acts on {op.m} symbols, matrices have m={m}")
-        mm = m * m
         a_items, da = self.integral_items()
         b_items, db = other.integral_items()
-        by_k: list[list] = [[] for _ in range(m)]
-        for flat, val in b_items:
-            by_k[flat // mm].append((flat // m % m, flat % m, val))
-        out: list = [0] * (mm * m)
-        offsets = [[(j - 1) * m for j in row] for row in op.rows]
+        by_k = other._form[2]
+        if by_k is None:
+            by_k = [[] for _ in range(m)]
+            for flat, val in b_items:
+                by_k[flat // (m * m)].append((flat // m % m, flat % m, val))
+            other._form = (b_items, db, by_k)
+        plan = op._row_plan()
+        out: list = [0] * (m * m * m)
         for aflat, aval in a_items:
-            i0, rem = divmod(aflat, mm)
-            l0, k0 = divmod(rem, m)
-            base = i0 * mm
-            row = [base + o for o in offsets[l0]]
+            il, k0 = divmod(aflat, m)
+            row = plan[il]
             for n0, r0, bval in by_k[k0]:
                 out[row[n0] + r0] += aval * bval
         d = da * db
@@ -162,7 +172,7 @@ class CubicMatrix:
             # the sums are the entries: the gcd scan and sparse form below
             # would take the m = 3 basis products of tools/bench_products.py
             # from 0.40 to 0.63 ms (best of 7, 2-vCPU VM, Python 3.11)
-            return CubicMatrix(m, out)
+            return CubicMatrix._trusted(m, out)
         g = gcd(d, *out)
         items = tuple((flat, x // g) for flat, x in enumerate(out) if x)
         return CubicMatrix._from_form(m, items, d // g)

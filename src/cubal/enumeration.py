@@ -226,7 +226,7 @@ def _search_from_root(m: int, stop: int, lex: bool, prefix=()):
 
 def _to_operation(m: int, flat: tuple[int, ...]) -> Operation:
     rows = tuple(tuple(v + 1 for v in flat[r * m : (r + 1) * m]) for r in range(m))
-    return Operation(rows, unchecked=True)
+    return Operation._trusted(rows)
 
 
 def _leaves(args) -> list[tuple[tuple[int, ...], int]]:

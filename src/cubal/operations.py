@@ -58,13 +58,20 @@ def check_associative(table) -> bool:
 class Operation:
     """An associative binary operation on {1, .., m}."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_plan")
 
     def __init__(self, table, *, unchecked: bool = False):
         rows = _normalize_rows(table)
         if not unchecked and not check_associative(rows):
             raise NotAssociativeError("Cayley table is not associative")
-        self.rows = rows
+        self.rows, self._plan = rows, None
+
+    @classmethod
+    def _trusted(cls, rows: tuple) -> "Operation":
+        """The operation of int-tuple rows the library built from a valid table."""
+        op = object.__new__(cls)
+        op.rows, op._plan = rows, None
+        return op
 
     @classmethod
     def from_function(cls, m: int, fn, *, unchecked: bool = False) -> "Operation":
@@ -77,6 +84,15 @@ class Operation:
 
     def __call__(self, i: int, j: int) -> int:
         return self.rows[i - 1][j - 1]
+
+    def _row_plan(self) -> tuple[tuple[int, ...], ...]:
+        """Row i m + l (0-based) of the cubic product's offsets i m^2 + (a(l, n) - 1) m."""
+        if self._plan is None:
+            m = self.m
+            self._plan = tuple(
+                tuple((i * m + v - 1) * m for v in row) for i in range(m) for row in self.rows
+            )
+        return self._plan
 
     def flat(self) -> tuple[int, ...]:
         """Row-major flattening; the canonical sort key on operations."""
@@ -170,7 +186,7 @@ def act(pi: Permutation, a: Operation) -> Operation:
     rows = tuple(
         tuple(pi(a(inv(i), inv(j))) for j in range(1, m + 1)) for i in range(1, m + 1)
     )
-    return Operation(rows, unchecked=True)
+    return Operation._trusted(rows)
 
 
 def orbit(a: Operation) -> frozenset[Operation]:

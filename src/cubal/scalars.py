@@ -28,19 +28,22 @@ def parse_scalar(text) -> Fraction:
     raise FormatError(f"bad scalar {text!r}: expected string or integer")
 
 
+def require_rational(*values) -> None:
+    """Raise TypeError naming the first value that is not an int or a Fraction."""
+    if not {int, Fraction}.issuperset(map(type, values)):
+        bad = next(v for v in values if type(v) not in (int, Fraction))
+        raise TypeError(f"expected an int or a Fraction, got {bad!r}")
+
+
 def integral(values) -> tuple[list, int]:
     """The values (ints and Fractions) times the lcm d of their denominators,
-    as ints, and d.  A value with no denominator, such as a float, raises
-    TypeError.
+    as ints, and d.  Any other value, such as a float, raises TypeError.
     """
     values = list(values)
     if all(type(v) is int for v in values):
         return values, 1
-    try:
-        d = lcm(*[v.denominator for v in values])
-    except AttributeError:
-        bad = next(v for v in values if not hasattr(v, "denominator"))
-        raise TypeError(f"expected an exact rational, got {bad!r}") from None
+    require_rational(*values)
+    d = lcm(*[v.denominator for v in values])
     return [v.numerator * (d // v.denominator) for v in values], d
 
 

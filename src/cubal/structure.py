@@ -2,11 +2,13 @@
 
 Covers the basis-relabeling isomorphisms between equivalent operations, the
 multiplicative-linear-form (character) decision procedure, exact
-zero-divisor solvers (an m^2 x m^2 block, reduced up to its first dependent
-column), and the subalgebras and ideals spanned by basis matrices.  It also
-holds the accompanying algebra: ``AccompanyingElement`` is the library's one
-m x m matrix type, and ``accompanying_image``, the surjection onto it, is
-the one place the middle-index fiber sums are taken.
+zero-divisor solvers (an m^2 x m^2 block, filled by one loop over the fixed
+factor's int form and reduced up to its first dependent column), and the
+subalgebras and ideals spanned by basis matrices.  It also holds the
+accompanying algebra: ``AccompanyingElement`` is the library's one m x m
+matrix type, whose coefficients must be ints or Fractions, and
+``accompanying_image``, the surjection onto it, is the one place the
+middle-index fiber sums are taken.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .operations import (
     image,
     invariance_violation,
 )
+from .scalars import require_rational
 
 
 class AccompanyingElement:
@@ -40,7 +43,15 @@ class AccompanyingElement:
         m = len(coeffs)
         if any(len(row) != m for row in coeffs):
             raise FormatError("coefficient matrix must be m x m")
+        require_rational(*(x for row in coeffs for x in row))
         self.coeffs = coeffs
+
+    @classmethod
+    def _trusted(cls, coeffs: tuple) -> "AccompanyingElement":
+        """The element of m x m int and Fraction tuples the library computed."""
+        x = object.__new__(cls)
+        x.coeffs = coeffs
+        return x
 
     @classmethod
     def unit(cls, m: int, i: int, j: int) -> "AccompanyingElement":
@@ -61,7 +72,7 @@ class AccompanyingElement:
         if self.m != other.m:
             raise ValueError("dimension mismatch")
         m = self.m
-        return AccompanyingElement(
+        return AccompanyingElement._trusted(
             tuple(
                 tuple(
                     sum(self.coeffs[i][j] * other.coeffs[j][l] for j in range(m))
@@ -74,7 +85,7 @@ class AccompanyingElement:
     def __add__(self, other):
         if self.m != other.m:
             raise ValueError("dimension mismatch")
-        return AccompanyingElement(
+        return AccompanyingElement._trusted(
             tuple(
                 tuple(a + b for a, b in zip(r1, r2))
                 for r1, r2 in zip(self.coeffs, other.coeffs)
@@ -112,7 +123,7 @@ def accompanying_image(x: CubicMatrix) -> AccompanyingElement:
         sums[flat // (m * m) * m + flat % m] += v
     if d != 1:
         sums = [Fraction(s, d) if s else 0 for s in sums]
-    return AccompanyingElement(sums[i * m : i * m + m] for i in range(m))
+    return AccompanyingElement._trusted(tuple(tuple(sums[i * m : i * m + m]) for i in range(m)))
 
 
 def permute_indices(pi: Permutation, x: CubicMatrix) -> CubicMatrix:
@@ -127,7 +138,7 @@ def permute_indices(pi: Permutation, x: CubicMatrix) -> CubicMatrix:
         entries[
             ((pi(i0 + 1) - 1) * m + (pi(j0 + 1) - 1)) * m + (pi(k0 + 1) - 1)
         ] = val
-    return CubicMatrix(m, entries)
+    return CubicMatrix._trusted(m, entries)
 
 
 def verify_isomorphism(a: Operation, b: Operation, pi: Permutation) -> bool:
@@ -196,14 +207,15 @@ def _zero_product_block(fixed: CubicMatrix, op: Operation, side: str) -> list[li
     """The m^2 x m^2 block that ``_solve_zero_product`` solves, by the triple rule."""
     m = fixed.m
     a = [[x - 1 for x in row] for row in op.rows]
-    if side == "left":  # A[i, l, k]: row (i, a(l, n)), column (k, n)
-        cells = lambda i, l, k: [(i * m + a[l][n], k * m + n) for n in range(m)]
-    else:  # A[k, n, r]: row (a(l, n), r), column (l, k)
-        cells = lambda k, n, r: [(a[l][n] * m + r, l * m + k) for l in range(m)]
     block = [[0] * (m * m) for _ in range(m * m)]
     for flat, val in fixed.integral_items()[0]:
-        for r, c in cells(flat // (m * m), flat // m % m, flat % m):
-            block[r][c] += val
+        s, t, u = flat // (m * m), flat // m % m, flat % m
+        if side == "left":  # A[i, l, k] = A[s, t, u]: row (i, a(l, n)), column (k, n)
+            for n, v in enumerate(a[t]):
+                block[s * m + v][u * m + n] += val
+        else:  # A[k, n, r] = A[s, t, u]: row (a(l, n), r), column (l, k)
+            for l, row in enumerate(a):
+                block[row[t] * m + u][l * m + s] += val
     return block
 
 
@@ -239,7 +251,7 @@ def _solve_zero_product(
     prefix = [block[k][: f + 1] for k in pivot_rows] or [[0]]
     vec = kernel_basis(prefix)[0] + [0] * (m * m - f - 1)
     entries[slice(None, None, m) if side == "left" else slice(m * m)] = vec
-    return CubicMatrix(m, entries)
+    return CubicMatrix._trusted(m, entries)
 
 
 def left_zero_divisor_witness(a_mat: CubicMatrix, op: Operation) -> CubicMatrix | None:
@@ -272,6 +284,13 @@ class SpannedSubspace:
             for idx in (i, j, k):
                 if not 1 <= idx <= self.m:
                     raise FormatError(f"triple ({i},{j},{k}) outside 1..{self.m}")
+
+    @classmethod
+    def _trusted(cls, m: int, triples: frozenset) -> "SpannedSubspace":
+        """The span of triples the library built in 1..m, without the scan."""
+        span = object.__new__(cls)
+        span.__dict__.update(m=m, triples=triples)
+        return span
 
 
 def subalgebra_span(op: Operation, members, i: int, k: int) -> SpannedSubspace:

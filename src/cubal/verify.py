@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from fractions import Fraction
+from math import gcd, lcm
 
 from .cubic import CubicMatrix
 from .enumeration import DEFAULT_MAX_M, collect_operations
@@ -47,13 +47,12 @@ ZERO_DIVISOR_TRIALS = 4
 
 
 def random_cubic(m: int, rng: random.Random, *, span: int = 9) -> CubicMatrix:
-    """A dense cubic matrix with small random rational entries."""
-    return CubicMatrix(
-        m,
-        [
-            Fraction(rng.randint(-span, span), rng.randint(1, 4))
-            for _ in range(m * m * m)
-        ],
+    """A dense cubic matrix with small random rational entries p / q, made in
+    its int form: p d / q over d, the lcm of the reduced q / gcd(p, q)."""
+    draws = [(rng.randint(-span, span), rng.randint(1, 4)) for _ in range(m * m * m)]
+    d = lcm(*(q // gcd(p, q) for p, q in draws))
+    return CubicMatrix._from_form(
+        m, tuple((flat, p * d // q) for flat, (p, q) in enumerate(draws) if p), d
     )
 
 
@@ -148,7 +147,7 @@ def check_subalgebras(op: Operation) -> bool:
     for J in filter(None, enumerate_invariant_subsets(op)):
         if not is_invariant(J, op):
             return False
-        spans = [SpannedSubspace(m, frozenset((i, j, k) for j in J)) for i, k in blocks]
+        spans = [SpannedSubspace._trusted(m, frozenset((i, j, k) for j in J)) for i, k in blocks]
         if not all(is_subalgebra(span, op) for span in spans):
             return False
         if any(s1.triples & s2.triples for s1, s2 in itertools.combinations(spans, 2)):
@@ -190,14 +189,19 @@ def zero_divisor_trials(op: Operation):
     dense draws seeded from the table, about half of them (for m >= 2) made
     singular by copying the first outer slice over the last, which makes two
     accompanying rows equal.  Each is the int multiple of its draw; positive
-    scaling keeps zero products and det == 0."""
+    scaling keeps zero products and det == 0.  A copy is made on the draw's
+    int form: its entries v / d have lcm denominator d / gcd(d, v, ...)."""
     m = op.m
     rng = random.Random(f"{RNG_SEED}:{op.flat()}")
+    last = (m - 1) * m * m
     for _ in range(ZERO_DIVISOR_TRIALS):
-        a = random_cubic(m, rng)
+        items, d = random_cubic(m, rng).integral_items()
         if rng.random() < 0.5 and m >= 2:
-            a = CubicMatrix(m, a.entries[: (m - 1) * m * m] + a.entries[: m * m])
-        yield a.integer_multiple()
+            keep = [t for t in items if t[0] < last]
+            items = keep + [(f + last, v) for f, v in keep if f < m * m]
+            g = gcd(d, *(v for _, v in items))
+            items = tuple((f, v // g) for f, v in items)
+        yield CubicMatrix._from_form(m, items, 1)
 
 
 def check_zero_divisors(op: Operation) -> bool:

@@ -146,11 +146,41 @@ class TestProduct:
         with pytest.raises(ValueError):
             E(3, 1, 1, 1).mul(E(3, 1, 1, 1), right_proj2)
 
-    def test_float_entries_raise_type_error(self, right_proj2):
-        x = CubicMatrix(2, [0.5, 1.0] + [0] * 6)
-        for left, right in ((x, E(2, 1, 1, 1)), (E(2, 1, 1, 1), x), (x, x)):
+    def test_float_entries_raise_type_error(self):
+        # rejected where they enter, so no product, fiber sum or solve sees one
+        with pytest.raises(TypeError, match="0.5"):
+            CubicMatrix(2, [0.5, 1.0] + [0] * 6)
+
+    def test_float_nested_entries_raise_type_error(self):
+        with pytest.raises(TypeError, match="0.5"):
+            CubicMatrix.from_nested([[[1, 0.5], [0, 0]], [[0, 0], [0, 0]]])
+
+    def test_float_summand_raises_type_error(self):
+        with pytest.raises(TypeError, match="0.5"):
+            E(2, 1, 1, 1) + 0.5
+
+    def test_float_scalar_raises_type_error(self):
+        x = E(2, 1, 1, 1) + E(2, 2, 2, 2)
+        for scale in (lambda: x.scale(0.5), lambda: 0.5 * x):
             with pytest.raises(TypeError, match="0.5"):
-                left.mul(right, right_proj2)
+                scale()
+        assert x.scale(Fraction(1, 2)).entry(2, 2, 2) == Fraction(1, 2)
+
+    def test_one_right_factor_under_two_tables_then_on_the_left(self, census3):
+        # y keeps the split of its int form after its first product, and each
+        # table keeps its row offsets; neither may leak into another product
+        rng = random.Random(15)
+        ops = [census3[17], census3[90], Operation(CYCLE3)]
+        x, y, z = (random_cubic(3, rng, span=4) for _ in range(3))
+        for _ in range(2):
+            for op in ops:
+                assert list(x.mul(y, op).entries) == dense_product(x, y, op)
+        for op in ops:
+            assert list(y.mul(z, op).entries) == dense_product(y, z, op)
+            assert list(y.mul(y, op).entries) == dense_product(y, y, op)
+        # a product in int form is itself a right factor later
+        xy = x.mul(y, ops[0])
+        assert list(z.mul(xy, ops[1]).entries) == dense_product(z, xy, ops[1])
 
     def test_bilinearity_random(self, census3):
         rng = random.Random(10)

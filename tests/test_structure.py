@@ -87,6 +87,14 @@ class TestAccompanyingAlgebra:
         u21 = AccompanyingElement.unit(2, 2, 1)
         assert u12.mul(u21) != u21.mul(u12)
 
+    def test_float_coefficients_raise_type_error(self):
+        # a float used to pass through mul: [[0.5, 1.0], [1.0, 3.0]] squared to floats
+        with pytest.raises(TypeError, match="0.5"):
+            AccompanyingElement([[0.5, 1.0], [1.0, 3.0]])
+        half = AccompanyingElement([[Fraction(1, 2), 1], [1, 3]])
+        h, q = Fraction(5, 4), Fraction(7, 2)
+        assert half.mul(half) == AccompanyingElement([[h, q], [q, 10]])
+
     @pytest.mark.parametrize("bad", [0, -1, 3])
     def test_unit_index_range_checked(self, bad):
         for i, j in ((bad, 1), (1, bad)):

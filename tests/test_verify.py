@@ -1,6 +1,7 @@
 """The batch check battery used by the verify command."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,44 @@ def test_zero_divisor_check_solves_exactly_the_trials(census3, monkeypatch):
     draws = [a for op in census3 for a in zero_divisor_trials(op)]
     singular = sum(a.entries[:9] == a.entries[18:] for a in draws)
     assert 0.3 < singular / len(draws) < 0.7
+
+
+def fraction_trials(op):
+    """The draws of ``zero_divisor_trials`` made the way they were first made:
+    a Fraction per entry, the slice copy on those entries, then the int multiple."""
+    m = op.m
+    rng = random.Random(f"{verify.RNG_SEED}:{op.flat()}")
+    for _ in range(verify.ZERO_DIVISOR_TRIALS):
+        a = CubicMatrix(m, [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(m**3)])
+        if rng.random() < 0.5 and m >= 2:
+            a = CubicMatrix(m, a.entries[: (m - 1) * m * m] + a.entries[: m * m])
+        yield a.integer_multiple()
+
+
+def test_zero_divisor_trials_match_the_fraction_draws(census2, census3):
+    for op in [Operation([[1]])] + census2 + census3:
+        got, want = list(zero_divisor_trials(op)), list(fraction_trials(op))
+        assert [a.integral_items() for a in got] == [a.integral_items() for a in want]
+        assert [a.entries for a in got] == [a.entries for a in want]
+        assert all(type(v) is int for a in got for v in a.entries)
+
+
+def test_random_cubic_is_the_fraction_draw_in_int_form():
+    rng, ref = random.Random(3), random.Random(3)
+    for m in (1, 2, 3, 4, 5):
+        x = verify.random_cubic(m, rng)
+        draws = [Fraction(ref.randint(-9, 9), ref.randint(1, 4)) for _ in range(m**3)]
+        want = CubicMatrix(m, draws)
+        assert x.integral_items() == want.integral_items()
+        assert x.entries == want.entries
+    assert rng.random() == ref.random()
+
+
+def test_block_spans_equal_the_checked_spans():
+    triples = frozenset((1, j, 2) for j in (1, 3))
+    trusted = SpannedSubspace._trusted(3, triples)
+    assert trusted == SpannedSubspace(3, triples)
+    assert hash(trusted) == hash(SpannedSubspace(3, triples))
 
 
 def test_accompanying_check_fails_on_a_wrong_dense_product(monkeypatch):
