@@ -9,11 +9,13 @@ product attached to an associative operation a multiplies basis elements by
 and extends bilinearly: entry (i, j, r) of a product is the sum of
 A[i, l, k] * B[k, n, r] over all k and all pairs (l, n) with a(l, n) = j.
 The map onto the m x m accompanying algebra, which sums each middle-index
-fiber, is ``structure.accompanying_image``.  Each matrix is scaled to ints
-once, on first use: the product, that map and the zero-divisor block all run
-on this form, and a product's entries are made from it only when read; a
-right factor's form is split by first index once and kept with it.  Entries
-must be ints or Fractions where they enter; the library's results skip that scan.
+fiber, is ``structure.accompanying_image``.  Each matrix holds one int form,
+made with it: its nonzero entries by first index (``slabs``) as ints over one
+reduced denominator ``d``.  The product takes the right factor's slabs by
+first index and writes the product's slab by slab; that map and the
+zero-divisor block read the same form.  The entries are a view made from it
+on first read, except that ``CubicMatrix(m, entries)`` keeps the entries it
+is given, which must be ints or Fractions.
 """
 
 from __future__ import annotations
@@ -27,44 +29,44 @@ from .scalars import integral, require_rational
 
 
 class CubicMatrix:
-    """An immutable m x m x m array of exact rationals (ints and Fractions)."""
+    """An immutable m x m x m array of exact rationals (ints and Fractions).
 
-    __slots__ = ("m", "_entries", "_form")
+    ``slabs[i]`` holds the nonzero entries of first index i (0-based) as
+    (j m + k, int) pairs in increasing order, each int / d the entry, for one
+    denominator d > 0 with gcd(d, ints) = 1; equal matrices have equal forms.
+    """
+
+    __slots__ = ("m", "slabs", "d", "_entries")
 
     def __init__(self, m: int, entries):
         entries = tuple(entries)
         if len(entries) != m * m * m:
             raise FormatError(f"expected {m}**3 entries, got {len(entries)}")
-        require_rational(*entries)
-        self.m, self._entries, self._form = m, entries, None
+        ints, self.d = integral(entries)
+        self.m, self.slabs, self._entries = m, _slabs_of(m, ints), entries
 
     @classmethod
-    def _trusted(cls, m: int, entries) -> "CubicMatrix":
-        """The matrix of m^3 ints and Fractions the library computed, unchecked."""
+    def _from_form(cls, m: int, slabs: tuple, d: int) -> "CubicMatrix":
+        """The matrix of a reduced form the library computed; entries come later."""
         x = object.__new__(cls)
-        x.m, x._entries, x._form = m, tuple(entries), None
-        return x
-
-    @classmethod
-    def _from_form(cls, m: int, items: tuple, d: int) -> "CubicMatrix":
-        """The matrix whose ``integral_items()`` are (items, d); entries come later."""
-        x = object.__new__(cls)
-        x.m, x._entries, x._form = m, None, (items, d, None)
+        x.m, x.slabs, x.d, x._entries = m, slabs, d, None
         return x
 
     @property
     def entries(self) -> tuple:
         """The m^3 entries in flat order; int / d is a Fraction when d != 1."""
         if self._entries is None:
-            (items, d, _), out = self._form, [0] * self.m**3
-            for flat, x in items:
-                out[flat] = x if d == 1 else Fraction(x, d)
+            m, d = self.m, self.d
+            out = [0] * m**3
+            for i, slab in enumerate(self.slabs):
+                for jk, x in slab:
+                    out[i * m * m + jk] = x if d == 1 else Fraction(x, d)
             self._entries = tuple(out)
         return self._entries
 
     @classmethod
     def zero(cls, m: int) -> "CubicMatrix":
-        return cls._trusted(m, (0,) * (m * m * m))
+        return cls._from_form(m, ((),) * m, 1)
 
     @classmethod
     def basis(cls, m: int, i: int, j: int, k: int) -> "CubicMatrix":
@@ -72,9 +74,8 @@ class CubicMatrix:
         for idx in (i, j, k):
             if not 1 <= idx <= m:
                 raise FormatError(f"index {idx} outside 1..{m}")
-        entries = [0] * (m * m * m)
-        entries[((i - 1) * m + (j - 1)) * m + (k - 1)] = 1
-        return cls._trusted(m, entries)
+        one = (((j - 1) * m + k - 1, 1),)
+        return cls._from_form(m, tuple(one if s == i else () for s in range(1, m + 1)), 1)
 
     @classmethod
     def from_nested(cls, nested) -> "CubicMatrix":
@@ -98,21 +99,12 @@ class CubicMatrix:
         """Tuple of (flat_index, value) over nonzero entries."""
         return tuple((idx, val) for idx, val in enumerate(self.entries) if val != 0)
 
-    def integral_items(self) -> tuple[tuple, int]:
-        """Cached (flat_index, int) pairs of the nonzero entries, each int / d for
-        d > 0 their lcm denominator (``scalars.integral``)."""
-        if self._form is None:
-            nz = self.nonzero_items()
-            ints, d = integral(v for _, v in nz)
-            self._form = (tuple(zip([flat for flat, _ in nz], ints)), d, None)
-        return self._form[:2]
-
     def is_zero(self) -> bool:
-        return not self.integral_items()[0]
+        return not any(self.slabs)
 
     def integer_multiple(self) -> "CubicMatrix":
         """self times the lcm of its denominators, a multiple with int entries."""
-        return CubicMatrix._from_form(self.m, self.integral_items()[0], 1)
+        return CubicMatrix._from_form(self.m, self.slabs, 1)
 
     def _require_same_size(self, other: "CubicMatrix"):
         if not isinstance(other, CubicMatrix):
@@ -133,7 +125,7 @@ class CubicMatrix:
 
     def scale(self, scalar) -> "CubicMatrix":
         require_rational(scalar)
-        return CubicMatrix._trusted(self.m, (scalar * a for a in self.entries))
+        return CubicMatrix(self.m, (scalar * a for a in self.entries))
 
     def __rmul__(self, scalar):
         return self.scale(scalar)
@@ -141,41 +133,27 @@ class CubicMatrix:
     def mul(self, other: "CubicMatrix", op: Operation) -> "CubicMatrix":
         """The product of self and other under the operation's multiplication.
 
-        The inner loop runs on the operands' ``integral_items``, built once per
-        matrix; the int sums over da * db, reduced by their gcd, are the
-        product's form, and its entries are made only when read.  The right
-        factor's items are split into (n, r, value) by their first index once,
-        as the third part of its form, and each left entry at flat
-        (i m + l) m + k reads its row offsets from ``op._row_plan()``.
+        Slab i of the product takes each entry (l, k) of the left slab i times
+        each entry (n, r) of the right slab k into (a(l, n), r), at offset
+        ``op._row_plan()[l][n m + r]``.  The int sums over the product of the
+        denominators, reduced by their gcd, are the product's form.
         """
         self._require_same_size(other)
         m = self.m
         if op.m != m:
             raise ValueError(f"operation acts on {op.m} symbols, matrices have m={m}")
-        a_items, da = self.integral_items()
-        b_items, db = other.integral_items()
-        by_k = other._form[2]
-        if by_k is None:
-            by_k = [[] for _ in range(m)]
-            for flat, val in b_items:
-                by_k[flat // (m * m)].append((flat // m % m, flat % m, val))
-            other._form = (b_items, db, by_k)
-        plan = op._row_plan()
-        out: list = [0] * (m * m * m)
-        for aflat, aval in a_items:
-            il, k0 = divmod(aflat, m)
-            row = plan[il]
-            for n0, r0, bval in by_k[k0]:
-                out[row[n0] + r0] += aval * bval
-        d = da * db
-        if d == 1:
-            # the sums are the entries: the gcd scan and sparse form below
-            # would take the m = 3 basis products of tools/bench_products.py
-            # from 0.40 to 0.63 ms (best of 7, 2-vCPU VM, Python 3.11)
-            return CubicMatrix._trusted(m, out)
-        g = gcd(d, *out)
-        items = tuple((flat, x // g) for flat, x in enumerate(out) if x)
-        return CubicMatrix._from_form(m, items, d // g)
+        plan, right, sums = op._row_plan(), other.slabs, []
+        for slab in self.slabs:
+            out = [0] * (m * m) if slab else []
+            for lk, aval in slab:
+                row = plan[lk // m]
+                for nr, bval in right[lk % m]:
+                    out[row[nr]] += aval * bval
+            sums.append(out)
+        d = self.d * other.d
+        g = gcd(d, *(gcd(*out) for out in sums)) if d > 1 else 1
+        slabs = tuple(tuple([(jr, x // g) for jr, x in enumerate(out) if x]) for out in sums)
+        return CubicMatrix._from_form(m, slabs, d // g)
 
     def plenary_power(self, n: int, op: Operation) -> "CubicMatrix":
         """n successive squarings under the operation's multiplication."""
@@ -187,11 +165,12 @@ class CubicMatrix:
         return result
 
     def __eq__(self, other):
-        # len(entries) is m**3, so equal entries imply equal m
-        return isinstance(other, CubicMatrix) and self.entries == other.entries
+        return isinstance(other, CubicMatrix) and (self.m, self.d, self.slabs) == (
+            other.m, other.d, other.slabs
+        )
 
     def __hash__(self):
-        return hash((self.m, self.entries))
+        return hash((self.m, self.d, self.slabs))
 
     def __repr__(self):
         nz = ", ".join(
@@ -199,3 +178,12 @@ class CubicMatrix:
             for idx, val in self.nonzero_items()
         )
         return f"CubicMatrix(m={self.m}, {{{nz or '0'}}})"
+
+
+def _slabs_of(m: int, ints) -> tuple:
+    """The slabs of m^3 ints in flat order: per first index, the nonzero
+    (j m + k, int) pairs."""
+    mm = m * m
+    return tuple(
+        tuple([(jk, x) for jk, x in enumerate(ints[i * mm : i * mm + mm]) if x]) for i in range(m)
+    )

@@ -73,11 +73,6 @@ class Operation:
         op.rows, op._plan = rows, None
         return op
 
-    @classmethod
-    def from_function(cls, m: int, fn, *, unchecked: bool = False) -> "Operation":
-        table = [[fn(i, j) for j in range(1, m + 1)] for i in range(1, m + 1)]
-        return cls(table, unchecked=unchecked)
-
     @property
     def m(self) -> int:
         return len(self.rows)
@@ -86,11 +81,12 @@ class Operation:
         return self.rows[i - 1][j - 1]
 
     def _row_plan(self) -> tuple[tuple[int, ...], ...]:
-        """Row i m + l (0-based) of the cubic product's offsets i m^2 + (a(l, n) - 1) m."""
+        """Row l (0-based) of the cubic product's offsets (a(l, n) - 1) m + r,
+        at n m + r."""
         if self._plan is None:
             m = self.m
             self._plan = tuple(
-                tuple((i * m + v - 1) * m for v in row) for i in range(m) for row in self.rows
+                tuple((v - 1) * m + r for v in row for r in range(m)) for row in self.rows
             )
         return self._plan
 
@@ -116,12 +112,12 @@ class Operation:
 
 def right_symmetric(m: int) -> Operation:
     """The projection onto the right argument: (i, j) -> j."""
-    return Operation.from_function(m, lambda i, j: j, unchecked=True)
+    return Operation((tuple(range(1, m + 1)),) * m, unchecked=True)
 
 
 def left_symmetric(m: int) -> Operation:
     """The projection onto the left argument: (i, j) -> i."""
-    return Operation.from_function(m, lambda i, j: i, unchecked=True)
+    return Operation(tuple((i,) * m for i in range(1, m + 1)), unchecked=True)
 
 
 class Permutation:

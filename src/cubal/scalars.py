@@ -3,7 +3,7 @@
 Every scalar is a rational: a ``Fraction``, or a Python int as an exact
 rational value.  The hot loops run on ints: ``integral`` scales a run of
 rationals by the lcm of their denominators.  A cubic matrix is scaled
-once, on first use, and keeps that form for every product, fiber sum and
+once, when it is made, and keeps that form for every product, fiber sum and
 zero-divisor block it enters; elimination scales its rows once per call.
 Both divide the scale back out only where a rational is read.
 """

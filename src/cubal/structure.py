@@ -114,16 +114,16 @@ def accompanying_image(x: CubicMatrix) -> AccompanyingElement:
     Maps E(i, n, j) to u(i, j); on a general matrix the (i, j) coefficient
     is the middle-index fiber sum, so the coefficient matrix is the
     accompanying matrix of x.  This is an algebra homomorphism for every
-    operation's multiplication.  The sums run on x's ``integral_items``.
+    operation's multiplication.  The sums run on x's int form.
     """
-    m = x.m
-    items, d = x.integral_items()
-    sums: list = [0] * (m * m)
-    for flat, v in items:
-        sums[flat // (m * m) * m + flat % m] += v
+    m, d = x.m, x.d
+    sums = [[0] * m for _ in range(m)]
+    for row, slab in zip(sums, x.slabs):
+        for jk, v in slab:
+            row[jk % m] += v
     if d != 1:
-        sums = [Fraction(s, d) if s else 0 for s in sums]
-    return AccompanyingElement._trusted(tuple(tuple(sums[i * m : i * m + m]) for i in range(m)))
+        sums = [[Fraction(s, d) if s else 0 for s in row] for row in sums]
+    return AccompanyingElement._trusted(tuple(map(tuple, sums)))
 
 
 def permute_indices(pi: Permutation, x: CubicMatrix) -> CubicMatrix:
@@ -138,7 +138,7 @@ def permute_indices(pi: Permutation, x: CubicMatrix) -> CubicMatrix:
         entries[
             ((pi(i0 + 1) - 1) * m + (pi(j0 + 1) - 1)) * m + (pi(k0 + 1) - 1)
         ] = val
-    return CubicMatrix._trusted(m, entries)
+    return CubicMatrix(m, entries)
 
 
 def verify_isomorphism(a: Operation, b: Operation, pi: Permutation) -> bool:
@@ -208,14 +208,15 @@ def _zero_product_block(fixed: CubicMatrix, op: Operation, side: str) -> list[li
     m = fixed.m
     a = [[x - 1 for x in row] for row in op.rows]
     block = [[0] * (m * m) for _ in range(m * m)]
-    for flat, val in fixed.integral_items()[0]:
-        s, t, u = flat // (m * m), flat // m % m, flat % m
-        if side == "left":  # A[i, l, k] = A[s, t, u]: row (i, a(l, n)), column (k, n)
-            for n, v in enumerate(a[t]):
-                block[s * m + v][u * m + n] += val
-        else:  # A[k, n, r] = A[s, t, u]: row (a(l, n), r), column (l, k)
-            for l, row in enumerate(a):
-                block[row[t] * m + u][l * m + s] += val
+    for s, slab in enumerate(fixed.slabs):
+        for tu, val in slab:
+            t, u = divmod(tu, m)
+            if side == "left":  # A[i, l, k] = A[s, t, u]: row (i, a(l, n)), column (k, n)
+                for n, v in enumerate(a[t]):
+                    block[s * m + v][u * m + n] += val
+            else:  # A[k, n, r] = A[s, t, u]: row (a(l, n), r), column (l, k)
+                for l, row in enumerate(a):
+                    block[row[t] * m + u][l * m + s] += val
     return block
 
 
@@ -227,9 +228,9 @@ def _solve_zero_product(
     The outer index of X away from fixed passes through the product, so on
     flat coordinates X -> fixed * X is M (x) I_m and X -> X * fixed is
     I_m (x) N.  The m^2 x m^2 block M (N) acts on the slice r = 1 (i = 1) and
-    is built in one pass over A, the cached int multiple of fixed (its
-    ``integral_items``, the same kernel), by the triple rule: left, A[i, l, k]
-    adds to row (i, a(l, n)), column (k, n), for every n; right, A[k, n, r] adds to row
+    is built in one pass over A, the int multiple of fixed (its slabs, the
+    same kernel), by the triple rule: left, A[i, l, k] adds to row
+    (i, a(l, n)), column (k, n), for every n; right, A[k, n, r] adds to row
     (a(l, n), r), column (l, k), for every l.  As rref(M (x) I) =
     rref(M) (x) I, its first kernel vector, placed on that same slice, is
     exactly the first kernel vector of the whole m^3 x m^3 map.  That vector
@@ -251,7 +252,7 @@ def _solve_zero_product(
     prefix = [block[k][: f + 1] for k in pivot_rows] or [[0]]
     vec = kernel_basis(prefix)[0] + [0] * (m * m - f - 1)
     entries[slice(None, None, m) if side == "left" else slice(m * m)] = vec
-    return CubicMatrix._trusted(m, entries)
+    return CubicMatrix(m, entries)
 
 
 def left_zero_divisor_witness(a_mat: CubicMatrix, op: Operation) -> CubicMatrix | None:

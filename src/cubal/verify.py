@@ -12,7 +12,7 @@ import itertools
 import random
 from math import gcd, lcm
 
-from .cubic import CubicMatrix
+from .cubic import CubicMatrix, _slabs_of
 from .enumeration import DEFAULT_MAX_M, collect_operations
 from .linalg import rank
 from .operations import (
@@ -23,7 +23,6 @@ from .operations import (
     classify_power_sequence,
     classify_symmetry,
     enumerate_invariant_subsets,
-    is_invariant,
     power_sequence,
 )
 from .scalars import format_scalar
@@ -51,9 +50,7 @@ def random_cubic(m: int, rng: random.Random, *, span: int = 9) -> CubicMatrix:
     its int form: p d / q over d, the lcm of the reduced q / gcd(p, q)."""
     draws = [(rng.randint(-span, span), rng.randint(1, 4)) for _ in range(m * m * m)]
     d = lcm(*(q // gcd(p, q) for p, q in draws))
-    return CubicMatrix._from_form(
-        m, tuple((flat, p * d // q) for flat, (p, q) in enumerate(draws) if p), d
-    )
+    return CubicMatrix._from_form(m, _slabs_of(m, [p * d // q for p, q in draws]), d)
 
 
 def check_isomorphisms(op: Operation) -> bool:
@@ -139,28 +136,15 @@ def _fiber_balance(x: CubicMatrix) -> CubicMatrix:
 
 
 def check_subalgebras(op: Operation) -> bool:
-    """Invariant subsets span subalgebras; the image span is a two-sided ideal;
-    the block/inclusion/disjointness identities hold on the spanning triples."""
+    """Each invariant subset J spans a subalgebra {E(i, j, k): j in J} in
+    every block (i, k), and the image span is a two-sided ideal."""
     m = op.m
     blocks = list(itertools.product(range(1, m + 1), repeat=2))
-    first_block = {}
-    for J in filter(None, enumerate_invariant_subsets(op)):
-        if not is_invariant(J, op):
-            return False
-        spans = [SpannedSubspace._trusted(m, frozenset((i, j, k) for j in J)) for i, k in blocks]
-        if not all(is_subalgebra(span, op) for span in spans):
-            return False
-        if any(s1.triples & s2.triples for s1, s2 in itertools.combinations(spans, 2)):
-            return False
-        first_block[J] = spans[0].triples
-    for (J1, s1), (J2, s2) in itertools.combinations(first_block.items(), 2):
-        if J1 <= J2 and not s1 <= s2:
-            return False
-        if J2 <= J1 and not s2 <= s1:
-            return False
-        if not (J1 & J2) and (s1 & s2):
-            return False
-    return is_ideal(image_ideal_span(op), op)
+    return all(
+        is_subalgebra(SpannedSubspace._trusted(m, frozenset((i, j, k) for j in J)), op)
+        for J in filter(None, enumerate_invariant_subsets(op))
+        for i, k in blocks
+    ) and is_ideal(image_ideal_span(op), op)
 
 
 def check_commutativity(op: Operation) -> tuple[bool, dict]:
@@ -190,18 +174,18 @@ def zero_divisor_trials(op: Operation):
     singular by copying the first outer slice over the last, which makes two
     accompanying rows equal.  Each is the int multiple of its draw; positive
     scaling keeps zero products and det == 0.  A copy is made on the draw's
-    int form: its entries v / d have lcm denominator d / gcd(d, v, ...)."""
+    slabs: its entries v / d have lcm denominator d / gcd(d, v, ...)."""
     m = op.m
     rng = random.Random(f"{RNG_SEED}:{op.flat()}")
-    last = (m - 1) * m * m
     for _ in range(ZERO_DIVISOR_TRIALS):
-        items, d = random_cubic(m, rng).integral_items()
+        x = random_cubic(m, rng)
         if rng.random() < 0.5 and m >= 2:
-            keep = [t for t in items if t[0] < last]
-            items = keep + [(f + last, v) for f, v in keep if f < m * m]
-            g = gcd(d, *(v for _, v in items))
-            items = tuple((f, v // g) for f, v in items)
-        yield CubicMatrix._from_form(m, items, 1)
+            slabs = x.slabs[:-1] + x.slabs[:1]
+            g = gcd(x.d, *(v for slab in slabs for _, v in slab))
+            x = CubicMatrix._from_form(
+                m, tuple(tuple((f, v // g) for f, v in s) for s in slabs), 1
+            )
+        yield x.integer_multiple()
 
 
 def check_zero_divisors(op: Operation) -> bool:
@@ -270,7 +254,9 @@ def verify_operation(op: Operation) -> dict:
 
 def verify_census(m: int, *, jobs: int = 1, max_m: int = DEFAULT_MAX_M) -> dict:
     """Verify every operation of the census for m; the report is deterministic."""
-    results = [verify_operation(op) for op in collect_operations(m, jobs=jobs, max_m=max_m)]
+    ops = collect_operations(m, jobs=jobs, max_m=max_m)
+    ops.reverse()  # each table, with its row plan, is released once its battery has run
+    results = [verify_operation(ops.pop()) for _ in range(len(ops))]
     checks = [k for k in results[0] if k not in ("operation", "witnesses")] if results else []
     all_pass = all(res[k] for res in results for k in checks)
     return {"m": m, "total": len(results), "results": results, "all_pass": all_pass}

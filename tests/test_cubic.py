@@ -167,8 +167,8 @@ class TestProduct:
         assert x.scale(Fraction(1, 2)).entry(2, 2, 2) == Fraction(1, 2)
 
     def test_one_right_factor_under_two_tables_then_on_the_left(self, census3):
-        # y keeps the split of its int form after its first product, and each
-        # table keeps its row offsets; neither may leak into another product
+        # each table keeps its row offsets, and y serves as a right factor
+        # under two tables and then on the left; no product may leak into another
         rng = random.Random(15)
         ops = [census3[17], census3[90], Operation(CYCLE3)]
         x, y, z = (random_cubic(3, rng, span=4) for _ in range(3))
@@ -250,7 +250,46 @@ class TestProduct:
         xy = x.scale(Fraction(1, 6)).mul(CubicMatrix(3, [6] * 27), census3[40])
         assert xy == x.mul(CubicMatrix(3, [1] * 27), census3[40])
         assert {type(v) for v in xy.entries} == {int}
-        assert xy.integral_items()[1] == 1
+        assert xy.d == 1
+
+    def test_mul_leaves_both_operands_unchanged(self, census3):
+        rng = random.Random(16)
+        op = census3[40]
+        given = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(27))
+        x = CubicMatrix(3, given)
+        y = x.mul(random_cubic(3, rng), op)  # a product: its entries are made when read
+        forms = [(v.slabs, v.d) for v in (x, y)]
+        for left, right in ((x, y), (y, x), (x, x), (y, y)):
+            left.mul(right, op)
+        assert [(v.slabs, v.d) for v in (x, y)] == forms
+        assert y._entries is None
+        assert list(map(type, x.entries)) == [Fraction] * 27 and x.entries == given
+
+    def test_equal_matrices_have_one_form_and_one_hash(self, census3):
+        rng = random.Random(17)
+        op = census3[40]
+        x, y = (CubicMatrix(3, [rng.randint(-9, 9) for _ in range(27)]) for _ in range(2))
+        third = Fraction(1, 3)
+        for xy, again in (
+            (x.mul(y, op), x.scale(Fraction(1, 6)).mul(y.scale(6), op)),
+            (x.scale(third).mul(y, op), x.mul(y.scale(third), op)),
+        ):
+            same = [
+                xy,
+                again,
+                CubicMatrix(3, xy.entries),
+                CubicMatrix(3, [Fraction(v) for v in xy.entries]),
+            ]
+            assert all(v == xy and hash(v) == hash(xy) for v in same)
+            assert len(set(same)) == 1
+        whole = CubicMatrix(3, [Fraction(v) for v in x.entries])
+        assert whole == x and hash(whole) == hash(x) and (whole.slabs, whole.d) == (x.slabs, x.d)
+
+    def test_unequal_sizes_or_denominators_compare_unequal(self):
+        assert CubicMatrix(1, [Fraction(1, 2)]) != CubicMatrix(1, [1])
+        assert CubicMatrix.zero(1) != CubicMatrix.zero(2)
+        assert CubicMatrix.basis(1, 1, 1, 1) != CubicMatrix.basis(2, 1, 1, 1)
+        assert CubicMatrix(2, [1] * 8) != CubicMatrix(1, [1])
 
     def test_m1_commutative(self):
         op = Operation([[1]])
