@@ -1,11 +1,11 @@
 """Exact Gaussian elimination over the rationals.
 
-Matrices are lists of row lists.  ``rref``, ``rank``, ``kernel_basis`` and
-``det`` share one fraction-free (Bareiss) Gauss-Jordan elimination, whose
-forward half ``first_dependent_column`` runs up to the first pivotless column.
-Rows are scaled to ints (``scalars.integral``; all-int rows, such as every
-zero-divisor block, in one scan), so every division is exact with ``//``.
-Entries become ``Fraction`` only when normalized.
+Matrices are lists of row lists.  One fraction-free (Bareiss) forward pass
+serves all: ``first_dependent_column`` stops it at the first pivotless column,
+``det`` reads its last pivot, and ``rref`` (so ``rank`` and ``kernel_basis``)
+ends with back substitution on the pivot rows.  Rows are scaled to ints
+(``scalars.integral``; all-int rows in one scan), so every division is exact
+with ``//``.  Entries become ``Fraction`` only when normalized.
 """
 
 from __future__ import annotations
@@ -17,9 +17,11 @@ from .scalars import integral
 
 
 def _integral_rows(rows):
-    """Int-scaled rows and the product of their scales."""
+    """Int-scaled rows and the product of their scales; ragged rows raise."""
+    if len(widths := set(map(len, rows))) > 1:
+        raise ValueError(f"ragged rows, of lengths {sorted(widths)}")
     if set(map(type, chain.from_iterable(rows))) <= {int}:
-        return list(rows), 1
+        return rows, 1
     mat, scale = [], 1
     for row in rows:
         ints, d = integral(row)
@@ -28,65 +30,74 @@ def _integral_rows(rows):
     return mat, scale
 
 
-def _eliminate(rows):
-    """Fraction-free Gauss-Jordan elimination of the int-scaled rows.
+def _forward(mat):
+    """Fraction-free forward elimination of the int rows ``mat``.
 
-    A pivot p at (r, c) replaces every other row by (p * row - row[c] * row_r)
-    over the previous pivot.  Every entry stays a minor of the scaled matrix,
-    so the division is exact, and every pivot entry ends equal to the last
-    pivot.  Returns the rows, the pivot columns, the sign of the row swaps
-    and the product of the row scales.
+    Yields, for each column, None when no row left is nonzero there, else the
+    position of the first such row among the rows left and that row from the
+    column on; it and the column are then dropped.  A row keeps the pivot q it
+    was last reduced by and stands for row * prev / q, prev the last pivot.
+    Under pivot row t, its nonzero r = row[0] makes it (t[0] * row - r * t) // q,
+    exact as every true entry is a minor; a row that is 0 there is only cut.
     """
-    mat, scale = _integral_rows(rows)
-    pivots: list[int] = []
-    sign, prev = 1, 1
-    for c in range(len(mat[0]) if mat else 0):
-        r = len(pivots)
-        pivot_row = next((k for k in range(r, len(mat)) if mat[k][c] != 0), None)
-        if pivot_row is None:
+    rows, prev = [(1, row) for row in mat], 1
+    for _ in range(len(mat[0]) if mat else 0):
+        k = next((k for k, (_, row) in enumerate(rows) if row[0]), None)
+        if k is None:
+            rows = [(q, row[1:]) for q, row in rows]
+            yield None
             continue
-        if pivot_row != r:
-            mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-            sign = -sign
-        top = mat[r]
-        p = top[c]
-        for k, row in enumerate(mat):
-            if k != r:
-                f = row[c]
-                mat[k] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+        q, top = rows.pop(k)
+        top = top if q == prev else [a * prev // q for a in top]
+        yield k, top
+        p, tail = top[0], top[1:]
+        for i, (q, row) in enumerate(rows):
+            r = row[0]
+            if r:
+                rows[i] = p, [(p * a - r * b) // q for a, b in zip(row[1:], tail)]
+            else:
+                rows[i] = q, row[1:]
         prev = p
-        pivots.append(c)
-    return mat, pivots, sign, scale
 
 
 def first_dependent_column(rows) -> tuple[int | None, list[int]]:
     """The first column that depends on those before it (the first without a
     pivot in ``rref(rows)``), or None, and the indices of the rows that took
-    the pivots before it: the forward half of ``_eliminate``, removing each
-    pivot row and keeping the other rows from the next column on."""
+    the pivots before it, in pivot order: the forward pass, stopped there."""
     mat, _ = _integral_rows(rows)
     left, used = list(range(len(mat))), []
-    prev = 1
-    for c in range(len(mat[0]) if mat else 0):
-        pivot_row = next((k for k, row in enumerate(mat) if row[0] != 0), None)
-        if pivot_row is None:
+    for c, step in enumerate(_forward(mat)):
+        if step is None:
             return c, used
-        used.append(left.pop(pivot_row))
-        top = mat.pop(pivot_row)
-        p, tail = top[0], top[1:]
-        for k, row in enumerate(mat):
-            mat[k] = [(p * a - row[0] * b) // prev for a, b in zip(row[1:], tail)]
-        prev = p
+        used.append(left.pop(step[0]))
     return None, used
 
 
 def rref(rows) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    mat, pivots, _, _ = _eliminate(rows)
-    d = mat[0][pivots[0]] if pivots else 1
-    # nearly every entry of a Gauss-Jordan form is 0 or the pivot value
-    common = {0: Fraction(0), d: Fraction(1)}
-    return [[common[x] if x in common else Fraction(x, d) for x in row] for row in mat], pivots
+    """Reduced row echelon form and the list of pivot columns.
+
+    Pivot row i leaves the forward pass as U_i, from its pivot column c_i on.
+    In a column j without a pivot, with d the last pivot before j, its reduced
+    entry times d is y_i = (d U_i[j] - sum over h > i of U_i[c_h] y_h) / U_i[c_i],
+    an integer (a Cramer numerator over d), so the division is exact.
+    """
+    mat, _ = _integral_rows(rows)
+    reduced = [[Fraction(0)] * len(row) for row in mat]
+    pivots, tops = [], []
+    for j, step in enumerate(_forward(mat)):
+        if step is not None:
+            reduced[len(pivots)][j] = Fraction(1)
+            pivots.append(j)
+            tops.append(step[1])
+            continue
+        y, d = [0] * len(pivots), tops[-1][0] if tops else 1
+        for i in reversed(range(len(pivots))):
+            top, c = tops[i], pivots[i]
+            s = sum(top[pivots[h] - c] * y[h] for h in range(i + 1, len(y)))
+            y[i] = (d * top[j - c] - s) // top[0]
+            if y[i]:
+                reduced[i][j] = Fraction(y[i], d)
+    return reduced, pivots
 
 
 def rank(rows) -> int:
@@ -94,14 +105,18 @@ def rank(rows) -> int:
 
 
 def det(rows):
-    """Exact determinant: the last diagonal entry of the fraction-free form,
-    signed by the row swaps, over the product of the row scales."""
+    """Exact determinant: the last pivot of the forward pass, signed by the
+    parity of the pivot positions, over the product of the row scales; 0 at
+    the first column without a pivot."""
     if any(len(row) != len(rows) for row in rows):
         raise ValueError("determinant needs a square matrix")
-    if not rows:
-        return Fraction(1)
-    mat, _, sign, scale = _eliminate(rows)
-    return Fraction(sign * mat[-1][-1], scale)
+    mat, scale = _integral_rows(rows)
+    sign, p = 1, 1
+    for step in _forward(mat):
+        if step is None:
+            return Fraction(0)
+        sign, p = (-sign if step[0] % 2 else sign), step[1][0]
+    return Fraction(sign * p, scale)
 
 
 def kernel_basis(rows) -> list[list]:

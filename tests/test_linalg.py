@@ -1,5 +1,6 @@
 """Exact elimination: determinants, reduced echelon form, kernel bases."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -52,6 +53,18 @@ def seeded_matrix(kind, n_rows, n_cols, rng):
     return mat
 
 
+def combine_columns(mat, c, rng):
+    """Make column c a seeded combination of two columns before it."""
+    a, b = rng.randrange(c), rng.randrange(c)
+    lam, mu = rng.randint(-2, 2), rng.randint(-2, 2)
+    for row in mat:
+        row[c] = lam * row[a] + mu * row[b]
+
+
+def typed_rows(mat):
+    return [[(x, type(x)) for x in row] for row in mat]
+
+
 def naive_det(rows):
     """Cofactor expansion, independent of the elimination code."""
     n = len(rows)
@@ -92,6 +105,25 @@ class TestDet:
         for _ in range(40):
             n = rng.randint(1, 5)
             mat = seeded_matrix(kind, n, n, rng)
+            got = det(mat)
+            assert got == naive_det(mat)
+            assert type(got) is Fraction
+
+    @pytest.mark.parametrize("unit", [1, Fraction(1, 3)], ids=["int", "rational"])
+    def test_pivots_from_odd_and_even_row_positions(self, unit):
+        # a triangular matrix, each row after the first plus a multiple of an
+        # earlier one, in every row order: the pivot rows come from every
+        # position, odd and even, among the rows left
+        rng = random.Random(f"det:positions:{unit}")
+        n = 4
+        for perm in itertools.permutations(range(n)):
+            upper = [[0] * r + [rng.choice((1, -2, 3))] for r in range(n)]
+            for row in upper:
+                row += [rng.randint(-4, 4) * unit for _ in range(n - len(row))]
+            for r in range(1, n):
+                lam = rng.randint(-2, 2)
+                upper[r] = [a + lam * b for a, b in zip(upper[r], upper[rng.randrange(r)])]
+            mat = [upper[k] for k in perm]
             got = det(mat)
             assert got == naive_det(mat)
             assert type(got) is Fraction
@@ -150,6 +182,28 @@ class TestRrefOracle:
                     [(x, Fraction) for x in row] for row in expected
                 ]
 
+    @pytest.mark.parametrize("case", ["middle-column", "zero-first-column", "zero-rows-first"])
+    @pytest.mark.parametrize("kind", ["int", "rational", "mixed", "sparse"])
+    def test_back_substitution_cases(self, case, kind):
+        # a middle column made dependent, so pivotless columns lie between pivots
+        rng = random.Random(f"rref:back:{case}:{kind}")
+        between = 0
+        for n_rows, n_cols in ((4, 6), (6, 6), (7, 4)):
+            for _ in range(10):
+                mat = seeded_matrix(kind, n_rows, n_cols, rng)
+                combine_columns(mat, rng.randrange(2, n_cols - 1), rng)
+                if case == "zero-first-column":
+                    for row in mat:
+                        row[0] = 0
+                elif case == "zero-rows-first":
+                    mat[0], mat[1] = [0] * n_cols, [Fraction(0)] * n_cols
+                reduced, pivots = rref(mat)
+                expected, expected_pivots = fraction_rref(mat)
+                assert pivots == expected_pivots
+                assert typed_rows(reduced) == typed_rows(expected)
+                between += any(c not in pivots for c in range(pivots[-1])) if pivots else 0
+        assert between >= 10
+
     def test_zero_rows_and_zero_matrix(self):
         rng = random.Random("rref:zero")
         mat = seeded_matrix("rational", 4, 5, rng)
@@ -186,6 +240,18 @@ class TestRrefOracle:
 def test_float_entries_raise_type_error(solve, rows):
     # a float has no exact int scale: det([[0.5, 1.0], [1.0, 3.0]]) is 1/2, not 0.0
     with pytest.raises(TypeError, match="0.5"):
+        solve(rows)
+
+
+@pytest.mark.parametrize("solve", [det, rank, rref, kernel_basis, first_dependent_column])
+@pytest.mark.parametrize(
+    "rows",
+    [[[1, 2, 3], [4, 5]], [[1, 2], [3, 4, 5]], [[Fraction(1, 2), 1], [3, 4, 5]]],
+    ids=["short-last", "short-first", "fractions"],
+)
+def test_ragged_rows_raise_value_error(solve, rows):
+    # rank([[1, 2, 3], [4, 5]]) was 2: elimination read the rows' common prefix
+    with pytest.raises(ValueError, match="square" if solve is det else r"lengths \[2, 3\]"):
         solve(rows)
 
 
@@ -230,12 +296,7 @@ class TestFirstDependentColumn:
     def matrix(kind, n_rows, n_cols, rng):
         mat = seeded_matrix(kind, n_rows, n_cols, rng)
         if n_cols > 2 and rng.random() < 0.5:
-            # make a middle column a combination of two earlier ones
-            c = rng.randrange(2, n_cols)
-            a, b = rng.randrange(c), rng.randrange(c)
-            lam, mu = rng.randint(-2, 2), rng.randint(-2, 2)
-            for row in mat:
-                row[c] = lam * row[a] + mu * row[b]
+            combine_columns(mat, rng.randrange(2, n_cols), rng)
         return mat
 
     @pytest.mark.parametrize("kind", ["int", "rational", "mixed", "sparse"])

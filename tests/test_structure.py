@@ -2,6 +2,7 @@
 exhaustive oracle over the integers mod p), zero divisors, spans, and
 isomorphisms."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -43,6 +44,7 @@ from cubal.structure import (
     subalgebra_span,
     verify_isomorphism,
 )
+from cubal.verify import zero_divisor_trials
 
 from conftest import mod_p_characters
 
@@ -497,19 +499,40 @@ class TestBlockZeroDivisorSolve:
                 w = self.SOLVERS[side](a, op)
                 assert typed(w) == typed(full_zero_divisor_witness(a, op, side))
 
+    @classmethod
+    def adjoined_m5_sample(cls, side):
+        """Six seeded m = 4 orbit representatives, each with an adjoined
+        identity or zero in turn, and two elements for each."""
+        rng = random.Random(f"adjoin:{side}")
+        reps = [rep for rep, _ in orbit_census(4).representatives]
+        for n, op in enumerate(rng.sample(reps, 6)):
+            op5 = adjoin(op, ("identity", "zero")[n % 2])
+            for a in cls.elements(5, rng):
+                yield op5, a
+
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_m5_tables_with_an_adjoined_identity_or_zero(self, side):
         # the m = 5 tables of the benchmark's dense solves are built this way
-        rng = random.Random(f"adjoin:{side}")
-        reps = [rep for rep, _ in orbit_census(4).representatives]
         found = 0
-        for n, op in enumerate(rng.sample(reps, 6)):
-            op5 = adjoin(op, ("identity", "zero")[n % 2])
-            for a in self.elements(5, rng):
-                w = self.SOLVERS[side](a, op5)
-                assert typed(w) == typed(whole_block_witness(a, op5, side))
-                found += w is not None
+        for op5, a in self.adjoined_m5_sample(side):
+            w = self.SOLVERS[side](a, op5)
+            assert typed(w) == typed(whole_block_witness(a, op5, side))
+            found += w is not None
         assert 0 < found < 12
+
+    def test_witnesses_are_pinned(self, census2, census3):
+        """Both witnesses of every battery draw on the tables with m <= 3 and
+        of the m = 5 sample above, in value and type, under one digest."""
+        ops = [Operation([[1]])] + census2 + census3
+        pairs = [(op, a) for op in ops for a in zero_divisor_trials(op)]
+        pairs += [pair for side in self.SOLVERS for pair in self.adjoined_m5_sample(side)]
+        digest = hashlib.sha256()
+        for op, a in pairs:
+            for solve in self.SOLVERS.values():
+                digest.update(repr(typed(solve(a, op))).encode())
+        assert digest.hexdigest() == (
+            "93b7392caffcda3edc0a8235a95a87819b57c1ff292c09ffc933f63c23fbe512"
+        )
 
     def test_witness_lies_on_one_outer_slice(self, census3):
         """Left witnesses are supported on E(k, n, 1), right ones on E(1, l, k)."""

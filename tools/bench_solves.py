@@ -14,13 +14,16 @@ each set's best repeat is reported, with their sum.  Every witness is
 checked once against perfbench's reference product, which does not use
 cubal: a witness that is zero, or whose product with its element is not
 exactly zero, makes the exit status 1.  The last line of stdout is one JSON
-object.  Standard library only; cubal and perfbench's ``workloads`` are
+object; its ``sha256`` holds, per set, the digest of the value and type of
+every entry of every witness, so two trees can show that they find the same
+witnesses.  Standard library only; cubal and perfbench's ``workloads`` are
 imported from this checkout.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import platform
 import sys
@@ -42,6 +45,13 @@ def solve_all(pairs) -> list:
     ]
 
 
+def digest(witnesses) -> str:
+    h = hashlib.sha256()
+    for w in (w for both in witnesses for w in both):
+        h.update(repr(None if w is None else [(v, type(v).__name__) for v in w.entries]).encode())
+    return h.hexdigest()
+
+
 def annihilates(op, a, w, side: str) -> bool:
     pair = (a.entries, w.entries) if side == "left" else (w.entries, a.entries)
     return any(v != 0 for v in w.entries) and not any(_product(*pair, op.rows, op.m))
@@ -59,7 +69,7 @@ def main(argv=None) -> int:
         "battery": [(op, a) for op in collect_operations(BATTERY_M) for a in zero_divisor_trials(op)],
     }
     best = {name: float("inf") for name in sets}
-    found, failed = {}, []
+    found, digests, failed = {}, {}, []
     for _ in range(args.repeat):
         for name, pairs in sets.items():
             start = time.perf_counter()
@@ -67,6 +77,7 @@ def main(argv=None) -> int:
             best[name] = min(best[name], time.perf_counter() - start)
             if name not in found:
                 found[name] = sum(w is not None for both in witnesses for w in both)
+                digests[name] = digest(witnesses)
                 for n, ((op, a), both) in enumerate(zip(pairs, witnesses)):
                     for side, w in zip(("left", "right"), both):
                         if w is not None and not annihilates(op, a, w, side):
@@ -80,6 +91,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "solves": {name: 2 * len(pairs) for name, pairs in sets.items()},
         "witnesses": found,
+        "sha256": digests,
         "best_s": {name: round(best[name], 4) for name in sets},
         "total_s": round(sum(best.values()), 4),
         "failed": failed,
