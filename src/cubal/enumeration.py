@@ -20,11 +20,14 @@ members, and the labelled count is the sum of these sizes.  Only
 ``enumerate_operations`` and ``collect_operations`` run the plain search,
 one leaf per labelled table, and carry no buckets.
 
-With one job the search runs once from the root.  With more, the tree is
+With one job the search runs once from the root and its leaves are
+consumed as they come, so the count holds no table.  With more, the tree is
 split on the first row (the plain search) or the first two rows (the
 lex-leader search, whose first rows are few), and each worker follows its
-prefix from the root through the same search; partial results are
-concatenated in prefix order so the output never depends on the worker count.
+prefix from the root through the same search and returns that prefix's
+leaves as one list; the lists are read in prefix order so the output never
+depends on the worker count.  The tables of one census share their row
+tuples: each distinct row is built once, and there are at most m^m of them.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import multiprocessing
 from dataclasses import dataclass
 
 from .errors import CapacityError
@@ -42,9 +44,10 @@ HARD_MAX_M = 6
 DEFAULT_MAX_M = 5
 
 
-def _check_budget(m: int, max_m: int, what: str) -> None:
-    if not isinstance(m, int) or m < 1:
-        raise CapacityError(f"m must be a positive integer, got {m!r}")
+def _check_budget(m: int, max_m: int, what: str, jobs: int = 1) -> None:
+    for name, n in (("m", m), ("jobs", jobs)):
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise CapacityError(f"{name} must be a positive integer, got {n!r}")
     cap = min(max_m, HARD_MAX_M)
     if m > cap:
         hint = (
@@ -224,61 +227,74 @@ def _search_from_root(m: int, stop: int, lex: bool, prefix=()):
     return _search(m, t, val_cells, forced, 0, stop, buckets, prefix)
 
 
-def _to_operation(m: int, flat: tuple[int, ...]) -> Operation:
-    rows = tuple(tuple(v + 1 for v in flat[r * m : (r + 1) * m]) for r in range(m))
-    return Operation._trusted(rows)
+def _to_operation(m: int, flat: tuple[int, ...], rows: dict) -> Operation:
+    """The operation of a leaf.  ``rows``, owned by the caller, maps each row of
+    leaves seen so far to its 1-based tuple, so the tables it makes share rows."""
+    table = []
+    for r in range(0, m * m, m):
+        row = rows.get(key := flat[r : r + m])
+        if row is None:
+            row = rows[key] = tuple(v + 1 for v in key)
+        table.append(row)
+    return Operation._trusted(tuple(table))
+
+
+def _leaf_stream(m: int, prefix, lex: bool):
+    """Every leaf below the prefix as it is found, each with |Aut| (1 in the
+    labelled search)."""
+    leaves = _search_from_root(m, m * m, lex, prefix)
+    return ((flat, 1 + len(b[-1]) if lex else 1) for flat, b in leaves)
 
 
 def _leaves(args) -> list[tuple[tuple[int, ...], int]]:
-    """Every leaf below the prefix, each with |Aut| (1 in the labelled search)."""
-    m, prefix, lex = args
-    leaves = _search_from_root(m, m * m, lex, prefix)
-    return [(flat, 1 + len(b[-1]) if lex else 1) for flat, b in leaves]
+    """A pool worker's task: the whole ``_leaf_stream`` of one prefix."""
+    return list(_leaf_stream(*args))
 
 
 def _orbit_minima(m: int, jobs: int):
     """(flat, m!/|Aut|) for every orbit minimum, in lexicographic order."""
-    chunks = _map_over_prefixes(m, jobs, lex=True)
-    return ((flat, math.factorial(m) // aut) for chunk in chunks for flat, aut in chunk)
+    return ((flat, math.factorial(m) // aut) for flat, aut in _map_over_prefixes(m, jobs, lex=True))
 
 
 def _map_over_prefixes(m: int, jobs: int, lex: bool = False):
-    """``_leaves`` of every search prefix of two rows (``lex``) or one row, in
-    prefix order, or with one job of the empty prefix (a direct search); each
-    worker follows its prefix through ``_search``."""
+    """(flat, |Aut|) for every leaf, in order.  One task streams the search from
+    the empty prefix (or the only one); with more jobs each prefix of two rows
+    (``lex``) or one row is a task, and a pool worker returns its ``_leaves``."""
     tasks = [(m, (), lex)]
     if jobs > 1:
         tasks = [(m, p, lex) for p, _ in _search_from_root(m, min(2 * m, m * m) if lex else m, lex)]
-    if len(tasks) > 1:
-        # small chunks: the heaviest subtrees sit together early in prefix order
-        processes = min(jobs, len(tasks))
-        with multiprocessing.get_context().Pool(processes=processes) as pool:
-            yield from pool.imap(_leaves, tasks, chunksize=max(1, len(tasks) // (64 * processes)))
-    else:
-        yield from map(_leaves, tasks)
+    if len(tasks) == 1:
+        yield from _leaf_stream(*tasks[0])
+        return
+    import multiprocessing  # only here, so a run that starts no pool never loads it
+
+    # small chunks: the heaviest subtrees sit together early in prefix order
+    processes = min(jobs, len(tasks))
+    with multiprocessing.get_context().Pool(processes=processes) as pool:
+        for chunk in pool.imap(_leaves, tasks, chunksize=max(1, len(tasks) // (64 * processes))):
+            yield from chunk
 
 
 def enumerate_operations(m: int, *, max_m: int = DEFAULT_MAX_M):
     """Yield every associative operation on {1, .., m} once, in lexicographic order."""
     _check_budget(m, max_m, "enumeration")
+    rows: dict = {}
     for flat, _ in _search_from_root(m, m * m, lex=False):
-        yield _to_operation(m, flat)
+        yield _to_operation(m, flat, rows)
 
 
 def count_operations(m: int, *, jobs: int = 1, max_m: int = DEFAULT_MAX_M) -> int:
     """The number of associative operations on {1, .., m}, as the sum of m!/|Aut|
     over the orbit minima; no labelled table is visited."""
-    _check_budget(m, max_m, "counting")
+    _check_budget(m, max_m, "counting", jobs)
     return sum(size for _, size in _orbit_minima(m, jobs))
 
 
 def collect_operations(m: int, *, jobs: int = 1, max_m: int = DEFAULT_MAX_M) -> list[Operation]:
     """The full census as a list, in lexicographic order."""
-    _check_budget(m, max_m, "enumeration")
-    ops: list[Operation] = []
-    for chunk in _map_over_prefixes(m, jobs):
-        ops.extend(_to_operation(m, flat) for flat, _ in chunk)
-    return ops
+    _check_budget(m, max_m, "enumeration", jobs)
+    rows: dict = {}
+    return [_to_operation(m, flat, rows) for flat, _ in _map_over_prefixes(m, jobs)]
 
 
 def canonical_representative(a: Operation) -> Operation:
@@ -309,7 +325,9 @@ def orbit_census(m: int, *, jobs: int = 1, max_m: int = DEFAULT_MAX_M) -> Census
     lexicographic minimum with its size m!/|Aut|, in lexicographic order;
     the labelled total is the sum of the sizes.
     """
-    _check_budget(m, max_m, "orbit classification")
-    representatives = tuple((_to_operation(m, flat), size) for flat, size in _orbit_minima(m, jobs))
+    _check_budget(m, max_m, "orbit classification", jobs)
+    rows: dict = {}
+    minima = _orbit_minima(m, jobs)
+    representatives = tuple((_to_operation(m, flat, rows), size) for flat, size in minima)
     total = sum(size for _, size in representatives)
     return CensusResult(m=m, total=total, representatives=representatives)

@@ -4,6 +4,11 @@ import hashlib
 import itertools
 import math
 import multiprocessing
+import os
+import pathlib
+import subprocess
+import sys
+import tracemalloc
 
 import pytest
 
@@ -137,6 +142,72 @@ class TestCounts:
         first = next(stream)
         assert first.flat() == (1,) * 36  # the constant table is the lex minimum
         stream.close()
+
+
+class TestArguments:
+    @pytest.mark.parametrize(
+        "entry",
+        [lambda m: next(enumerate_operations(m)), count_operations, collect_operations, orbit_census],
+        ids=["enumerate_operations", "count_operations", "collect_operations", "orbit_census"],
+    )
+    def test_m_must_not_be_a_bool(self, entry):
+        with pytest.raises(CapacityError, match="m must be a positive integer"):
+            entry(True)
+
+    @pytest.mark.parametrize("jobs", [0, -3, 2.5, "2", True])
+    @pytest.mark.parametrize(
+        "entry",
+        [count_operations, collect_operations, orbit_census],
+        ids=["count_operations", "collect_operations", "orbit_census"],
+    )
+    def test_jobs_must_be_a_positive_int(self, entry, jobs):
+        with pytest.raises(CapacityError, match="jobs must be a positive integer"):
+            entry(2, jobs=jobs)
+
+
+def traced_peak(run):
+    """The tracemalloc peak, in bytes, of a second call of run (the first fills
+    the caches), with its result."""
+    run()
+    tracemalloc.start()
+    try:
+        result = run()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_count_holds_no_leaves(self):
+        peak, total = traced_peak(lambda: count_operations(5))
+        assert total == KNOWN_COUNTS[5]
+        assert peak < 64 * 1024
+
+    def test_orbit_census_holds_only_its_representatives(self):
+        peak, census = traced_peak(lambda: orbit_census(5))
+        assert census.orbit_count == 1915
+        assert peak < 600 * 1024
+
+    @pytest.mark.parametrize(
+        "tables",
+        [
+            lambda: [rep for rep, _ in orbit_census(5).representatives],
+            lambda: collect_operations(4),
+            lambda: collect_operations(3, jobs=2),
+            lambda: list(enumerate_operations(4)),
+        ],
+        ids=["orbit_census", "collect_operations", "collect_operations_jobs2", "enumerate_operations"],
+    )
+    def test_a_census_shares_its_rows(self, tables):
+        rows = [row for op in tables() for row in op.rows]
+        assert len({id(row) for row in rows}) == len(set(rows))
+
+    def test_import_leaves_multiprocessing_unloaded(self):
+        src = pathlib.Path(enumeration.__file__).resolve().parent.parent
+        code = "import sys, cubal, cubal.cli; sys.exit('multiprocessing' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        result = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+        assert result.returncode == 0
 
 
 class TestStream:
