@@ -41,7 +41,7 @@ from .structure import (
     left_zero_divisor_witness,
     right_zero_divisor_witness,
 )
-from .verify import verify_census
+from .verify import failed_checks, verify_census
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -158,7 +158,7 @@ def _run_enum(args, report):
     report["results"] = {
         "m": args.m,
         "total": len(ops),
-        "operations": [[list(r) for r in op.rows] for op in ops],
+        "operations": [op.rows for op in ops],
     }
     return EXIT_OK
 
@@ -253,7 +253,7 @@ def _run_subalg(args, report):
         "image": sorted(image(op)),
         "nonempty_invariant_count": nonempty,
         "subalgebra_count_lower_bound": nonempty,
-        "image_ideal_triples": [list(t) for t in sorted(ideal.triples)],
+        "image_ideal_triples": sorted(ideal.triples),
     }
     if args.list_invariant_sets:
         results["invariant_subsets"] = [sorted(J) for J in invariant]
@@ -262,22 +262,11 @@ def _run_subalg(args, report):
 
 
 def _run_verify(args, report):
-    doc = verify_census(args.m, jobs=args.jobs, max_m=_env_max_m())
-    report["results"] = doc
-    if doc["all_pass"]:
-        return EXIT_OK
+    report["results"] = doc = verify_census(args.m, jobs=args.jobs, max_m=_env_max_m())
     for entry in doc["results"]:
-        failing = [
-            key
-            for key, value in entry.items()
-            if key not in ("operation", "witnesses") and value is not True
-        ]
-        if failing:
-            print(
-                f"cubal: checks {failing} failed for table {entry['operation']}",
-                file=sys.stderr,
-            )
-    return EXIT_VERIFY_FAILED
+        if failing := failed_checks(entry):
+            print(f"cubal: checks {failing} failed for table {entry['operation']}", file=sys.stderr)
+    return EXIT_OK if doc["all_pass"] else EXIT_VERIFY_FAILED
 
 
 def _run_classify(args, report):
@@ -288,7 +277,7 @@ def _run_classify(args, report):
         "symmetric": len(members) == 1,
         "symmetry": classify_symmetry(op),
         "orbit_size": len(members),
-        "canonical_representative": [list(r) for r in members[0].rows],
+        "canonical_representative": members[0].rows,
         "image": sorted(image(op)),
         "power_sequences": {
             str(i): _sequence_doc(classify_power_sequence(i, op))
@@ -323,8 +312,6 @@ def _pretty_lines(report, elapsed: float) -> str:
 
 def run(args) -> int:
     """Dispatch a parsed command line; prints the report, returns the exit code."""
-    if getattr(args, "jobs", 1) < 1:
-        raise FormatError("--jobs must be >= 1")
     # jobs never changes results, so it is kept out of the report: byte
     # determinism must hold regardless of the worker count
     report = {

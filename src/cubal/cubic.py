@@ -39,6 +39,8 @@ class CubicMatrix:
     __slots__ = ("m", "slabs", "d", "_entries")
 
     def __init__(self, m: int, entries):
+        if m < 1:
+            raise FormatError(f"m must be a positive integer, got {m!r}")
         entries = tuple(entries)
         if len(entries) != m * m * m:
             raise FormatError(f"expected {m}**3 entries, got {len(entries)}")

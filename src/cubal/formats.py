@@ -101,12 +101,13 @@ def cubic_from_doc(doc) -> CubicMatrix:
         raise FormatError('cubic matrix document needs "m" and "entries" keys')
     m = _doc_m(doc)
     nested = doc["entries"]
-    try:
-        if len(nested) != m:
-            raise FormatError(f"expected {m} outer slices, got {len(nested)}")
-        parsed = [[[parse_scalar(v) for v in row] for row in plane] for plane in nested]
-    except TypeError:
-        raise FormatError('"entries" must nest lists of scalars three deep') from None
+    if not isinstance(nested, list) or not all(
+        isinstance(plane, list) and all(isinstance(row, list) for row in plane) for plane in nested
+    ):
+        raise FormatError('"entries" must nest lists of scalars three deep')
+    if len(nested) != m:
+        raise FormatError(f"expected {m} outer slices, got {len(nested)}")
+    parsed = [[[parse_scalar(v) for v in row] for row in plane] for plane in nested]
     return CubicMatrix.from_nested(parsed)
 
 
@@ -124,7 +125,7 @@ def census_to_doc(census: CensusResult) -> dict:
         "total": census.total,
         "orbit_count": census.orbit_count,
         "orbits": [
-            {"representative": [list(r) for r in rep.rows], "size": size}
+            {"representative": rep.rows, "size": size}
             for rep, size in census.representatives
         ],
     }

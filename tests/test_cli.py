@@ -104,11 +104,12 @@ class TestDeterminism:
         assert first == second
 
     def test_jobs_do_not_change_the_report(self, capsys):
-        main(["enum", "--m", "3", "--jobs", "1"])
-        first = capsys.readouterr().out
-        main(["enum", "--m", "3", "--jobs", "2"])
-        second = capsys.readouterr().out
-        assert first == second
+        for argv in (["enum", "--m", "3"], ["verify", "--m", "3"], ["orbits", "--m", "4"]):
+            assert main([*argv, "--jobs", "1"]) == 0
+            first = capsys.readouterr().out
+            assert main([*argv, "--jobs", "2"]) == 0
+            second = capsys.readouterr().out
+            assert first == second, argv
 
     @pytest.mark.parametrize(
         "argv, sha256",
@@ -202,7 +203,11 @@ class TestDeterminism:
         assert hashlib.sha256(dump_json(results).encode()).hexdigest() == sha256
 
     def test_bad_jobs_rejected(self, capsys):
-        assert main(["enum", "--m", "2", "--jobs", "0"]) == 2
+        for command in ("enum", "orbits", "verify"):
+            assert main([command, "--m", "2", "--jobs", "0"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "cubal: jobs must be a positive integer, got 0\n"
 
     def test_emitted_tables_reparse(self, capsys, tmp_path, table_file):
         code, doc = run_cli(capsys, "orbits", "--m", "2")
@@ -403,6 +408,31 @@ class TestVerifyCommand:
         assert "theorem_2" in captured.err
         doc = json.loads(captured.out)
         assert doc["results"]["all_pass"] is False
+
+    @pytest.mark.parametrize(
+        "key, check, failing",
+        [
+            ("theorem_1", "check_isomorphisms", False),
+            ("theorem_2", "check_characters", False),
+            ("theorem_3", "check_accompanying", False),
+            ("theorem_4", "check_subalgebras", False),
+            ("commutativity", "check_commutativity", (False, {"pair": [[1], [1]]})),
+            ("zero_divisors", "check_zero_divisors", False),
+            ("plenary_powers", "check_plenary_powers", False),
+        ],
+    )
+    def test_each_failing_check_is_named_alone(self, capsys, monkeypatch, key, check, failing):
+        import cubal.verify
+
+        monkeypatch.setattr(cubal.verify, check, lambda op: failing)
+        code = main(["verify", "--m", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        doc = json.loads(captured.out)
+        assert doc["results"]["all_pass"] is False
+        assert captured.err.splitlines() == [
+            f"cubal: checks ['{key}'] failed for table {op}" for op in M2_TABLES
+        ]
 
     def test_m2_all_green(self, capsys):
         code, doc = run_cli(capsys, "verify", "--m", "2", "--all")

@@ -45,6 +45,12 @@ class TestConstruction:
         with pytest.raises(FormatError):
             E(2, 1, 3, 1)
 
+    def test_empty_matrix_rejected(self):
+        # a table needs at least one symbol, and so does a cubic matrix
+        for build in (lambda: CubicMatrix(0, []), lambda: CubicMatrix.from_nested([])):
+            with pytest.raises(FormatError, match="m must be a positive integer, got 0"):
+                build()
+
     def test_reconstruction_from_basis_expansion(self):
         rng = random.Random(7)
         x = random_cubic(2, rng)

@@ -97,6 +97,21 @@ class TestCubicFormats:
         with pytest.raises(FormatError):
             cubic_from_doc({"m": 2, "entries": [[["1"]]]})
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"m": 2, "entries": [["12", "34"], ["56", "78"]]},
+            {"m": 1, "entries": ["1"]},
+            {"m": 1, "entries": "1"},
+            {"m": 1, "entries": [[1]]},
+        ],
+        ids=["string-rows", "string-plane", "string-entries", "scalar-row"],
+    )
+    def test_strings_and_scalars_are_not_read_as_lists(self, doc):
+        # a string is iterable, but its characters are not a row of scalars
+        with pytest.raises(FormatError, match="must nest lists of scalars three deep"):
+            cubic_from_doc(doc)
+
 
 class TestCensusFormats:
     def test_round_trip(self, orbits2):

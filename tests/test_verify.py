@@ -66,6 +66,19 @@ def test_m2_battery_every_check_green(census2):
     ]
 
 
+def test_battery_lists_the_report_keys_in_order():
+    assert [key for key, _ in verify.battery()] == list(CHECK_KEYS)
+
+
+def test_a_check_passes_only_with_true(monkeypatch):
+    # a truthy verdict that is not True, such as a count, fails its key
+    monkeypatch.setattr(verify, "check_characters", lambda op: 1)
+    doc = verify_census(1)
+    assert doc["results"][0]["theorem_2"] == 1
+    assert verify.failed_checks(doc["results"][0]) == ["theorem_2"]
+    assert doc["all_pass"] is False
+
+
 def test_reports_are_deterministic():
     assert verify_census(2) == verify_census(2)
 

@@ -4,8 +4,9 @@
 
 The inputs are those of perfbench's verify-battery workload: all 113
 associative tables on three symbols and the five seeded m = 4 tables of its
-``battery_setup``.  One repeat runs every ``verify.check_*`` over all of them,
-one check at a time; each check's best repeat is reported, with their sum.
+``battery_setup``.  One repeat runs every check of ``verify.battery()`` over all
+of them, one check at a time; each check's best repeat is reported under the
+check's function name, with their sum.
 The first repeat also fills the once-per-m cache of ``check_accompanying``,
 so ``--repeat 1`` includes that fill.  A check that returns false on any
 table makes the exit status 1.  The last line of stdout is one JSON object.
@@ -43,26 +44,25 @@ def main(argv=None) -> int:
     if args.repeat < 1:
         p.error("--repeat must be at least 1")
     tables = collect_operations(BATTERY_M) + battery_setup(args.seed)["tables"]
-    checks = sorted(name for name in dir(verify) if name.startswith("check_"))
-    best = {name: float("inf") for name in checks}
+    checks = sorted((check.__name__, check) for _, check in verify.battery())
+    best = {name: float("inf") for name, _ in checks}
     failed = set()
     for _ in range(args.repeat):
-        for name in checks:
-            check = getattr(verify, name)
+        for name, check in checks:
             start = time.perf_counter()
             verdicts = [verdict(check(op)) for op in tables]
             best[name] = min(best[name], time.perf_counter() - start)
             if not all(verdicts):
                 failed.add(name)
-    for name in checks:
-        print(f"{name:24s} {best[name]:8.4f} s")
+    for name, value in best.items():
+        print(f"{name:24s} {value:8.4f} s")
     print(f"{'total':24s} {sum(best.values()):8.4f} s")
     print(json.dumps({
         "seed": args.seed,
         "repeat": args.repeat,
         "tables": len(tables),
         "python": platform.python_version(),
-        "best_s": {name: round(best[name], 4) for name in checks},
+        "best_s": {name: round(value, 4) for name, value in best.items()},
         "total_s": round(sum(best.values()), 4),
         "failed": sorted(failed),
     }))
