@@ -6,16 +6,20 @@ reports are byte-deterministic for fixed inputs and flags, independent of
 also shows elapsed time.  Exit codes: 0 success, 1 a verification check came
 out false, 2 usage, capacity, input-format or file errors, 3 an internal error
 (a fault in cubal itself, reported as "cubal: internal error: ...").
+
+Each command is declared once, in ``build_parser``, with the handler that
+computes its results.  Input files are read once and as UTF-8, and files
+are written as UTF-8, whatever the locale.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 import time
+from functools import cached_property
 from pathlib import Path
 
 from . import formats
@@ -57,80 +61,88 @@ def _env_max_m() -> int:
         raise FormatError(f"CUBAL_MAX_M must be an integer, got {raw!r}") from None
 
 
-def _digest(path) -> str:
-    return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _write(path, text: str) -> None:
+    # a path from the command line keeps the bytes a non-UTF-8 locale could
+    # not decode as surrogates; they are written back as those bytes
+    Path(path).write_text(text, encoding="utf-8", errors="surrogateescape")
+
+
+class _Inputs:
+    """What a handler reads besides its own flags.  Each input file is read
+    once, as UTF-8, and its digest goes into the report's inputs."""
+
+    def __init__(self, args, digests: dict):
+        self.args, self.digests = args, digests
+
+    def _text(self, path) -> str:
+        data = Path(path).read_bytes()
+        self.digests[path] = "sha256:" + hashlib.sha256(data).hexdigest()
+        return formats.decode_text(data, path)
+
+    @cached_property
+    def op(self):
+        """The --op table of a table command."""
+        return formats.parse_operation(self._text(self.args.op), unchecked=self.args.unchecked)
+
+    def cubic(self, path):
+        """A cubic matrix from a file; on a table command, it is read after the
+        table and must have the table's m."""
+        op = self.op if hasattr(self.args, "op") else None
+        x = formats.parse_cubic(self._text(path), path)
+        if op is not None and x.m != op.m:
+            raise FormatError(f"{path}: cubic matrix has m={x.m}, the table has m={op.m}")
+        return x
+
+    @property
+    def search(self) -> dict:
+        """The keyword arguments of a census command's search: --m, --jobs and
+        the CUBAL_MAX_M budget."""
+        return {"m": self.args.m, "jobs": self.args.jobs, "max_m": _env_max_m()}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--op", required=True, metavar="TABLE")
+    table.add_argument("--unchecked", action="store_true", help="skip the associativity check on the table")
+    census = argparse.ArgumentParser(add_help=False)
+    census.add_argument("--m", type=int, required=True)
+    census.add_argument("--jobs", type=int, default=1)
+
     parser = argparse.ArgumentParser(
         prog="cubal",
         description="Enumerate associative operations and analyze the cubic-matrix algebras they define.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")
-        p.add_argument("--pretty", action="store_true", help="human-readable output with timing")
+    def command(name, handler, help, shared=None):
+        p = sub.add_parser(name, help=help, parents=[shared] if shared else [])
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("enum", help="enumerate the associative operations for a given m")
-    p.add_argument("--m", type=int, required=True)
+    p = command("enum", _run_enum, "enumerate the associative operations for a given m", census)
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--census", metavar="FILE", help="also write the orbit census JSON here")
-    p.add_argument("--jobs", type=int, default=1)
-    add_common(p)
-
-    p = sub.add_parser("orbits", help="classify the census for m into relabeling orbits")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    add_common(p)
-
-    p = sub.add_parser("mul", help="multiply two cubic matrices under an operation")
-    p.add_argument("--op", required=True, metavar="TABLE")
+    command("orbits", _run_orbits, "classify the census for m into relabeling orbits", census)
+    p = command("mul", _run_mul, "multiply two cubic matrices under an operation", table)
     p.add_argument("a", metavar="A.json")
     p.add_argument("b", metavar="B.json")
-    p.add_argument("--unchecked", action="store_true", help="skip the associativity check on the table")
-    add_common(p)
-
-    p = sub.add_parser("plenary", help="repeated squaring of a cubic matrix")
-    p.add_argument("--op", required=True, metavar="TABLE")
+    p = command("plenary", _run_plenary, "repeated squaring of a cubic matrix", table)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("a", metavar="A.json")
-    p.add_argument("--unchecked", action="store_true")
-    add_common(p)
-
-    p = sub.add_parser("char", help="search for multiplicative linear forms")
-    p.add_argument("--op", required=True, metavar="TABLE")
-    p.add_argument("--unchecked", action="store_true")
-    add_common(p)
-
-    p = sub.add_parser("phi", help="image of a cubic matrix in the accompanying algebra")
+    command("char", _run_char, "search for multiplicative linear forms", table)
+    p = command("phi", _run_phi, "image of a cubic matrix in the accompanying algebra")
     p.add_argument("x", metavar="X.json")
-    add_common(p)
-
-    p = sub.add_parser("zerodiv", help="find an exact zero-divisor witness")
-    p.add_argument("--op", required=True, metavar="TABLE")
+    p = command("zerodiv", _run_zerodiv, "find an exact zero-divisor witness", table)
     p.add_argument("--side", choices=["left", "right"], default="left")
     p.add_argument("a", metavar="A.json")
-    p.add_argument("--unchecked", action="store_true")
-    add_common(p)
-
-    p = sub.add_parser("subalg", help="invariant subsets and the subalgebras they span")
-    p.add_argument("--op", required=True, metavar="TABLE")
+    p = command("subalg", _run_subalg, "invariant subsets and the subalgebras they span", table)
     p.add_argument("--list-invariant-sets", action="store_true")
-    p.add_argument("--unchecked", action="store_true")
-    add_common(p)
-
-    p = sub.add_parser("verify", help="run the full structural check battery over a census")
-    p.add_argument("--m", type=int, required=True)
+    p = command("verify", _run_verify, "run the full structural check battery over a census", census)
     p.add_argument("--all", action="store_true", help="run every check (the default battery)")
-    p.add_argument("--jobs", type=int, default=1)
-    add_common(p)
-
-    p = sub.add_parser("classify", help="orbit, symmetry, and power-sequence summary of one table")
-    p.add_argument("--op", required=True, metavar="TABLE")
-    p.add_argument("--unchecked", action="store_true")
-    add_common(p)
-
+    command("classify", _run_classify, "orbit, symmetry, and power-sequence summary of one table", table)
+    for p in sub.choices.values():
+        p.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")
+        p.add_argument("--pretty", action="store_true", help="human-readable output with timing")
     return parser
 
 
@@ -142,71 +154,37 @@ def _sequence_doc(seq) -> dict:
     return doc
 
 
-def _run_enum(args, report):
-    max_m = _env_max_m()
+def _run_enum(args, inputs):
     if args.census:
-        census = orbit_census(args.m, jobs=args.jobs, max_m=max_m)
-        Path(args.census).write_text(formats.dump_json(formats.census_to_doc(census)))
-        report["results"] = {"m": args.m, "total": census.total,
-                             "census_file": args.census}
-        return EXIT_OK
+        census = orbit_census(**inputs.search)
+        _write(args.census, formats.dump_json(formats.census_to_doc(census)))
+        return {"m": args.m, "total": census.total, "census_file": args.census}
     if args.count_only:
-        total = count_operations(args.m, jobs=args.jobs, max_m=max_m)
-        report["results"] = {"m": args.m, "total": total}
-        return EXIT_OK
-    ops = collect_operations(args.m, jobs=args.jobs, max_m=max_m)
-    report["results"] = {
-        "m": args.m,
-        "total": len(ops),
-        "operations": [op.rows for op in ops],
-    }
-    return EXIT_OK
+        return {"m": args.m, "total": count_operations(**inputs.search)}
+    ops = collect_operations(**inputs.search)
+    return {"m": args.m, "total": len(ops), "operations": [op.rows for op in ops]}
 
 
-def _run_orbits(args, report):
-    census = orbit_census(args.m, jobs=args.jobs, max_m=_env_max_m())
-    report["results"] = formats.census_to_doc(census)
-    return EXIT_OK
+def _run_orbits(args, inputs):
+    return formats.census_to_doc(orbit_census(**inputs.search))
 
 
-def _load_op(args, report):
-    report["inputs"][args.op] = _digest(args.op)
-    return formats.load_operation(args.op, unchecked=args.unchecked)
+def _run_mul(args, inputs):
+    a = inputs.cubic(args.a)
+    b = inputs.cubic(args.b)
+    return {"product": formats.cubic_to_doc(a.mul(b, inputs.op))}
 
 
-def _load_cubic(path, op, report):
-    """A cubic matrix from a file, which must match the table's m."""
-    x = formats.load_cubic(path)
-    if x.m != op.m:
-        raise FormatError(f"{path}: cubic matrix has m={x.m}, the table has m={op.m}")
-    report["inputs"][path] = _digest(path)
-    return x
-
-
-def _run_mul(args, report):
-    op = _load_op(args, report)
-    a = _load_cubic(args.a, op, report)
-    b = _load_cubic(args.b, op, report)
-    report["results"] = {"product": formats.cubic_to_doc(a.mul(b, op))}
-    return EXIT_OK
-
-
-def _run_plenary(args, report):
+def _run_plenary(args, inputs):
     if args.n < 0:
         raise FormatError(f"--n must be >= 0, got {args.n}")
-    op = _load_op(args, report)
-    a = _load_cubic(args.a, op, report)
-    report["results"] = {
-        "n": args.n,
-        "power": formats.cubic_to_doc(a.plenary_power(args.n, op)),
-    }
-    return EXIT_OK
+    a = inputs.cubic(args.a)
+    return {"n": args.n, "power": formats.cubic_to_doc(a.plenary_power(args.n, inputs.op))}
 
 
-def _run_char(args, report):
-    op = _load_op(args, report)
-    chars = character_search(op)
-    report["results"] = {
+def _run_char(args, inputs):
+    chars = character_search(inputs.op)
+    return {
         "count": len(chars),
         "characters": [
             {
@@ -216,35 +194,27 @@ def _run_char(args, report):
             for chi in chars
         ],
     }
-    return EXIT_OK
 
 
-def _run_phi(args, report):
-    x = formats.load_cubic(args.x)
-    report["inputs"][args.x] = _digest(args.x)
-    u = accompanying_image(x)
-    report["results"] = {
-        "coefficients": [[format_scalar(v) for v in row] for row in u.coeffs]
-    }
-    return EXIT_OK
+def _run_phi(args, inputs):
+    u = accompanying_image(inputs.cubic(args.x))
+    return {"coefficients": [[format_scalar(v) for v in row] for row in u.coeffs]}
 
 
-def _run_zerodiv(args, report):
-    op = _load_op(args, report)
-    a = _load_cubic(args.a, op, report)
+def _run_zerodiv(args, inputs):
+    a = inputs.cubic(args.a)
     finder = left_zero_divisor_witness if args.side == "left" else right_zero_divisor_witness
-    witness = finder(a, op)
-    report["results"] = {
+    witness = finder(a, inputs.op)
+    return {
         "side": args.side,
         "exists": witness is not None,
         "witness": None if witness is None else formats.cubic_to_doc(witness),
         "accompanying_determinant": format_scalar(accompanying_image(a).det()),
     }
-    return EXIT_OK
 
 
-def _run_subalg(args, report):
-    op = _load_op(args, report)
+def _run_subalg(args, inputs):
+    op = inputs.op
     invariant = enumerate_invariant_subsets(op)
     nonempty = sum(1 for J in invariant if J)
     ideal = image_ideal_span(op)
@@ -257,22 +227,17 @@ def _run_subalg(args, report):
     }
     if args.list_invariant_sets:
         results["invariant_subsets"] = [sorted(J) for J in invariant]
-    report["results"] = results
-    return EXIT_OK
+    return results
 
 
-def _run_verify(args, report):
-    report["results"] = doc = verify_census(args.m, jobs=args.jobs, max_m=_env_max_m())
-    for entry in doc["results"]:
-        if failing := failed_checks(entry):
-            print(f"cubal: checks {failing} failed for table {entry['operation']}", file=sys.stderr)
-    return EXIT_OK if doc["all_pass"] else EXIT_VERIFY_FAILED
+def _run_verify(args, inputs):
+    return verify_census(**inputs.search)
 
 
-def _run_classify(args, report):
-    op = _load_op(args, report)
+def _run_classify(args, inputs):
+    op = inputs.op
     members = sorted(orbit(op), key=lambda o: o.flat())
-    report["results"] = {
+    return {
         "m": op.m,
         "symmetric": len(members) == 1,
         "symmetry": classify_symmetry(op),
@@ -284,29 +249,13 @@ def _run_classify(args, report):
             for i in range(1, op.m + 1)
         },
     }
-    return EXIT_OK
-
-
-_HANDLERS = {
-    "enum": _run_enum,
-    "orbits": _run_orbits,
-    "mul": _run_mul,
-    "plenary": _run_plenary,
-    "char": _run_char,
-    "phi": _run_phi,
-    "zerodiv": _run_zerodiv,
-    "subalg": _run_subalg,
-    "verify": _run_verify,
-    "classify": _run_classify,
-}
 
 
 def _pretty_lines(report, elapsed: float) -> str:
     out = [f"command: {report['command']}"]
     for path, digest in sorted(report["inputs"].items()):
         out.append(f"input {path}: {digest}")
-    out.append(json.dumps(report["results"], indent=2, sort_keys=True))
-    out.append(f"elapsed: {elapsed:.3f}s")
+    out.append(formats.dump_json(report["results"]) + f"elapsed: {elapsed:.3f}s")
     return "\n".join(out) + "\n"
 
 
@@ -319,16 +268,23 @@ def run(args) -> int:
         "params": {
             k: v
             for k, v in sorted(vars(args).items())
-            if k not in ("command", "out", "pretty", "jobs") and v is not None
+            if k not in ("command", "handler", "out", "pretty", "jobs") and v is not None
         },
         "inputs": {},
     }
     started = time.perf_counter()
-    code = _HANDLERS[args.command](args, report)
+    report["results"] = results = args.handler(args, _Inputs(args, report["inputs"]))
     elapsed = time.perf_counter() - started
+    # only the verify report carries all_pass; a failed check is exit 1
+    code = EXIT_OK
+    if results.get("all_pass") is False:
+        code = EXIT_VERIFY_FAILED
+        for entry in results["results"]:
+            if failing := failed_checks(entry):
+                print(f"cubal: checks {failing} failed for table {entry['operation']}", file=sys.stderr)
     text = _pretty_lines(report, elapsed) if args.pretty else formats.dump_json(report)
     if args.out:
-        Path(args.out).write_text(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return code

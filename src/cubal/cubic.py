@@ -28,6 +28,12 @@ from .operations import Operation
 from .scalars import integral, require_rational
 
 
+def require_size(m: int) -> None:
+    """Raise FormatError unless a matrix on m symbols has at least one."""
+    if m < 1:
+        raise FormatError(f"m must be a positive integer, got {m!r}")
+
+
 class CubicMatrix:
     """An immutable m x m x m array of exact rationals (ints and Fractions).
 
@@ -39,8 +45,7 @@ class CubicMatrix:
     __slots__ = ("m", "slabs", "d", "_entries")
 
     def __init__(self, m: int, entries):
-        if m < 1:
-            raise FormatError(f"m must be a positive integer, got {m!r}")
+        require_size(m)
         entries = tuple(entries)
         if len(entries) != m * m * m:
             raise FormatError(f"expected {m}**3 entries, got {len(entries)}")
@@ -68,6 +73,7 @@ class CubicMatrix:
 
     @classmethod
     def zero(cls, m: int) -> "CubicMatrix":
+        require_size(m)
         return cls._from_form(m, ((),) * m, 1)
 
     @classmethod

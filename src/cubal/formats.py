@@ -10,7 +10,6 @@ non-associative tables unless explicitly told not to check.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 from .cubic import CubicMatrix
 from .enumeration import CensusResult
@@ -75,15 +74,12 @@ def parse_operation(text: str, *, unchecked: bool = False) -> Operation:
     return table_from_text(text, unchecked=unchecked)
 
 
-def _read_text(path) -> str:
+def decode_text(data: bytes, path) -> str:
+    """The text of an input file's bytes, which must be UTF-8."""
     try:
-        return Path(path).read_text()
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path} is not UTF-8 text: {exc}") from None
-
-
-def load_operation(path, *, unchecked: bool = False) -> Operation:
-    return parse_operation(_read_text(path), unchecked=unchecked)
 
 
 def cubic_to_doc(x: CubicMatrix) -> dict:
@@ -111,9 +107,10 @@ def cubic_from_doc(doc) -> CubicMatrix:
     return CubicMatrix.from_nested(parsed)
 
 
-def load_cubic(path) -> CubicMatrix:
+def parse_cubic(text: str, path) -> CubicMatrix:
+    """The cubic matrix of a JSON document, the text of the file at path."""
     try:
-        doc = json.loads(_read_text(path))
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad JSON in {path}: {exc}") from None
     return cubic_from_doc(doc)

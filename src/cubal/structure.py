@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cubic import CubicMatrix
+from .cubic import CubicMatrix, require_size
 from .errors import FormatError
 from .linalg import det, first_dependent_column, kernel_basis
 from .operations import (
@@ -41,6 +41,7 @@ class AccompanyingElement:
     def __init__(self, coeffs):
         coeffs = tuple(tuple(row) for row in coeffs)
         m = len(coeffs)
+        require_size(m)
         if any(len(row) != m for row in coeffs):
             raise FormatError("coefficient matrix must be m x m")
         require_rational(*(x for row in coeffs for x in row))

@@ -2,8 +2,13 @@
 
 import hashlib
 import json
+import os
 import random
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -471,3 +476,147 @@ class TestOutputModes:
         code, doc = run_cli(capsys, "classify", "--op", op)
         assert code == 0
         assert doc["inputs"][op].startswith("sha256:")
+
+
+class TestReportShape:
+    """What a report holds besides its results, and what --help lists."""
+
+    @pytest.fixture
+    def paths(self, tmp_path, table_file, cubic_file):
+        op = table_file([[1, 1], [2, 2]])
+        a = cubic_file(2, [[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1/2"]]], "a.json")
+        b = cubic_file(2, [[["0", "0"], ["3", "0"]], [["1", "0"], ["0", "0"]]], "b.json")
+        return {"op": op, "a": a, "b": b, "tmp": str(tmp_path)}
+
+    @pytest.mark.parametrize(
+        "argv, params",
+        [
+            (["enum", "--m", "2", "--count-only"], {"count_only": True, "m": 2}),
+            (["enum", "--m", "2", "--census", "{tmp}/c.json"],
+             {"census": "TMP/c.json", "count_only": False, "m": 2}),
+            (["orbits", "--m", "2", "--jobs", "2"], {"m": 2}),
+            (["verify", "--m", "1", "--all"], {"all": True, "m": 1}),
+            (["mul", "--op", "{op}", "{a}", "{b}"],
+             {"a": "TMP/a.json", "b": "TMP/b.json", "op": "TMP/op.json", "unchecked": False}),
+            (["plenary", "--op", "{op}", "--n", "2", "{a}"],
+             {"a": "TMP/a.json", "n": 2, "op": "TMP/op.json", "unchecked": False}),
+            (["char", "--op", "{op}", "--unchecked"], {"op": "TMP/op.json", "unchecked": True}),
+            (["phi", "{a}"], {"x": "TMP/a.json"}),
+            (["zerodiv", "--op", "{op}", "--side", "right", "{a}"],
+             {"a": "TMP/a.json", "op": "TMP/op.json", "side": "right", "unchecked": False}),
+            (["subalg", "--op", "{op}", "--list-invariant-sets"],
+             {"list_invariant_sets": True, "op": "TMP/op.json", "unchecked": False}),
+            (["classify", "--op", "{op}"], {"op": "TMP/op.json", "unchecked": False}),
+        ],
+        ids=["enum-count-only", "enum-census", "orbits", "verify", "mul", "plenary", "char", "phi",
+             "zerodiv", "subalg", "classify"],
+    )
+    def test_params(self, capsys, paths, argv, params):
+        code, doc = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+        assert code == 0
+        masked = json.loads(json.dumps(doc["params"]).replace(paths["tmp"], "TMP"))
+        assert masked == params
+        assert list(doc) == ["command", "inputs", "params", "results"]
+
+    @pytest.mark.parametrize(
+        "argv, sha256",
+        [
+            (("enum", "--m", "3"),
+             "88637f6c6452f91b7bf7ab5b81d798781f0a0d3a843c906eb234b81d8b5daec7"),
+            (("enum", "--m", "3", "--count-only"),
+             "daeea41e52c36c0a055725bd4093ff5b0ce77c21dae716da964757f609fa1bc1"),
+        ],
+        ids=["enum-m3", "enum-m3-count-only"],
+    )
+    def test_pinned_enum_report_bytes(self, capsys, argv, sha256):
+        assert main(list(argv)) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["enum", "--m", "2", "--count-only"],
+             'command: enum\n{\n  "m": 2,\n  "total": 8\n}\n'),
+            (["char", "--op", "{op}"],
+             "command: char\ninput TMP/op.json: "
+             "sha256:73eddcd0458c12de45f5b3c26876fa4f6184a76ad9aaeb2a70c8c9e18d7ff92e\n"
+             '{\n  "characters": [],\n  "count": 0\n}\n'),
+        ],
+        ids=["enum", "char"],
+    )
+    def test_pretty_output(self, capsys, paths, argv, text):
+        assert main([*(arg.format(**paths) for arg in argv), "--pretty"]) == 0
+        *lines, elapsed = capsys.readouterr().out.replace(paths["tmp"], "TMP").split("\n")[:-1]
+        assert "".join(line + "\n" for line in lines) == text
+        assert re.fullmatch(r"elapsed: \d+\.\d{3}s", elapsed)
+
+    @pytest.mark.parametrize(
+        "command, arguments",
+        [
+            ("enum", "--m M|[--census FILE]|[--count-only]|[--jobs JOBS]"),
+            ("orbits", "--m M|[--jobs JOBS]"),
+            ("mul", "--op TABLE|A.json|B.json|[--unchecked]"),
+            ("plenary", "--n N|--op TABLE|A.json|[--unchecked]"),
+            ("char", "--op TABLE|[--unchecked]"),
+            ("phi", "X.json"),
+            ("zerodiv", "--op TABLE|A.json|[--side {left,right}]|[--unchecked]"),
+            ("subalg", "--op TABLE|[--list-invariant-sets]|[--unchecked]"),
+            ("verify", "--m M|[--all]|[--jobs JOBS]"),
+            ("classify", "--op TABLE|[--unchecked]"),
+        ],
+    )
+    def test_help_lists_each_argument(self, capsys, monkeypatch, command, arguments):
+        monkeypatch.setenv("COLUMNS", "200")
+        assert main([command, "--help"]) == 0
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert usage.startswith(f"usage: cubal {command} [-h] ")
+        listed = re.findall(r"\[[^\]]*\]|--\S+(?: [A-Z]+)?|\S+", usage[len(f"usage: cubal {command} [-h] "):])
+        assert sorted(listed) == sorted([*arguments.split("|"), "[--out FILE]", "[--pretty]"])
+
+    def test_help_lists_each_command(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith(
+            "usage: cubal [-h] {enum,orbits,mul,plenary,char,phi,zerodiv,subalg,verify,classify} ...\n"
+        )
+
+
+class TestTextEncoding:
+    """Input files are read, and --out files written, as UTF-8 whatever the
+    locale; here the locale's encoding is ASCII (LC_ALL=C, with neither
+    locale coercion nor UTF-8 mode)."""
+
+    @staticmethod
+    def cubal(cwd, *argv):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "LC_ALL": "C",
+               "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        return subprocess.run([sys.executable, "-m", "cubal.cli", *argv], cwd=cwd, env=env,
+                              capture_output=True, timeout=60)
+
+    def test_utf8_input_in_an_ascii_locale(self, tmp_path):
+        data = '{"m": 1, "table": [[1]], "note": "café"}\n'.encode("utf-8")
+        (tmp_path / "t.json").write_bytes(data)
+        done = self.cubal(tmp_path, "classify", "--op", "t.json")
+        assert done.returncode == 0, done.stderr
+        doc = json.loads(done.stdout)
+        assert doc["inputs"] == {"t.json": "sha256:" + hashlib.sha256(data).hexdigest()}
+        assert doc["results"]["orbit_size"] == 1
+        # invalid UTF-8 is still named as such
+        (tmp_path / "bad.json").write_bytes(b"\xff\xfe\x00")
+        done = self.cubal(tmp_path, "classify", "--op", "bad.json")
+        assert done.returncode == 2
+        assert done.stderr.decode() == (
+            "cubal: bad.json is not UTF-8 text: 'utf-8' codec can't decode byte 0xff"
+            " in position 0: invalid start byte\n"
+        )
+
+    def test_utf8_out_file_in_an_ascii_locale(self, tmp_path):
+        data = b"1\n1\n"
+        (tmp_path / "tablé.txt").write_bytes(data)
+        done = self.cubal(tmp_path, "char", "--op", "tablé.txt", "--pretty", "--out", "f")
+        assert done.returncode == 0, done.stderr
+        lines = (tmp_path / "f").read_bytes().decode("utf-8").splitlines()
+        digest = hashlib.sha256(data).hexdigest()
+        assert lines[:2] == ["command: char", f"input tablé.txt: sha256:{digest}"]

@@ -47,9 +47,15 @@ class TestConstruction:
 
     def test_empty_matrix_rejected(self):
         # a table needs at least one symbol, and so does a cubic matrix
-        for build in (lambda: CubicMatrix(0, []), lambda: CubicMatrix.from_nested([])):
+        for build in (
+            lambda: CubicMatrix(0, []),
+            lambda: CubicMatrix.from_nested([]),
+            lambda: CubicMatrix.zero(0),
+        ):
             with pytest.raises(FormatError, match="m must be a positive integer, got 0"):
                 build()
+        with pytest.raises(FormatError, match="m must be a positive integer, got -1"):
+            CubicMatrix.zero(-1)
 
     def test_reconstruction_from_basis_expansion(self):
         rng = random.Random(7)

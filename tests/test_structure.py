@@ -97,6 +97,11 @@ class TestAccompanyingAlgebra:
         h, q = Fraction(5, 4), Fraction(7, 2)
         assert half.mul(half) == AccompanyingElement([[h, q], [q, 10]])
 
+    def test_empty_element_rejected(self):
+        # it used to build an m = 0 element whose det() was 1
+        with pytest.raises(FormatError, match="m must be a positive integer, got 0"):
+            AccompanyingElement([])
+
     @pytest.mark.parametrize("bad", [0, -1, 3])
     def test_unit_index_range_checked(self, bad):
         for i, j in ((bad, 1), (1, bad)):
