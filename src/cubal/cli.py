@@ -8,8 +8,9 @@ out false, 2 usage, capacity, input-format or file errors, 3 an internal error
 (a fault in cubal itself, reported as "cubal: internal error: ...").
 
 Each command is declared once, in ``build_parser``, with the handler that
-computes its results.  Input files are read once and as UTF-8, and files
-are written as UTF-8, whatever the locale.
+computes its results.  Input files are read once and as UTF-8, files are
+written as UTF-8, and the report shows path arguments as UTF-8, whatever the
+locale.
 """
 
 from __future__ import annotations
@@ -61,6 +62,13 @@ def _env_max_m() -> int:
         raise FormatError(f"CUBAL_MAX_M must be an integer, got {raw!r}") from None
 
 
+def _shown(arg: str) -> str:
+    """A command-line string as the report shows it: its bytes read as UTF-8,
+    whatever encoding the locale decoded them with; bytes that are not UTF-8
+    stay surrogates."""
+    return os.fsencode(arg).decode("utf-8", "surrogateescape")
+
+
 def _write(path, text: str) -> None:
     # a path from the command line keeps the bytes a non-UTF-8 locale could
     # not decode as surrogates; they are written back as those bytes
@@ -82,7 +90,8 @@ class _Inputs:
     @cached_property
     def op(self):
         """The --op table of a table command."""
-        return formats.parse_operation(self._text(self.args.op), unchecked=self.args.unchecked)
+        path = self.args.op
+        return formats.parse_operation(self._text(path), path, unchecked=self.args.unchecked)
 
     def cubic(self, path):
         """A cubic matrix from a file; on a table command, it is read after the
@@ -158,7 +167,7 @@ def _run_enum(args, inputs):
     if args.census:
         census = orbit_census(**inputs.search)
         _write(args.census, formats.dump_json(formats.census_to_doc(census)))
-        return {"m": args.m, "total": census.total, "census_file": args.census}
+        return {"m": args.m, "total": census.total, "census_file": _shown(args.census)}
     if args.count_only:
         return {"m": args.m, "total": count_operations(**inputs.search)}
     ops = collect_operations(**inputs.search)
@@ -251,11 +260,11 @@ def _run_classify(args, inputs):
     }
 
 
-def _pretty_lines(report, elapsed: float) -> str:
-    out = [f"command: {report['command']}"]
-    for path, digest in sorted(report["inputs"].items()):
+def _pretty_lines(command: str, digests: dict, results, elapsed: float) -> str:
+    out = [f"command: {command}"]
+    for path, digest in sorted(digests.items()):
         out.append(f"input {path}: {digest}")
-    out.append(formats.dump_json(report["results"]) + f"elapsed: {elapsed:.3f}s")
+    out.append(formats.dump_json(results) + f"elapsed: {elapsed:.3f}s")
     return "\n".join(out) + "\n"
 
 
@@ -266,15 +275,18 @@ def run(args) -> int:
     report = {
         "command": args.command,
         "params": {
-            k: v
+            k: _shown(v) if isinstance(v, str) else v
             for k, v in sorted(vars(args).items())
             if k not in ("command", "handler", "out", "pretty", "jobs") and v is not None
         },
-        "inputs": {},
     }
+    digests = {}
     started = time.perf_counter()
-    report["results"] = results = args.handler(args, _Inputs(args, report["inputs"]))
+    report["results"] = results = args.handler(args, _Inputs(args, digests))
     elapsed = time.perf_counter() - started
+    # the JSON report shows each path as UTF-8, whatever the locale; --pretty
+    # keeps the path as decoded, which writes back as the bytes it was given
+    report["inputs"] = {_shown(path): digest for path, digest in digests.items()}
     # only the verify report carries all_pass; a failed check is exit 1
     code = EXIT_OK
     if results.get("all_pass") is False:
@@ -282,7 +294,7 @@ def run(args) -> int:
         for entry in results["results"]:
             if failing := failed_checks(entry):
                 print(f"cubal: checks {failing} failed for table {entry['operation']}", file=sys.stderr)
-    text = _pretty_lines(report, elapsed) if args.pretty else formats.dump_json(report)
+    text = _pretty_lines(args.command, digests, results, elapsed) if args.pretty else formats.dump_json(report)
     if args.out:
         _write(args.out, text)
     else:

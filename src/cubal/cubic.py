@@ -13,9 +13,11 @@ fiber, is ``structure.accompanying_image``.  Each matrix holds one int form,
 made with it: its nonzero entries by first index (``slabs``) as ints over one
 reduced denominator ``d``.  The product takes the right factor's slabs by
 first index and writes the product's slab by slab; that map and the
-zero-divisor block read the same form.  The entries are a view made from it
-on first read, except that ``CubicMatrix(m, entries)`` keeps the entries it
-is given, which must be ints or Fractions.
+zero-divisor block read the same form.  A left factor multiplied by the
+same right factor again keeps their slice products (see ``mul``).  The
+entries are a view made from the form on first read, except that
+``CubicMatrix(m, entries)`` keeps the entries it is given, which must be
+ints or Fractions.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ class CubicMatrix:
     denominator d > 0 with gcd(d, ints) = 1; equal matrices have equal forms.
     """
 
-    __slots__ = ("m", "slabs", "d", "_entries")
+    __slots__ = ("m", "slabs", "d", "_entries", "_pair")
 
     def __init__(self, m: int, entries):
         require_size(m)
@@ -50,13 +52,13 @@ class CubicMatrix:
         if len(entries) != m * m * m:
             raise FormatError(f"expected {m}**3 entries, got {len(entries)}")
         ints, self.d = integral(entries)
-        self.m, self.slabs, self._entries = m, _slabs_of(m, ints), entries
+        self.m, self.slabs, self._entries, self._pair = m, _slabs_of(m, ints), entries, None
 
     @classmethod
     def _from_form(cls, m: int, slabs: tuple, d: int) -> "CubicMatrix":
         """The matrix of a reduced form the library computed; entries come later."""
         x = object.__new__(cls)
-        x.m, x.slabs, x.d, x._entries = m, slabs, d, None
+        x.m, x.slabs, x.d, x._entries, x._pair = m, slabs, d, None, None
         return x
 
     @property
@@ -145,19 +147,37 @@ class CubicMatrix:
         each entry (n, r) of the right slab k into (a(l, n), r), at offset
         ``op._row_plan()[l][n m + r]``.  The int sums over the product of the
         denominators, reduced by their gcd, are the product's form.
+
+        The slot ``_pair`` names the right factor of self's last product.  From
+        the second product with that same object on, the pair's table-free
+        slice products S[i, l, n, r] = sum over k of X[i, l, k] Y[k, n, r] are
+        kept there, and each product under a table only adds S[i, l, n, r]
+        into (a(l, n), r): the same int sums, with no multiplication.
         """
         self._require_same_size(other)
         m = self.m
         if op.m != m:
             raise ValueError(f"operation acts on {op.m} symbols, matrices have m={m}")
-        plan, right, sums = op._row_plan(), other.slabs, []
-        for slab in self.slabs:
-            out = [0] * (m * m) if slab else []
-            for lk, aval in slab:
-                row = plan[lk // m]
-                for nr, bval in right[lk % m]:
-                    out[row[nr]] += aval * bval
-            sums.append(out)
+        plan, sums = op._row_plan(), []
+        pair = self._pair
+        if pair is not None and pair[0] is other:
+            if pair[1] is None:
+                self._pair = pair = (other, _slice_products(self.slabs, other.slabs, m))
+            for rows in pair[1]:
+                out = [0] * (m * m) if rows else []
+                for l, row_sums in rows:
+                    for offset, v in zip(plan[l], row_sums):
+                        out[offset] += v
+                sums.append(out)
+        else:
+            self._pair, right = (other, None), other.slabs
+            for slab in self.slabs:
+                out = [0] * (m * m) if slab else []
+                for lk, aval in slab:
+                    row = plan[lk // m]
+                    for nr, bval in right[lk % m]:
+                        out[row[nr]] += aval * bval
+                sums.append(out)
         d = self.d * other.d
         g = gcd(d, *(gcd(*out) for out in sums)) if d > 1 else 1
         slabs = tuple(tuple([(jr, x // g) for jr, x in enumerate(out) if x]) for out in sums)
@@ -195,3 +215,19 @@ def _slabs_of(m: int, ints) -> tuple:
     return tuple(
         tuple([(jk, x) for jk, x in enumerate(ints[i * mm : i * mm + mm]) if x]) for i in range(m)
     )
+
+
+def _slice_products(left: tuple, right: tuple, m: int) -> tuple:
+    """Per first index i, the slice products of two matrices' slabs as the
+    (l, row) pairs whose row, S[i, l, n, r] at n m + r, is not all 0, where
+    S[i, l, n, r] is the sum over k of left[i, l, k] right[k, n, r]: what
+    every table's product adds up."""
+    slices = []
+    for slab in left:
+        acc = [[0] * (m * m) for _ in range(m)] if slab else ()
+        for lk, aval in slab:
+            row = acc[lk // m]
+            for nr, bval in right[lk % m]:
+                row[nr] += aval * bval
+        slices.append(tuple((l, row) for l, row in enumerate(acc) if any(row)))
+    return tuple(slices)

@@ -63,13 +63,14 @@ def table_from_text(text: str, *, unchecked: bool = False) -> Operation:
     return Operation(rows, unchecked=unchecked)
 
 
-def parse_operation(text: str, *, unchecked: bool = False) -> Operation:
-    """Parse either table format, sniffing JSON by its leading brace."""
+def parse_operation(text: str, path, *, unchecked: bool = False) -> Operation:
+    """Parse either table format, the text of the file at path, sniffing JSON
+    by its leading brace."""
     if text.lstrip().startswith("{"):
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise FormatError(f"bad JSON: {exc}") from None
+            raise FormatError(f"bad JSON in {path}: {exc}") from None
         return operation_from_doc(doc, unchecked=unchecked)
     return table_from_text(text, unchecked=unchecked)
 

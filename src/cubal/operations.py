@@ -177,12 +177,9 @@ def act(pi: Permutation, a: Operation) -> Operation:
     """
     if pi.m != a.m:
         raise ValueError(f"size mismatch: permutation on {pi.m}, operation on {a.m}")
-    inv = pi.inverse()
-    m = a.m
-    rows = tuple(
-        tuple(pi(a(inv(i), inv(j))) for j in range(1, m + 1)) for i in range(1, m + 1)
-    )
-    return Operation._trusted(rows)
+    img, rows = pi.images, a.rows
+    src = sorted(range(a.m), key=img.__getitem__)  # src[pi(s) - 1] = s - 1
+    return Operation._trusted(tuple(tuple([img[rows[s][t] - 1] for t in src]) for s in src))
 
 
 def orbit(a: Operation) -> frozenset[Operation]:
@@ -239,11 +236,17 @@ def is_invariant(J, a: Operation) -> bool:
 
 def invariance_violation(J, a: Operation) -> tuple[int, int, int] | None:
     """The first (s, t, a(s, t)) escaping J, or None when J is invariant."""
-    J = _validate_subset(J, a.m)
-    for s, t in itertools.product(sorted(J), repeat=2):
-        v = a(s, t)
-        if v not in J:
-            return (s, t, v)
+    return _escape(tuple(sorted(_validate_subset(J, a.m))), a.rows)
+
+
+def _escape(members: tuple, rows) -> tuple[int, int, int] | None:
+    """The first (s, t, a(s, t)), s then t in the order of members, with
+    a(s, t) not a member; None when the members are closed under a."""
+    for s in members:
+        row = rows[s - 1]
+        for t in members:
+            if row[t - 1] not in members:
+                return (s, t, row[t - 1])
     return None
 
 
@@ -255,12 +258,12 @@ def enumerate_invariant_subsets(a: Operation, *, max_m: int = 20) -> list[frozen
     m = a.m
     if m > max_m:
         raise CapacityError(f"2^{m} subset scan exceeds the budget (max m = {max_m})")
-    found = []
-    for size in range(m + 1):
-        for members in itertools.combinations(range(1, m + 1), size):
-            if is_invariant(members, a):
-                found.append(frozenset(members))
-    return found
+    return [
+        frozenset(members)
+        for size in range(m + 1)
+        for members in itertools.combinations(range(1, m + 1), size)
+        if _escape(members, a.rows) is None
+    ]
 
 
 @dataclass(frozen=True)

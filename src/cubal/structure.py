@@ -158,8 +158,12 @@ def verify_isomorphism(a: Operation, b: Operation, pi: Permutation) -> bool:
     m = a.m
     if b.m != m or pi.m != m:
         raise ValueError("size mismatch")
-    idx = range(1, m + 1)
-    return all(b(pi(j), pi(n)) == pi(a(j, n)) for j in idx for n in idx)
+    img, brows = pi.images, b.rows
+    return all(
+        brows[img[j] - 1][img[n] - 1] == img[v - 1]
+        for j, row in enumerate(a.rows)
+        for n, v in enumerate(row)
+    )
 
 
 def is_character(chi: CubicMatrix, a: Operation) -> bool:
@@ -342,7 +346,7 @@ def _basis_product_triple(op: Operation, s, t):
     """The product E(s) E(t) as a triple, or None when it vanishes."""
     if s[2] != t[0]:
         return None
-    return (s[0], op(s[1], t[1]), t[2])
+    return (s[0], op.rows[s[1] - 1][t[1] - 1], t[2])
 
 
 def is_subalgebra(span: SpannedSubspace, op: Operation) -> bool:
@@ -362,10 +366,10 @@ def _absorbs(span: SpannedSubspace, op: Operation, side: str, factors) -> bool:
     basis matrices.  The triple rule gives E(f1, a(f2, s2), s3) on the left
     and E(s1, a(s2, f2), f3) on the right.
     """
-    if span.m != op.m:
-        raise ValueError("size mismatch")
     rows, inside = op.rows, span.triples
-    meeting: list[list] = [[] for _ in range(op.m + 1)]
+    if span.m != len(rows):
+        raise ValueError("size mismatch")
+    meeting: list[list] = [[] for _ in range(len(rows) + 1)]
     for f in factors:
         meeting[f[2] if side == "left" else f[0]].append(f)
     if side == "left":

@@ -47,8 +47,19 @@ ZERO_DIVISOR_TRIALS = 4
 
 def random_cubic(m: int, rng: random.Random) -> CubicMatrix:
     """A dense cubic matrix with small random rational entries p / q, made in
-    its int form: p d / q over d, the lcm of the reduced q / gcd(p, q)."""
-    draws = [(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(m * m * m)]
+    its int form: p d / q over d, the lcm of the reduced q / gcd(p, q).
+
+    p and q are what ``rng.randint(-9, 9)`` and ``rng.randint(1, 4)`` draw, in
+    turn, by randint's own rule: ``getrandbits(k)`` for k the bit length of the
+    range's size (19 and 4), drawn again until it is below that size.
+    """
+    bits, draws = rng.getrandbits, []
+    for _ in range(m * m * m):
+        while (p := bits(5)) >= 19:
+            pass
+        while (q := bits(3)) >= 4:
+            pass
+        draws.append((p - 9, q + 1))
     d = lcm(*(q // gcd(p, q) for p, q in draws))
     return CubicMatrix._from_form(m, _slabs_of(m, [p * d // q for p, q in draws]), d)
 
@@ -212,23 +223,26 @@ def check_plenary_powers(op: Operation) -> bool:
 
     Only the m^2 squares E(j, i, j)^2 are dense products, checked against the
     triple rule; each walk step squares one of them, so walks run on triples.
+    Each i's power sequence and its class are computed once, for every j.
     """
     m = op.m
     steps = 2 * m
     square = lambda s: _basis_product_triple(op, s, s)
+    walks = [
+        (i, power_sequence(i, op, steps), classify_power_sequence(i, op))
+        for i in range(1, m + 1)
+    ]
     for j in range(1, m + 1):
-        for i in range(1, m + 1):
+        for i, seq, index_class in walks:
             e = CubicMatrix.basis(m, j, i, j)
             if e.mul(e, op) != CubicMatrix.basis(m, *square((j, i, j))):
                 return False
-            seq = power_sequence(i, op, steps)
             t = (j, i, j)
             for n in range(steps + 1):
                 if t != (j, seq[n], j):
                     return False
                 t = square(t)
             matrix_class = _classify_squaring((j, i, j), square)
-            index_class = classify_power_sequence(i, op)
             if (matrix_class.tag, matrix_class.entry, matrix_class.period) != (
                 index_class.tag, index_class.entry, index_class.period
             ):

@@ -377,6 +377,17 @@ class TestExitCodes:
                 err = capsys.readouterr().err
                 assert err == f'cubal: "m" must be a positive integer, got {m!r}\n'
 
+    def test_bad_table_json_names_its_file(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "broken.json").write_text('{"m": 1, table: [[1]]}\n')
+        assert main(["classify", "--op", "broken.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "cubal: bad JSON in broken.json: Expecting property name enclosed in double"
+            " quotes: line 1 column 10 (char 9)\n"
+        )
+
     @pytest.mark.parametrize(
         "exc",
         [ValueError("boom"), KeyError("boom"), ZeroDivisionError()],
@@ -588,9 +599,9 @@ class TestTextEncoding:
     locale coercion nor UTF-8 mode)."""
 
     @staticmethod
-    def cubal(cwd, *argv):
+    def cubal(cwd, *argv, locale="C"):
         src = Path(__file__).resolve().parent.parent / "src"
-        env = {**os.environ, "PYTHONPATH": str(src), "LC_ALL": "C",
+        env = {**os.environ, "PYTHONPATH": str(src), "LC_ALL": locale,
                "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
         return subprocess.run([sys.executable, "-m", "cubal.cli", *argv], cwd=cwd, env=env,
                               capture_output=True, timeout=60)
@@ -620,3 +631,19 @@ class TestTextEncoding:
         lines = (tmp_path / "f").read_bytes().decode("utf-8").splitlines()
         digest = hashlib.sha256(data).hexdigest()
         assert lines[:2] == ["command: char", f"input tablé.txt: sha256:{digest}"]
+
+    @pytest.mark.parametrize(
+        "argv, path",
+        [(["char", "--op", "tablé.txt"], "tablé.txt"),
+         (["enum", "--m", "2", "--census", "cénsus.json"], "cénsus.json")],
+        ids=["char", "enum"],
+    )
+    def test_report_shows_a_path_the_same_in_every_locale(self, tmp_path, argv, path):
+        (tmp_path / "tablé.txt").write_bytes(b"1\n1\n")
+        ascii_run = self.cubal(tmp_path, *argv)
+        utf8_run = self.cubal(tmp_path, *argv, locale="C.UTF-8")
+        assert ascii_run.returncode == utf8_run.returncode == 0, ascii_run.stderr
+        assert ascii_run.stdout == utf8_run.stdout
+        doc = json.loads(ascii_run.stdout)
+        assert path in doc["params"].values()
+        assert (tmp_path / path).exists()

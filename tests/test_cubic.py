@@ -8,7 +8,9 @@ from fractions import Fraction
 
 import pytest
 
+from cubal import cubic
 from cubal.cubic import CubicMatrix
+from cubal.enumeration import collect_operations, orbit_census
 from cubal.errors import FormatError
 from cubal.operations import Operation, power_sequence
 from cubal.structure import AccompanyingElement, accompanying_image
@@ -308,6 +310,60 @@ class TestProduct:
         x = CubicMatrix(1, (Fraction(3, 7),))
         y = CubicMatrix(1, (Fraction(-2, 5),))
         assert x.mul(y, op) == y.mul(x, op)
+
+
+class TestRepeatedPair:
+    """From the second product of one (X, Y) pair on, ``mul`` keeps the pair's
+    table-free slice products and each table only adds them into its offsets.
+    Every such product must equal a fresh copy's slab-kernel product."""
+
+    @staticmethod
+    def tables(m):
+        if m == 4:
+            return [rep for rep, _ in orbit_census(4).representatives]
+        return collect_operations(m)
+
+    @staticmethod
+    def pairs(m):
+        rng = random.Random(f"pair:{m}")
+        seventh = CubicMatrix(m, [Fraction(1, 7)] * m**3)
+        x, y = (random_cubic(m, rng) + seventh for _ in range(2))  # no entry is whole: d > 1
+        hollow = CubicMatrix(m, [0] * (m * m) + list(y.entries[m * m :]))  # slab 1 empty
+        ints = CubicMatrix(m, [rng.randint(-9, 9) for _ in range(m**3)])
+        return [(x, y), (hollow, x), (ints, hollow), (E(m, 1, 1, m), E(m, m, 1, 1)), (y, y)]
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_later_products_equal_a_fresh_copys(self, m, monkeypatch):
+        slice_products, kept = cubic._slice_products, []
+        monkeypatch.setattr(
+            cubic, "_slice_products", lambda *args: kept.append(args) or slice_products(*args)
+        )
+        tables = self.tables(m)
+        ops = tables if len(tables) >= 3 else tables * 3
+        pairs = self.pairs(m)
+        for x, y in pairs:
+            for op in ops:
+                got = x.mul(y, op)
+                want = CubicMatrix._from_form(m, x.slabs, x.d).mul(y, op)
+                assert (got.slabs, got.d) == (want.slabs, want.d)
+                assert got.entries == want.entries
+                assert list(map(type, got.entries)) == list(map(type, want.entries))
+        # each pair's slices are made once, at its second product; fresh copies make none
+        assert len(kept) == len(pairs)
+
+    def test_a_new_partner_falls_back_to_the_slab_kernel(self, census3, monkeypatch):
+        slice_products, kept = cubic._slice_products, []
+        monkeypatch.setattr(
+            cubic, "_slice_products", lambda *args: kept.append(args) or slice_products(*args)
+        )
+        rng = random.Random(18)
+        x, y, z = (random_cubic(3, rng) for _ in range(3))
+        ops = census3[::10]
+        partners = [y, y, y, z, y, y, z, z, CubicMatrix(3, y.entries)]
+        made = [0, 1, 1, 1, 1, 2, 2, 3, 3]  # slices made after each product
+        for right, count, op in zip(partners, made, ops):
+            assert list(x.mul(right, op).entries) == dense_product(x, right, op)
+            assert len(kept) == count
 
 
 class TestAccompanyingMatrix:

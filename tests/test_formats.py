@@ -58,8 +58,8 @@ class TestOperationFormats:
 
     def test_parse_sniffs_json(self):
         op = Operation(M2_TABLES[1])
-        assert parse_operation(json.dumps(operation_to_doc(op))) == op
-        assert parse_operation(table_to_text(op)) == op
+        assert parse_operation(json.dumps(operation_to_doc(op)), "t.json") == op
+        assert parse_operation(table_to_text(op), "t.txt") == op
 
     def test_non_associative_rejected_without_escape(self):
         text = "2\n2 1\n1 1\n"
@@ -77,8 +77,8 @@ class TestOperationFormats:
             table_from_text("2\n1 1\n")
         with pytest.raises(FormatError):
             table_from_text("not a table\n")
-        with pytest.raises(FormatError):
-            parse_operation("{broken json")
+        with pytest.raises(FormatError, match=r"^bad JSON in t\.json: "):
+            parse_operation("{broken json", "t.json")
 
 
 class TestCubicFormats:

@@ -1,12 +1,14 @@
 """The batch check battery used by the verify command."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from cubal import verify
+from cubal.cli import main
 from cubal.cubic import CubicMatrix
 from cubal.operations import Operation
 from cubal.structure import AccompanyingElement, SpannedSubspace, accompanying_image
@@ -142,6 +144,22 @@ def test_random_cubic_is_the_fraction_draw_in_int_form():
     assert rng.random() == ref.random()
 
 
+@pytest.mark.parametrize("seeds", [range(50), ["20250809:(1, 2, 2, 2)", "x"]], ids=["ints", "strings"])
+def test_random_cubic_draws_as_randint_does(seeds):
+    # random_cubic draws with getrandbits under randint's rejection rule; it
+    # must give randint's draws and leave the generator in randint's state,
+    # on every Python the tests run on
+    for seed in seeds:
+        rng, ref = random.Random(seed), random.Random(seed)
+        for m in (1, 2, 3, 4, 5):
+            x = verify.random_cubic(m, rng)
+            draws = [(ref.randint(-9, 9), ref.randint(1, 4)) for _ in range(m**3)]
+            want = CubicMatrix(m, [Fraction(p, q) for p, q in draws])
+            assert (x.slabs, x.d) == (want.slabs, want.d)
+            assert x.entries == want.entries
+            assert rng.getstate() == ref.getstate()
+
+
 def test_block_spans_equal_the_checked_spans():
     triples = frozenset((1, j, 2) for j in (1, 3))
     trusted = SpannedSubspace._trusted(3, triples)
@@ -213,6 +231,22 @@ def test_table_free_facts_are_computed_once_per_m():
     assert all(check_accompanying(op) for op in ops)
     info = verify._accompanying_trials.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+def test_characters_check_fails_on_a_spurious_character(monkeypatch, capsys):
+    # a character search that finds one form too many turns theorem_2 red,
+    # alone, in the battery and on the command line
+    search = verify.character_search
+    monkeypatch.setattr(
+        verify, "character_search", lambda op: search(op) + [CubicMatrix.basis(op.m, 1, 1, 1)]
+    )
+    for op in (Operation([[1]]), Operation(CYCLE3)):
+        entry = verify_operation(op)
+        assert [key for key in CHECK_KEYS if entry[key] is not True] == ["theorem_2"]
+    assert main(["verify", "--m", "2"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["results"]["all_pass"] is False
+    assert captured.err.count("cubal: checks ['theorem_2'] failed for table") == 8
 
 
 def test_isomorphism_check_fails_when_pi_does_not_carry_the_table(monkeypatch):
