@@ -39,20 +39,13 @@ from .operations import (
 )
 from .structure import (
     AccompanyingElement,
-    SpannedSubspace,
     accompanying_image,
     character_search,
-    image_ideal_span,
     in_kernel_ideal,
     is_character,
-    is_ideal,
-    is_left_ideal,
-    is_right_ideal,
-    is_subalgebra,
     left_zero_divisor_witness,
     permute_indices,
     right_zero_divisor_witness,
-    subalgebra_span,
     verify_isomorphism,
 )
 from .verify import verify_census, verify_operation
@@ -70,7 +63,6 @@ __all__ = [
     "Operation",
     "Permutation",
     "PowerSequence",
-    "SpannedSubspace",
     "accompanying_image",
     "act",
     "all_permutations",
@@ -86,15 +78,10 @@ __all__ = [
     "enumerate_invariant_subsets",
     "enumerate_operations",
     "image",
-    "image_ideal_span",
     "in_kernel_ideal",
     "invariance_violation",
     "is_character",
-    "is_ideal",
     "is_invariant",
-    "is_left_ideal",
-    "is_right_ideal",
-    "is_subalgebra",
     "is_symmetric",
     "left_symmetric",
     "left_zero_divisor_witness",
@@ -104,7 +91,6 @@ __all__ = [
     "power_sequence",
     "right_symmetric",
     "right_zero_divisor_witness",
-    "subalgebra_span",
     "verify_census",
     "verify_isomorphism",
     "verify_operation",

@@ -8,9 +8,9 @@ out false, 2 usage, capacity, input-format or file errors, 3 an internal error
 (a fault in cubal itself, reported as "cubal: internal error: ...").
 
 Each command is declared once, in ``build_parser``, with the handler that
-computes its results.  Input files are read once and as UTF-8, files are
-written as UTF-8, and the report shows path arguments as UTF-8, whatever the
-locale.
+computes its results.  Input files are read once and as UTF-8, files and
+stderr are written as UTF-8, and the report shows path arguments as UTF-8,
+whatever the locale.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .scalars import format_scalar
 from .structure import (
     accompanying_image,
     character_search,
-    image_ideal_span,
     left_zero_divisor_witness,
     right_zero_divisor_witness,
 )
@@ -67,6 +66,14 @@ def _shown(arg: str) -> str:
     whatever encoding the locale decoded them with; bytes that are not UTF-8
     stay surrogates."""
     return os.fsencode(arg).decode("utf-8", "surrogateescape")
+
+
+def _complain(line: str) -> None:
+    """Print a line on stderr in UTF-8, whatever the locale: a path argument in
+    it shows as the bytes it was given, as ``_shown`` and ``_write`` keep them."""
+    sys.stderr.flush()
+    sys.stderr.buffer.write(f"{line}\n".encode("utf-8", "surrogateescape"))
+    sys.stderr.buffer.flush()
 
 
 def _write(path, text: str) -> None:
@@ -226,13 +233,13 @@ def _run_subalg(args, inputs):
     op = inputs.op
     invariant = enumerate_invariant_subsets(op)
     nonempty = sum(1 for J in invariant if J)
-    ideal = image_ideal_span(op)
+    everything, middles = range(1, op.m + 1), sorted(image(op))
     results = {
         "m": op.m,
-        "image": sorted(image(op)),
+        "image": middles,
         "nonempty_invariant_count": nonempty,
         "subalgebra_count_lower_bound": nonempty,
-        "image_ideal_triples": sorted(ideal.triples),
+        "image_ideal_triples": [(i, j, k) for i in everything for j in middles for k in everything],
     }
     if args.list_invariant_sets:
         results["invariant_subsets"] = [sorted(J) for J in invariant]
@@ -311,12 +318,14 @@ def main(argv=None) -> int:
     try:
         return run(args)
     except (CubalError, OSError) as exc:
-        print(f"cubal: {exc}", file=sys.stderr)
+        if isinstance(getattr(exc, "filename", None), str):
+            exc.filename = _shown(exc.filename)  # the message shows its repr
+        _complain(f"cubal: {exc}")
         return EXIT_USAGE
     except Exception as exc:
         import traceback  # only on this path, so a normal run does not load it
 
-        print(f"cubal: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _complain(f"cubal: internal error: {type(exc).__name__}: {exc}")
         traceback.print_exc()
         return EXIT_INTERNAL
 

@@ -4,7 +4,7 @@ Covers the basis-relabeling isomorphisms between equivalent operations, the
 multiplicative-linear-form (character) decision procedure, exact
 zero-divisor solvers (an m^2 x m^2 block, filled by one loop over the fixed
 factor's int form and reduced up to its first dependent column), and the
-subalgebras and ideals spanned by basis matrices.  It also holds the
+kernel ideal of the accompanying surjection.  It also holds the
 accompanying algebra: ``AccompanyingElement`` is the library's one m x m
 matrix type, whose coefficients must be ints or Fractions, and
 ``accompanying_image``, the surjection onto it, is the one place the
@@ -14,18 +14,12 @@ middle-index fiber sums are taken.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cubic import CubicMatrix, require_size
 from .errors import FormatError
 from .linalg import det, first_dependent_column, kernel_basis
-from .operations import (
-    Operation,
-    Permutation,
-    image,
-    invariance_violation,
-)
+from .operations import Operation, Permutation
 from .scalars import require_rational
 
 
@@ -278,61 +272,6 @@ def right_zero_divisor_witness(a_mat: CubicMatrix, op: Operation) -> CubicMatrix
     return _solve_zero_product(a_mat, op, "right")
 
 
-@dataclass(frozen=True)
-class SpannedSubspace:
-    """The span of a set of basis matrices, identified by their index triples."""
-
-    m: int
-    triples: frozenset[tuple[int, int, int]]
-
-    def __post_init__(self):
-        for (i, j, k) in self.triples:
-            for idx in (i, j, k):
-                if not 1 <= idx <= self.m:
-                    raise FormatError(f"triple ({i},{j},{k}) outside 1..{self.m}")
-
-    @classmethod
-    def _trusted(cls, m: int, triples: frozenset) -> "SpannedSubspace":
-        """The span of triples the library built in 1..m, without the scan."""
-        span = object.__new__(cls)
-        span.__dict__.update(m=m, triples=triples)
-        return span
-
-
-def subalgebra_span(op: Operation, members, i: int, k: int) -> SpannedSubspace:
-    """The span of {E(i, j, k): j in members} for an invariant subset.
-
-    Closed under the product because a(j, n) stays in the subset; the
-    product is identically zero unless i = k.
-    """
-    m = op.m
-    if not 1 <= i <= m or not 1 <= k <= m:
-        raise FormatError(f"block indices ({i},{k}) outside 1..{m}")
-    J = frozenset(members)
-    if not J:
-        raise ValueError("subset must be nonempty")
-    violation = invariance_violation(J, op)
-    if violation is not None:
-        s, t, v = violation
-        raise ValueError(f"subset is not invariant: a({s},{t}) = {v} escapes it")
-    return SpannedSubspace(m, frozenset((i, j, k) for j in J))
-
-
-def image_ideal_span(op: Operation) -> SpannedSubspace:
-    """The span of all E(i, j, k) whose middle index lies in the image of op."""
-    m = op.m
-    J = image(op)
-    return SpannedSubspace(
-        m,
-        frozenset(
-            (i, j, k)
-            for i in range(1, m + 1)
-            for j in sorted(J)
-            for k in range(1, m + 1)
-        ),
-    )
-
-
 def in_kernel_ideal(x: CubicMatrix) -> bool:
     """True iff every middle-index fiber sum of x vanishes.
 
@@ -347,53 +286,3 @@ def _basis_product_triple(op: Operation, s, t):
     if s[2] != t[0]:
         return None
     return (s[0], op.rows[s[1] - 1][t[1] - 1], t[2])
-
-
-def is_subalgebra(span: SpannedSubspace, op: Operation) -> bool:
-    """True iff every product of two spanning basis matrices stays in the span.
-    Only pairs E(s) E(t) with s3 = t1 are tried, as the rest vanish: this is
-    the right-ideal loop of ``_absorbs`` with the span as its own factors."""
-    return _absorbs(span, op, "right", span.triples)
-
-
-def _absorbs(span: SpannedSubspace, op: Operation, side: str, factors) -> bool:
-    """True iff every factor times a span member (side="left") or every span
-    member times a factor (side="right") stays in the span.
-
-    E(s) E(t) vanishes unless s3 = t1, and zero lies in every span, so only
-    meeting pairs are visited: the factors are indexed once by their last
-    (left) or first (right) index, m^2 per member when they are all m^3
-    basis matrices.  The triple rule gives E(f1, a(f2, s2), s3) on the left
-    and E(s1, a(s2, f2), f3) on the right.
-    """
-    rows, inside = op.rows, span.triples
-    if span.m != len(rows):
-        raise ValueError("size mismatch")
-    meeting: list[list] = [[] for _ in range(len(rows) + 1)]
-    for f in factors:
-        meeting[f[2] if side == "left" else f[0]].append(f)
-    if side == "left":
-        return all(
-            (f1, rows[f2 - 1][s2 - 1], s3) in inside
-            for s1, s2, s3 in inside
-            for f1, f2, _ in meeting[s1]
-        )
-    return all(
-        (s1, rows[s2 - 1][f2 - 1], f3) in inside
-        for s1, s2, s3 in inside
-        for _, f2, f3 in meeting[s3]
-    )
-
-
-def is_left_ideal(span: SpannedSubspace, op: Operation) -> bool:
-    """True iff multiplying any basis matrix onto the span from the left stays inside."""
-    return _absorbs(span, op, "left", itertools.product(range(1, op.m + 1), repeat=3))
-
-
-def is_right_ideal(span: SpannedSubspace, op: Operation) -> bool:
-    """True iff multiplying any basis matrix onto the span from the right stays inside."""
-    return _absorbs(span, op, "right", itertools.product(range(1, op.m + 1), repeat=3))
-
-
-def is_ideal(span: SpannedSubspace, op: Operation) -> bool:
-    return is_left_ideal(span, op) and is_right_ideal(span, op)

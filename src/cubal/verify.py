@@ -22,20 +22,15 @@ from .operations import (
     all_permutations,
     classify_power_sequence,
     classify_symmetry,
-    enumerate_invariant_subsets,
     power_sequence,
 )
 from .scalars import format_scalar
 from .structure import (
     AccompanyingElement,
-    SpannedSubspace,
     _basis_product_triple,
     accompanying_image,
     character_search,
-    image_ideal_span,
     in_kernel_ideal,
-    is_ideal,
-    is_subalgebra,
     left_zero_divisor_witness,
     verify_isomorphism,
 )
@@ -81,9 +76,9 @@ def check_isomorphisms(op: Operation) -> bool:
 
 
 def check_characters(op: Operation) -> bool:
-    """The character search returns exactly the expected set (empty for m >= 2)."""
-    chars = character_search(op)
-    return len(chars) == (1 if op.m == 1 else 0)
+    """The character search returns exactly the expected forms: at m = 1 the
+    one with coefficient 1 on E(1, 1, 1), and none for m >= 2."""
+    return character_search(op) == ([CubicMatrix.basis(1, 1, 1, 1)] if op.m == 1 else [])
 
 
 def check_accompanying(op: Operation) -> bool:
@@ -147,15 +142,52 @@ def _fiber_balance(x: CubicMatrix) -> CubicMatrix:
 
 
 def check_subalgebras(op: Operation) -> bool:
-    """Each invariant subset J spans a subalgebra {E(i, j, k): j in J} in
-    every block (i, k), and the image span is a two-sided ideal."""
+    """Theorem 4 through the product: for every nonempty J, the verdicts of
+    ``subset_closures`` are those the table rows give, and an off-diagonal
+    element squares to 0.  J = image(a) is one of the subsets."""
+    rows, S = op.rows, range(1, op.m + 1)
+    y = _subset_probes(op.m)[1]
+    return (y is None or y.mul(y, op).is_zero()) and all(
+        closures == tuple(_table_closed(rows, *sides, J) for sides in ((J, J), (S, J), (J, S)))
+        for J, closures in subset_closures(op)
+    )
+
+
+def subset_closures(op: Operation):
+    """Yield, per nonempty J of 1..m by size then members, J and whether the
+    middle indices of x_J x_J, u x_J and x_J u lie in J, for x_J the sum of
+    E(1, j, 1) over j in J and u = x_{1..m}: whether the span of
+    {E(i, j, k): j in J} is a subalgebra, a left ideal and a right ideal.
+    Every coefficient is 1, so no term cancels and those middle indices are
+    exactly a(J, J), a(S, J) and a(J, S)."""
     m = op.m
-    blocks = list(itertools.product(range(1, m + 1), repeat=2))
-    return all(
-        is_subalgebra(SpannedSubspace._trusted(m, frozenset((i, j, k) for j in J)), op)
-        for J in filter(None, enumerate_invariant_subsets(op))
-        for i, k in blocks
-    ) and is_ideal(image_ideal_span(op), op)
+    for J, pairs in _subset_probes(m)[0]:
+        yield J, tuple(
+            {jr // m + 1 for slab in x.mul(y, op).slabs for jr, _ in slab}.issubset(J)
+            for x, y in pairs
+        )
+
+
+def _table_closed(rows, lefts, rights, J) -> bool:
+    """True iff a(s, t) lies in J for every s in lefts and t in rights."""
+    return all(rows[s - 1][t - 1] in J for s in lefts for t in rights)
+
+
+@functools.lru_cache(maxsize=None)
+def _subset_probes(m: int):
+    """The factor pairs of theorem_4, built once per m: per nonempty J, J with
+    (x_J, x_J), (u, x_J) and (x_J, u); and the sum of E(1, j, 2) over j, or
+    None when m = 1.  Each pair has a left factor of its own, so from the
+    second table on ``mul`` only adds the pair's kept slice products."""
+    def ones(J, k=1):  # the sum of E(1, j, k) over j in J
+        slab = tuple(((j - 1) * m + k - 1, 1) for j in J)
+        return CubicMatrix._from_form(m, (slab,) + ((),) * (m - 1), 1)
+
+    S, probes = tuple(range(1, m + 1)), []
+    for J in (J for size in S for J in itertools.combinations(S, size)):
+        x = ones(J)
+        probes.append((J, ((x, x), (ones(S), x), (ones(J), ones(S)))))
+    return tuple(probes), ones(S, 2) if m >= 2 else None
 
 
 def check_commutativity(op: Operation) -> tuple[bool, dict]:

@@ -19,6 +19,7 @@ from cubal.operations import (
     classify_power_sequence,
     classify_symmetry,
     enumerate_invariant_subsets,
+    image,
     invariance_violation,
     is_invariant,
     is_symmetric,
@@ -30,15 +31,12 @@ from cubal.operations import (
 from cubal.structure import (
     accompanying_image,
     character_search,
-    image_ideal_span,
     in_kernel_ideal,
     is_character,
-    is_ideal,
-    is_subalgebra,
     left_zero_divisor_witness,
-    subalgebra_span,
     verify_isomorphism,
 )
+from cubal.verify import check_subalgebras
 
 from conftest import (
     ALL_INVARIANT3,
@@ -210,30 +208,29 @@ def test_zero_divisor_suite():
     )
 
 
+def middles(x):
+    m = x.m
+    return {flat // m % m + 1 for flat, _ in x.nonzero_items()}
+
+
 def test_subalgebra_and_ideal_suite(census2, census3):
+    # through products: each invariant J spans a subalgebra in every block
+    # (i, k), zero off the diagonal, and the image spans a two-sided ideal
     ok = True
     for census, m in ((census2, 2), (census3, 3)):
-        blocks = list(itertools.product(range(1, m + 1), repeat=2))
+        triples = list(itertools.product(range(1, m + 1), repeat=3))
+        everything = CubicMatrix(m, [1] * m**3)
         for op in census:
-            invariant = [J for J in enumerate_invariant_subsets(op) if J]
-            for J in invariant:
-                spans = {}
-                for (i, k) in blocks:
-                    span = subalgebra_span(op, J, i, k)
-                    spans[(i, k)] = span.triples
-                    if not is_subalgebra(span, op):
+            for J in filter(None, enumerate_invariant_subsets(op)):
+                for i, k in itertools.product(range(1, m + 1), repeat=2):
+                    x = CubicMatrix(m, [int(t[0] == i and t[1] in J and t[2] == k) for t in triples])
+                    square = x.mul(x, op)
+                    if not middles(square) <= J or (i != k and not square.is_zero()):
                         ok = False
-                for b1, b2 in itertools.combinations(blocks, 2):
-                    if spans[b1] & spans[b2]:
-                        ok = False
-            for J1, J2 in itertools.combinations(invariant, 2):
-                s1 = subalgebra_span(op, J1, 1, 1).triples
-                s2 = subalgebra_span(op, J2, 1, 1).triples
-                if J1 <= J2 and not s1 <= s2:
-                    ok = False
-                if not (J1 & J2) and (s1 & s2):
-                    ok = False
-            if not is_ideal(image_ideal_span(op), op):
+            ideal = CubicMatrix(m, [int(t[1] in image(op)) for t in triples])
+            if not middles(everything.mul(ideal, op)) | middles(ideal.mul(everything, op)) <= image(op):
+                ok = False
+            if not check_subalgebras(op):
                 ok = False
     seven = sum(1 for J in enumerate_invariant_subsets(Operation(ALL_INVARIANT3)) if J) == 7
     cyc = Operation(CYCLE3)

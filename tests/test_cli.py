@@ -647,3 +647,17 @@ class TestTextEncoding:
         doc = json.loads(ascii_run.stdout)
         assert path in doc["params"].values()
         assert (tmp_path / path).exists()
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [("brokén.json", "cubal: bad JSON in brokén.json: Expecting property name enclosed in double quotes:"
+                         " line 1 column 2 (char 1)\n"),
+         ("missé.json", "cubal: [Errno 2] No such file or directory: 'missé.json'\n")],
+        ids=["bad-json", "missing"],
+    )
+    def test_stderr_shows_a_path_the_same_in_every_locale(self, tmp_path, name, message):
+        # stderr is written as UTF-8, so the path shows as the bytes it was given
+        (tmp_path / "brokén.json").write_bytes(b"{bad\n")
+        runs = [self.cubal(tmp_path, "classify", "--op", name, locale=loc) for loc in ("C", "C.UTF-8")]
+        assert [run.returncode for run in runs] == [2, 2]
+        assert [run.stderr for run in runs] == [message.encode("utf-8")] * 2

@@ -4,11 +4,13 @@ isomorphisms."""
 
 import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from cubal.cli import main
 from cubal.cubic import CubicMatrix
 from cubal.enumeration import orbit_census
 from cubal.errors import FormatError
@@ -20,31 +22,25 @@ from cubal.operations import (
     all_permutations,
     are_equivalent,
     enumerate_invariant_subsets,
+    image,
     left_symmetric,
     orbit,
     right_symmetric,
 )
 from cubal.structure import (
     AccompanyingElement,
-    SpannedSubspace,
     _basis_product_triple,
     _zero_product_block,
     accompanying_image,
     character_search,
-    image_ideal_span,
     in_kernel_ideal,
     is_character,
-    is_ideal,
-    is_left_ideal,
-    is_right_ideal,
-    is_subalgebra,
     left_zero_divisor_witness,
     permute_indices,
     right_zero_divisor_witness,
-    subalgebra_span,
     verify_isomorphism,
 )
-from cubal.verify import zero_divisor_trials
+from cubal.verify import check_subalgebras, subset_closures, zero_divisor_trials
 
 from conftest import mod_p_characters
 
@@ -435,36 +431,34 @@ def dense_product_block(fixed, op, side):
     return [list(row) for row in zip(*columns)]
 
 
-def all_pairs_closed(span, op, lefts, rights):
-    """True iff every nonvanishing E(s) E(t), s in lefts and t in rights, lies
-    in the span: the loop over all pairs that _absorbs cuts to meeting ones."""
+def block_sum(m, J, i=1, k=1):
+    """The sum of E(i, j, k) over j in J, every coefficient 1."""
+    return CubicMatrix(m, [int(t[0] == i and t[1] in J and t[2] == k)
+                           for t in itertools.product(range(1, m + 1), repeat=3)])
+
+
+def all_pairs_closed(op, lefts, rights, J):
+    """True iff every nonvanishing E(s) E(t), s in lefts and t in rights, has
+    its middle index in J: a loop over all basis pairs."""
     for s in lefts:
         for t in rights:
             prod = _basis_product_triple(op, s, t)
-            if prod is not None and prod not in span.triples:
+            if prod is not None and prod[1] not in J:
                 return False
     return True
 
 
-def all_pairs_verdicts(span, op):
+def all_pairs_verdicts(op, J):
+    """Whether the (1, 1) block span over J is a subalgebra, and whether the
+    span of every E(i, j, k), j in J, is a left and a right ideal."""
     every = list(itertools.product(range(1, op.m + 1), repeat=3))
-    left = all_pairs_closed(span, op, every, span.triples)
-    right = all_pairs_closed(span, op, span.triples, every)
-    return {
-        "subalgebra": all_pairs_closed(span, op, span.triples, span.triples),
-        "left": left,
-        "right": right,
-        "ideal": left and right,
-    }
-
-
-def library_verdicts(span, op):
-    return {
-        "subalgebra": is_subalgebra(span, op),
-        "left": is_left_ideal(span, op),
-        "right": is_right_ideal(span, op),
-        "ideal": is_ideal(span, op),
-    }
+    block = [(1, j, 1) for j in J]
+    span = [t for t in every if t[1] in J]
+    return (
+        all_pairs_closed(op, block, block, J),
+        all_pairs_closed(op, every, span, J),
+        all_pairs_closed(op, span, every, J),
+    )
 
 
 def support(x):
@@ -588,49 +582,53 @@ class TestZeroProductBlock:
 
 
 class TestSpans:
+    """The spans of basis matrices that invariant subsets give, through products."""
+
     def test_invariant_singleton_span(self, all_invariant3):
-        span = subalgebra_span(all_invariant3, {2}, 1, 1)
-        assert span.triples == frozenset({(1, 2, 1)})
-        assert is_subalgebra(span, all_invariant3)
+        e = E(3, 1, 2, 1)
+        assert e.mul(e, all_invariant3) == e
+        assert dict(subset_closures(all_invariant3))[(2,)][0] is True
 
     def test_non_invariant_subset_rejected(self, cycle3):
-        with pytest.raises(ValueError):
-            subalgebra_span(cycle3, {2, 3}, 1, 1)
+        # a(2, 2) = 3 but a(2, 3) = 1: the square of x_{2,3} leaves the span
+        x = block_sum(3, {2, 3})
+        assert {j for _, j, _ in support(x.mul(x, cycle3))} == {1, 2, 3}
+        assert dict(subset_closures(cycle3))[(2, 3)][0] is False
 
     def test_empty_subset_rejected(self, cycle3):
-        with pytest.raises(ValueError):
-            subalgebra_span(cycle3, set(), 1, 1)
+        # the product check probes the 2^m - 1 nonempty subsets only
+        probed = [J for J, _ in subset_closures(cycle3)]
+        assert len(probed) == len(set(probed)) == 7 and () not in probed
 
     def test_forced_non_closed_span_fails(self, cycle3):
-        span = SpannedSubspace(3, frozenset({(1, 2, 1)}))
-        assert not is_subalgebra(span, cycle3)
+        e = E(3, 1, 2, 1)
+        assert e.mul(e, cycle3) == E(3, 1, 3, 1)
+        assert dict(subset_closures(cycle3))[(2,)] == (False, False, False)
 
     def test_off_diagonal_blocks_multiply_to_zero(self, all_invariant3):
-        span = subalgebra_span(all_invariant3, {2, 3}, 1, 2)
-        assert is_subalgebra(span, all_invariant3)
-        for s in span.triples:
-            for t in span.triples:
-                e1, e2 = E(3, *s), E(3, *t)
-                assert e1.mul(e2, all_invariant3).is_zero()
+        for s in itertools.product((1,), (2, 3), (2,)):
+            for t in itertools.product((1,), (2, 3), (2,)):
+                assert E(3, *s).mul(E(3, *t), all_invariant3).is_zero()
+        x = block_sum(3, {1, 2, 3}, 1, 2)
+        assert x.mul(x, all_invariant3).is_zero()
 
     def test_block_spans_are_disjoint(self, all_invariant3):
-        spans = {
-            (i, k): subalgebra_span(all_invariant3, {1, 2}, i, k).triples
-            for i, k in itertools.product((1, 2, 3), repeat=2)
-        }
-        for b1, b2 in itertools.combinations(spans, 2):
-            assert not spans[b1] & spans[b2]
+        # block (i, k) times block (k, r) lands in block (i, r), and blocks
+        # that do not meet multiply to zero
+        for i, k, l, r in itertools.product((1, 2, 3), repeat=4):
+            prod = block_sum(3, {1, 2}, i, k).mul(block_sum(3, {1, 2}, l, r), all_invariant3)
+            blocks = {(s, u) for s, _, u in support(prod)}
+            assert blocks == ({(i, r)} if k == l else set())
 
     def test_inclusion_and_disjointness_identities(self, census3):
         for op in census3[::6]:
             invariant = [J for J in enumerate_invariant_subsets(op) if J]
+            squares = {J: support(block_sum(3, J, 2, 2).mul(block_sum(3, J, 2, 2), op)) for J in invariant}
             for J1, J2 in itertools.combinations(invariant, 2):
-                s1 = subalgebra_span(op, J1, 2, 2).triples
-                s2 = subalgebra_span(op, J2, 2, 2).triples
                 if J1 <= J2:
-                    assert s1 <= s2
+                    assert set(squares[J1]) <= {(2, j, 2) for j in J2}
                 if not (J1 & J2):
-                    assert not (s1 & s2)
+                    assert not set(squares[J1]) & set(squares[J2])
 
     def test_every_invariant_subset_spans_a_subalgebra(self, census2, census3):
         for census, m in ((census2, 2), (census3, 3)):
@@ -639,81 +637,64 @@ class TestSpans:
                     if not J:
                         continue
                     for i, k in itertools.product(range(1, m + 1), repeat=2):
-                        assert is_subalgebra(subalgebra_span(op, J, i, k), op)
+                        x = block_sum(m, J, i, k)
+                        assert {j for _, j, _ in support(x.mul(x, op))} <= J
 
 
 class TestImageIdeal:
-    def test_constant_table(self, m2_ops):
-        span = image_ideal_span(m2_ops[0])
-        assert span.triples == frozenset(
-            {(1, 1, 1), (1, 1, 2), (2, 1, 1), (2, 1, 2)}
-        )
+    """The middle indices in the image span a two-sided ideal; the subalg
+    report lists its triples."""
 
-    def test_full_image_gives_the_whole_algebra(self, m2_ops):
-        assert len(image_ideal_span(m2_ops[3]).triples) == 8
+    @staticmethod
+    def image_ideal_triples(capsys, tmp_path, op):
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps({"m": op.m, "table": [list(r) for r in op.rows]}))
+        assert main(["subalg", "--op", str(path)]) == 0
+        return [tuple(t) for t in json.loads(capsys.readouterr().out)["results"]["image_ideal_triples"]]
 
-    def test_all_invariant_table(self, all_invariant3):
-        assert len(image_ideal_span(all_invariant3).triples) == 27
+    def test_constant_table(self, m2_ops, capsys, tmp_path):
+        assert self.image_ideal_triples(capsys, tmp_path, m2_ops[0]) == [
+            (1, 1, 1), (1, 1, 2), (2, 1, 1), (2, 1, 2)
+        ]
+        assert dict(subset_closures(m2_ops[0]))[(1,)] == (True, True, True)
+
+    def test_full_image_gives_the_whole_algebra(self, m2_ops, capsys, tmp_path):
+        triples = self.image_ideal_triples(capsys, tmp_path, m2_ops[3])
+        assert triples == list(itertools.product((1, 2), repeat=3))
+
+    def test_all_invariant_table(self, all_invariant3, capsys, tmp_path):
+        assert len(self.image_ideal_triples(capsys, tmp_path, all_invariant3)) == 27
 
     def test_is_a_two_sided_ideal_everywhere(self, census2, census3):
         for op in census2 + census3:
-            assert is_ideal(image_ideal_span(op), op)
+            closures = dict(subset_closures(op))
+            assert closures[tuple(sorted(image(op)))] == (True, True, True)
 
     def test_full_span_is_an_ideal(self, cycle3):
-        full = SpannedSubspace(
-            3, frozenset(itertools.product((1, 2, 3), repeat=3))
-        )
-        assert is_ideal(full, cycle3)
+        assert dict(subset_closures(cycle3))[(1, 2, 3)] == (True, True, True)
 
     def test_one_sided_examples(self, m2_ops):
         # for the right projection, a(j, n) = n, so fixing the middle index
         # to 1 is stable under left multiplication only
         op = m2_ops[3]
-        span = SpannedSubspace(2, frozenset({(1, 1, 1), (2, 1, 1), (1, 1, 2), (2, 1, 2)}))
-        assert is_left_ideal(span, op)
-        assert not is_right_ideal(span, op)
+        assert dict(subset_closures(op)) == {
+            (1,): (True, True, False), (2,): (True, True, False), (1, 2): (True, True, True)
+        }
+        assert check_subalgebras(op)
 
 
 class TestAllPairsOracle:
-    """Subalgebra and ideal tests that visit only meeting pairs agree with the
-    loops over all pairs, and both verdicts occur for each test."""
-
-    @staticmethod
-    def tables(census2, census3):
-        return [Operation([[1]])] + census2 + census3
+    """The subalgebra and ideal verdicts read off three products per subset
+    agree with loops over all basis pairs, and both verdicts occur for each."""
 
     def test_block_and_image_ideal_spans(self, census2, census3):
-        seen = {key: set() for key in ("subalgebra", "left", "right", "ideal")}
-        for op in self.tables(census2, census3):
-            m = op.m
-            spans = [image_ideal_span(op)] + [
-                subalgebra_span(op, J, i, k)
-                for J in enumerate_invariant_subsets(op)
-                if J
-                for i, k in itertools.product(range(1, m + 1), repeat=2)
-            ]
-            for span in spans:
-                verdicts = library_verdicts(span, op)
-                assert verdicts == all_pairs_verdicts(span, op)
-                for key, value in verdicts.items():
-                    seen[key].add(value)
-        assert seen["subalgebra"] == {True}
-        assert all(seen[key] == {True, False} for key in ("left", "right", "ideal"))
-
-    def test_seeded_random_spans(self, census2, census3):
-        rng = random.Random("absorbs:random-spans")
-        seen = {key: set() for key in ("subalgebra", "left", "right", "ideal")}
-        for op in self.tables(census2, census3):
-            every = list(itertools.product(range(1, op.m + 1), repeat=3))
-            for _ in range(20):
-                n = len(every)
-                size = min(n, rng.choice((0, 1, 2, 3, n - 1, n, rng.randint(0, n))))
-                span = SpannedSubspace(op.m, frozenset(rng.sample(every, size)))
-                verdicts = library_verdicts(span, op)
-                assert verdicts == all_pairs_verdicts(span, op)
-                for key, value in verdicts.items():
-                    seen[key].add(value)
-        assert all(values == {True, False} for values in seen.values())
+        seen = [set(), set(), set()]
+        for op in [Operation([[1]])] + census2 + census3:
+            for J, closures in subset_closures(op):
+                assert closures == all_pairs_verdicts(op, set(J))
+                for values, value in zip(seen, closures):
+                    values.add(value)
+        assert seen == [{True, False}] * 3
 
 
 def nonempty_invariant_count(op):

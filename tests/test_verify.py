@@ -11,9 +11,11 @@ from cubal import verify
 from cubal.cli import main
 from cubal.cubic import CubicMatrix
 from cubal.operations import Operation
-from cubal.structure import AccompanyingElement, SpannedSubspace, accompanying_image
+from cubal.enumeration import orbit_census
+from cubal.structure import AccompanyingElement, accompanying_image
 from cubal.verify import (
     check_accompanying,
+    check_characters,
     check_commutativity,
     check_isomorphisms,
     check_plenary_powers,
@@ -160,13 +162,6 @@ def test_random_cubic_draws_as_randint_does(seeds):
             assert rng.getstate() == ref.getstate()
 
 
-def test_block_spans_equal_the_checked_spans():
-    triples = frozenset((1, j, 2) for j in (1, 3))
-    trusted = SpannedSubspace._trusted(3, triples)
-    assert trusted == SpannedSubspace(3, triples)
-    assert hash(trusted) == hash(SpannedSubspace(3, triples))
-
-
 def test_accompanying_check_fails_on_a_wrong_dense_product(monkeypatch):
     op = Operation(CYCLE3)
     assert check_accompanying(op)
@@ -249,6 +244,17 @@ def test_characters_check_fails_on_a_spurious_character(monkeypatch, capsys):
     assert captured.err.count("cubal: checks ['theorem_2'] failed for table") == 8
 
 
+def test_characters_check_fails_on_a_wrong_form(monkeypatch):
+    # one form, as many as expected, but 2 E(1,1,1) is not multiplicative
+    op = Operation([[1]])
+    assert check_characters(op)
+    monkeypatch.setattr(
+        verify, "character_search", lambda op: [CubicMatrix.basis(1, 1, 1, 1).scale(2)]
+    )
+    assert not check_characters(op)
+    assert verify.failed_checks(verify_operation(op)) == ["theorem_2"]
+
+
 def test_isomorphism_check_fails_when_pi_does_not_carry_the_table(monkeypatch):
     op = Operation(CYCLE3)
     assert check_isomorphisms(op)
@@ -304,23 +310,73 @@ def test_plenary_check_fails_on_a_power_sequence_off_by_one(monkeypatch):
     assert not check_plenary_powers(op)
 
 
-def test_subalgebra_check_fails_when_the_image_ideal_drops_a_triple(monkeypatch):
-    op = Operation(CYCLE3)
-    assert check_subalgebras(op)
-    span = verify.image_ideal_span
-    monkeypatch.setattr(
-        verify,
-        "image_ideal_span",
-        lambda op: SpannedSubspace(op.m, span(op).triples - {min(span(op).triples)}),
-    )
-    assert not check_subalgebras(op)
+def opposite(op):
+    """The table of a(n, j) at (j, n)."""
+    return Operation([list(col) for col in zip(*op.rows)], unchecked=True)
 
 
-def test_subalgebra_check_fails_on_a_non_invariant_subset(monkeypatch):
-    # {2, 3} is not closed in the cyclic group: a(2, 2) = 3 but a(2, 3) = 1
-    op = Operation(CYCLE3)
-    subsets = verify.enumerate_invariant_subsets
+def test_subalgebra_check_fails_under_the_opposite_product(monkeypatch):
+    # a product computed on the opposite table swaps a(S, J) and a(J, S), so
+    # theorem_4 turns red exactly on the tables whose left and right ideals differ
+    mul = CubicMatrix.mul
+    monkeypatch.setattr(CubicMatrix, "mul", lambda x, y, op: mul(x, y, opposite(op)))
+    for m, red in ((1, 0), (2, 2), (3, 50)):
+        doc = verify_census(m)
+        assert sum(entry["theorem_4"] is False for entry in doc["results"]) == red
+
+
+def test_subalgebra_check_fails_when_a_closure_test_skips_a_member(monkeypatch, census3):
+    closed = verify._table_closed
     monkeypatch.setattr(
-        verify, "enumerate_invariant_subsets", lambda op: subsets(op) + [frozenset({2, 3})]
+        verify, "_table_closed", lambda rows, lefts, rights, J: closed(rows, tuple(lefts)[:-1], rights, J)
     )
-    assert not check_subalgebras(op)
+    # in the cyclic group a(2, 2) = 3 leaves {1, 2}; skipping 2 on the left misses it
+    assert not check_subalgebras(Operation(CYCLE3))
+    assert verify_operation(Operation(CYCLE3))["theorem_4"] is False
+    assert sum(not check_subalgebras(op) for op in census3) > 0
+
+
+def test_subalgebra_check_fails_when_an_off_diagonal_square_is_not_zero(monkeypatch):
+    # the left factor's last index is read as 1, so E(i, j, k) E(1, n, r) never
+    # vanishes; the subset probes end in 1 already, so only y y sees it
+    mul = CubicMatrix.mul
+
+    def always_meet(x, y, op):
+        m, moved = x.m, [0] * x.m**3
+        for flat, v in x.nonzero_items():
+            moved[flat - flat % m] += v
+        return mul(CubicMatrix(m, moved), y, op)
+
+    ops = [Operation(table) for table in ([[1, 1], [1, 1]], CYCLE3)]
+    closures = [list(verify.subset_closures(op)) for op in ops]
+    monkeypatch.setattr(CubicMatrix, "mul", always_meet)
+    assert [list(verify.subset_closures(op)) for op in ops] == closures
+    assert not any(check_subalgebras(op) for op in ops)
+
+
+SUBSET_COUNTS = {  # subsemigroups, left ideals, right ideals, two-sided, tables with left != right
+    (2, "minima"): (13, 9, 9, 7, 2),
+    (3, "minima"): (128, 74, 74, 57, 12),
+    (4, "minima"): (1857, 903, 903, 668, 129),
+    (2, "labelled"): (20, 14, 14, 12, 2),
+    (3, "labelled"): (578, 341, 341, 281, 50),
+    (4, "labelled"): (33420, 16682, 16682, 12876, 2328),
+}
+
+
+@pytest.mark.parametrize("m, tables", list(SUBSET_COUNTS), ids=lambda v: str(v))
+def test_subset_closure_counts(m, tables, census2, census3, census4):
+    # nonempty subsets only, counted through the check's products
+    if tables == "minima":
+        ops = [op for op, _ in orbit_census(m).representatives]
+    else:
+        ops = {2: census2, 3: census3, 4: census4}[m]
+    counts = [0] * 5
+    for op in ops:
+        closures = [c for _, c in verify.subset_closures(op)]
+        counts[0] += sum(c[0] for c in closures)
+        counts[1] += sum(c[1] for c in closures)
+        counts[2] += sum(c[2] for c in closures)
+        counts[3] += sum(c[1] and c[2] for c in closures)
+        counts[4] += any(c[1] != c[2] for c in closures)
+    assert tuple(counts) == SUBSET_COUNTS[m, tables]
