@@ -42,7 +42,8 @@ for idx, op in enumerate(ops2, start=1):
     print(f"  #{idx} -> #{partner}")
 
 census = orbit_census(2)
-print(f"\nOrbit census for m=2: {census.orbit_count} orbits with sizes {census.orbit_sizes()}")
+sizes = [size for _, size in census.representatives]
+print(f"\nOrbit census for m=2: {census.orbit_count} orbits with sizes {sizes}")
 for rep, size in census.representatives:
     print(f"  representative {[list(r) for r in rep.rows]} generates an orbit of size {size}")
 

@@ -15,7 +15,6 @@ from cubal import (
     CubicMatrix,
     Operation,
     classify_power_sequence,
-    closure,
     enumerate_invariant_subsets,
     enumerate_operations,
     image,
@@ -52,7 +51,8 @@ print("  the squaring cycle of 2 is", sorted(classify_power_sequence(2, cycle).c
       "but it is not invariant:", invariance_violation({2, 3}, cycle))
 x = ones(3, {2, 3})
 print("  so x_{2,3} squares onto middle indices", sorted(middles(x.mul(x, cycle))))
-print("  the closure of {2} grows to", sorted(closure({2}, cycle)))
+hull = next(J for J in enumerate_invariant_subsets(cycle) if 2 in J)  # listed by size
+print("  the least invariant set holding 2 is", sorted(hull))
 
 print("\nA table whose every subset is invariant:")
 subsets = enumerate_invariant_subsets(laced)

@@ -26,11 +26,9 @@ from .operations import (
     check_associative,
     classify_power_sequence,
     classify_symmetry,
-    closure,
     enumerate_invariant_subsets,
     image,
     invariance_violation,
-    is_invariant,
     is_symmetric,
     left_symmetric,
     orbit,
@@ -72,7 +70,6 @@ __all__ = [
     "check_associative",
     "classify_power_sequence",
     "classify_symmetry",
-    "closure",
     "collect_operations",
     "count_operations",
     "enumerate_invariant_subsets",
@@ -81,7 +78,6 @@ __all__ = [
     "in_kernel_ideal",
     "invariance_violation",
     "is_character",
-    "is_invariant",
     "is_symmetric",
     "left_symmetric",
     "left_zero_divisor_witness",

@@ -314,9 +314,6 @@ class CensusResult:
     def orbit_count(self) -> int:
         return len(self.representatives)
 
-    def orbit_sizes(self) -> list[int]:
-        return [size for _, size in self.representatives]
-
 
 def orbit_census(m: int, *, jobs: int = 1, max_m: int = DEFAULT_MAX_M) -> CensusResult:
     """Partition the census into relabeling orbits without listing it.

@@ -23,10 +23,6 @@ def dump_json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def operation_to_doc(op: Operation) -> dict:
-    return {"m": op.m, "table": [list(row) for row in op.rows]}
-
-
 def _doc_m(doc) -> int:
     m = doc["m"]
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
@@ -41,12 +37,6 @@ def operation_from_doc(doc, *, unchecked: bool = False) -> Operation:
     if not isinstance(table, list) or len(table) != _doc_m(doc):
         raise FormatError('"table" must hold m rows')
     return Operation(table, unchecked=unchecked)
-
-
-def table_to_text(op: Operation) -> str:
-    lines = [str(op.m)]
-    lines.extend(" ".join(str(v) for v in row) for row in op.rows)
-    return "\n".join(lines) + "\n"
 
 
 def table_from_text(text: str, *, unchecked: bool = False) -> Operation:

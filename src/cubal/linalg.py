@@ -1,11 +1,12 @@
 """Exact Gaussian elimination over the rationals.
 
 Matrices are lists of row lists.  One fraction-free (Bareiss) forward pass
-serves all: ``first_dependent_column`` stops it at the first pivotless column,
-``det`` reads its last pivot, and ``rref`` (so ``rank`` and ``kernel_basis``)
-ends with back substitution on the pivot rows.  Rows are scaled to ints
-(``scalars.integral``; all-int rows in one scan), so every division is exact
-with ``//``.  Entries become ``Fraction`` only when normalized.
+serves all: ``first_dependent_column`` stops it at the first pivotless column
+and returns the pivot rows it has reduced, ``det`` reads its last pivot, and
+``rref`` (so ``rank`` and ``kernel_basis``) ends with back substitution on
+the pivot rows.  Rows are scaled to ints (``scalars.integral``; all-int rows
+in one scan), so every division is exact with ``//``.  Entries become
+``Fraction`` only when normalized.
 """
 
 from __future__ import annotations
@@ -60,17 +61,19 @@ def _forward(mat):
         prev = p
 
 
-def first_dependent_column(rows) -> tuple[int | None, list[int]]:
-    """The first column that depends on those before it (the first without a
-    pivot in ``rref(rows)``), or None, and the indices of the rows that took
-    the pivots before it, in pivot order: the forward pass, stopped there."""
+def first_dependent_column(rows) -> tuple[int | None, list[list[int]]]:
+    """The first column f that depends on those before it (the first without a
+    pivot in ``rref(rows)``), and the f pivot rows the forward pass has reduced
+    by then, cut to columns 0..f: row i is 0 before column i and nonzero at it,
+    and the rows have the rref of the first f + 1 columns.  (None, []) when
+    every column has a pivot."""
     mat, _ = _integral_rows(rows)
-    left, used = list(range(len(mat))), []
+    tops = []
     for c, step in enumerate(_forward(mat)):
         if step is None:
-            return c, used
-        used.append(left.pop(step[0]))
-    return None, used
+            return c, [[0] * i + top[: c + 1 - i] for i, top in enumerate(tops)]
+        tops.append(step[1])
+    return None, []
 
 
 def rref(rows) -> tuple[list[list], list[int]]:

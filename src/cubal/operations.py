@@ -21,6 +21,8 @@ PERIODIC = "periodic"
 CONVERGENT = "convergent"
 EVENTUALLY_PERIODIC = "eventually_periodic"
 
+MAX_SUBSET_SCAN_M = 20
+
 
 def _normalize_rows(table) -> tuple[tuple[int, ...], ...]:
     try:
@@ -229,40 +231,36 @@ def _validate_subset(members, m: int) -> frozenset[int]:
     return J
 
 
-def is_invariant(J, a: Operation) -> bool:
-    """True iff a(s, t) stays in J for all s, t in J (vacuously true for the empty set)."""
-    return invariance_violation(J, a) is None
-
-
 def invariance_violation(J, a: Operation) -> tuple[int, int, int] | None:
     """The first (s, t, a(s, t)) escaping J, or None when J is invariant."""
-    return _escape(tuple(sorted(_validate_subset(J, a.m))), a.rows)
+    members = tuple(sorted(_validate_subset(J, a.m)))
+    return _escape(a.rows, members, members, members)
 
 
-def _escape(members: tuple, rows) -> tuple[int, int, int] | None:
-    """The first (s, t, a(s, t)), s then t in the order of members, with
-    a(s, t) not a member; None when the members are closed under a."""
-    for s in members:
+def _escape(rows, lefts, rights, J) -> tuple[int, int, int] | None:
+    """The first (s, t, a(s, t)), s in lefts then t in rights, in their order,
+    with a(s, t) not in J; None when a(lefts, rights) lies in J."""
+    for s in lefts:
         row = rows[s - 1]
-        for t in members:
-            if row[t - 1] not in members:
+        for t in rights:
+            if row[t - 1] not in J:
                 return (s, t, row[t - 1])
     return None
 
 
-def enumerate_invariant_subsets(a: Operation, *, max_m: int = 20) -> list[frozenset[int]]:
+def enumerate_invariant_subsets(a: Operation) -> list[frozenset[int]]:
     """All invariant subsets of {1, .., m}, ordered by size then members.
 
-    Exhaustive over 2^m subsets, hence the budget guard.
+    Exhaustive over 2^m subsets, hence the guard at m = MAX_SUBSET_SCAN_M.
     """
     m = a.m
-    if m > max_m:
-        raise CapacityError(f"2^{m} subset scan exceeds the budget (max m = {max_m})")
+    if m > MAX_SUBSET_SCAN_M:
+        raise CapacityError(f"2^{m} subset scan exceeds the budget (max m = {MAX_SUBSET_SCAN_M})")
     return [
         frozenset(members)
         for size in range(m + 1)
         for members in itertools.combinations(range(1, m + 1), size)
-        if _escape(members, a.rows) is None
+        if _escape(a.rows, members, members, members) is None
     ]
 
 
@@ -328,13 +326,3 @@ def _classify_squaring(x, square) -> PowerSequence:
     if period == 1:
         return PowerSequence(CONVERGENT, entry, 1, cycle)
     return PowerSequence(EVENTUALLY_PERIODIC, entry, period, cycle)
-
-
-def closure(K, a: Operation) -> frozenset[int]:
-    """The least invariant superset of K: iterate J <- J U a(J, J) to a fixed point."""
-    J = _validate_subset(K, a.m)
-    while True:
-        grown = J | {a(s, t) for s in J for t in J}
-        if grown == J:
-            return J
-        J = grown

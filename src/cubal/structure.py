@@ -237,19 +237,17 @@ def _solve_zero_product(
     it, 0 after.  Row operations act on each column prefix alone and the
     reduced form is unique, so the rref of the first f + 1 columns is the
     prefix of rref(M): its kernel vector, padded with 0s, is the same in value and type.
-    The f rows that took the pivots before f span the rows of that prefix,
-    so only they are reduced (one zero row when f = 0).
+    The forward pass that finds f has already reduced the f pivot rows of
+    that prefix, so ``kernel_basis`` only finishes them (one zero row when f = 0).
     """
     m = fixed.m
     if op.m != m:
         raise ValueError("size mismatch")
-    block = _zero_product_block(fixed, op, side)
-    f, pivot_rows = first_dependent_column(block)
+    f, prefix = first_dependent_column(_zero_product_block(fixed, op, side))
     if f is None:
         return None
     entries = [0] * (m * m * m)
-    prefix = [block[k][: f + 1] for k in pivot_rows] or [[0]]
-    vec = kernel_basis(prefix)[0] + [0] * (m * m - f - 1)
+    vec = kernel_basis(prefix or [[0]])[0] + [0] * (m * m - f - 1)
     entries[slice(None, None, m) if side == "left" else slice(m * m)] = vec
     return CubicMatrix(m, entries)
 

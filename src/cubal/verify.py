@@ -18,6 +18,7 @@ from .linalg import rank
 from .operations import (
     Operation,
     _classify_squaring,
+    _escape,
     act,
     all_permutations,
     classify_power_sequence,
@@ -148,7 +149,7 @@ def check_subalgebras(op: Operation) -> bool:
     rows, S = op.rows, range(1, op.m + 1)
     y = _subset_probes(op.m)[1]
     return (y is None or y.mul(y, op).is_zero()) and all(
-        closures == tuple(_table_closed(rows, *sides, J) for sides in ((J, J), (S, J), (J, S)))
+        closures == tuple(_escape(rows, *sides, J) is None for sides in ((J, J), (S, J), (J, S)))
         for J, closures in subset_closures(op)
     )
 
@@ -168,25 +169,21 @@ def subset_closures(op: Operation):
         )
 
 
-def _table_closed(rows, lefts, rights, J) -> bool:
-    """True iff a(s, t) lies in J for every s in lefts and t in rights."""
-    return all(rows[s - 1][t - 1] in J for s in lefts for t in rights)
-
-
 @functools.lru_cache(maxsize=None)
 def _subset_probes(m: int):
     """The factor pairs of theorem_4, built once per m: per nonempty J, J with
-    (x_J, x_J), (u, x_J) and (x_J, u); and the sum of E(1, j, 2) over j, or
-    None when m = 1.  Each pair has a left factor of its own, so from the
-    second table on ``mul`` only adds the pair's kept slice products."""
+    (x_J, x_J), (u, x_J) and (x_J, u), one u = x_{1..m} for all; and the sum
+    of E(1, j, 2) over j, or None when m = 1.  Each factor meets a new right
+    factor on every product, so the probes take ``mul``'s slab path."""
     def ones(J, k=1):  # the sum of E(1, j, k) over j in J
         slab = tuple(((j - 1) * m + k - 1, 1) for j in J)
         return CubicMatrix._from_form(m, (slab,) + ((),) * (m - 1), 1)
 
     S, probes = tuple(range(1, m + 1)), []
+    u = ones(S)
     for J in (J for size in S for J in itertools.combinations(S, size)):
         x = ones(J)
-        probes.append((J, ((x, x), (ones(S), x), (ones(J), ones(S)))))
+        probes.append((J, ((x, x), (u, x), (x, u))))
     return tuple(probes), ones(S, 2) if m >= 2 else None
 
 

@@ -264,12 +264,12 @@ class TestOrbitCensus:
     def test_m1(self):
         census = orbit_census(1)
         assert census.orbit_count == 1
-        assert census.orbit_sizes() == [1]
+        assert census.representatives == ((Operation([[1]]), 1),)
 
     def test_m2_structure(self, orbits2, m2_ops):
         assert orbits2.total == 8
         assert orbits2.orbit_count == 5
-        assert sorted(orbits2.orbit_sizes()) == [1, 1, 2, 2, 2]
+        assert sorted(size for _, size in orbits2.representatives) == [1, 1, 2, 2, 2]
         reps = [rep for rep, _ in orbits2.representatives]
         assert reps == [m2_ops[0], m2_ops[1], m2_ops[2], m2_ops[3], m2_ops[4]]
 
@@ -282,8 +282,9 @@ class TestOrbitCensus:
         assert orbit(rep6) == members
 
     def test_sizes_sum_to_total_and_divide_group_order(self, orbits3):
-        assert sum(orbits3.orbit_sizes()) == orbits3.total == 113
-        for size in orbits3.orbit_sizes():
+        sizes = [size for _, size in orbits3.representatives]
+        assert sum(sizes) == orbits3.total == 113
+        for size in sizes:
             assert 6 % size == 0
 
     def test_representatives_are_canonical(self, orbits3):
@@ -294,7 +295,7 @@ class TestOrbitCensus:
         census = orbit_census(4)
         assert census.total == 3492
         assert census.orbit_count == 188
-        assert sum(census.orbit_sizes()) == 3492
+        assert sum(size for _, size in census.representatives) == 3492
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_orbit_count_against_burnside(self, m, census2, census3, census4):

@@ -15,10 +15,8 @@ from cubal.formats import (
     dump_json,
     expand_census,
     operation_from_doc,
-    operation_to_doc,
     parse_operation,
     table_from_text,
-    table_to_text,
 )
 from cubal.operations import Operation
 from cubal.scalars import format_scalar, parse_scalar
@@ -47,19 +45,29 @@ class TestScalars:
                 parse_scalar(bad)
 
 
+def table_doc(op):
+    """The JSON table format of op."""
+    return {"m": op.m, "table": [list(row) for row in op.rows]}
+
+
+def table_text(op):
+    """The text table format of op: m, then one line per row."""
+    return "\n".join([str(op.m), *(" ".join(map(str, row)) for row in op.rows)]) + "\n"
+
+
 class TestOperationFormats:
     def test_json_round_trip(self):
         op = Operation(CYCLE3)
-        assert operation_from_doc(operation_to_doc(op)) == op
+        assert operation_from_doc(table_doc(op)) == op
 
     def test_text_round_trip(self):
         op = Operation(CYCLE3)
-        assert table_from_text(table_to_text(op)) == op
+        assert table_from_text(table_text(op)) == op
 
     def test_parse_sniffs_json(self):
         op = Operation(M2_TABLES[1])
-        assert parse_operation(json.dumps(operation_to_doc(op)), "t.json") == op
-        assert parse_operation(table_to_text(op), "t.txt") == op
+        assert parse_operation(json.dumps(table_doc(op)), "t.json") == op
+        assert parse_operation(table_text(op), "t.txt") == op
 
     def test_non_associative_rejected_without_escape(self):
         text = "2\n2 1\n1 1\n"

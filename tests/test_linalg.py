@@ -287,6 +287,12 @@ def first_missing_pivot(rows):
     return next((c for c in range(len(rows[0]) if rows else 0) if c not in pivots), None)
 
 
+def echelon(rows):
+    """The nonzero rows of rref(rows) and its pivot columns."""
+    reduced, pivots = rref(rows)
+    return reduced[: len(pivots)], pivots
+
+
 class TestFirstDependentColumn:
     """The forward elimination stops where rref finds its first free column."""
 
@@ -308,17 +314,18 @@ class TestFirstDependentColumn:
         for _ in range(40):
             mat = self.matrix(kind, n_rows, n_cols, rng)
             snapshot = [list(row) for row in mat]
-            f, used = first_dependent_column(mat)
+            f, reduced = first_dependent_column(mat)
             assert f == first_missing_pivot(mat)
             assert mat == snapshot
-            # one pivot row per column before f, independent on those columns,
-            # so they span the rows of the first f + 1 columns
-            cut = n_cols if f is None else f
-            assert len(used) == len(set(used)) == cut
-            assert rank([mat[k][:cut] for k in used]) == cut
-            if f is not None:
-                assert rank([row[: f + 1] for row in mat]) == cut
             seen.add(f is None)
+            if f is None:
+                assert reduced == []
+                continue
+            # the f pivot rows the forward pass reduced, on columns 0..f
+            assert [len(row) for row in reduced] == [f + 1] * f
+            for i, row in enumerate(reduced):
+                assert not any(row[:i]) and row[i] != 0
+            assert echelon(reduced) == echelon([row[: f + 1] for row in mat])
         if n_rows >= n_cols > 1 and kind != "sparse":
             assert seen == {True, False}
 
@@ -326,9 +333,14 @@ class TestFirstDependentColumn:
         assert first_dependent_column([[0] * 3 for _ in range(2)]) == (0, [])
         assert first_dependent_column([[Fraction(0)], [0]]) == (0, [])
         identity = [[int(r == c) for c in range(4)] for r in range(4)]
-        assert first_dependent_column(identity) == (None, [0, 1, 2, 3])
+        assert first_dependent_column(identity) == (None, [])
         # the rows run out before the columns do
-        assert first_dependent_column([[1, 0, 5], [0, 1, 7]]) == (2, [0, 1])
-        # pivot rows are indexed in the matrix as given, in pivot order
-        assert first_dependent_column([[0, 0, 1], [0, 2, 0], [3, 1, 0]]) == (None, [2, 1, 0])
-        assert first_dependent_column([[0, 1], [1, 1], [2, 2]]) == (None, [1, 0])
+        assert first_dependent_column([[1, 0, 5], [0, 1, 7]]) == (2, [[1, 0, 5], [0, 1, 7]])
+        # pivot rows come in pivot order, reduced fraction-free and scaled to ints
+        assert first_dependent_column([[0, 1, 1], [2, 1, 0], [4, 2, 0]]) == (
+            2, [[2, 1, 0], [0, 2, 2]]
+        )
+        assert first_dependent_column([[Fraction(1, 2), 1, 0], [1, 0, 1]]) == (
+            2, [[1, 2, 0], [0, -2, 1]]
+        )
+        assert first_dependent_column([[0, 1], [1, 1], [2, 2]]) == (None, [])

@@ -326,9 +326,9 @@ def test_subalgebra_check_fails_under_the_opposite_product(monkeypatch):
 
 
 def test_subalgebra_check_fails_when_a_closure_test_skips_a_member(monkeypatch, census3):
-    closed = verify._table_closed
+    escape = verify._escape
     monkeypatch.setattr(
-        verify, "_table_closed", lambda rows, lefts, rights, J: closed(rows, tuple(lefts)[:-1], rights, J)
+        verify, "_escape", lambda rows, lefts, rights, J: escape(rows, tuple(lefts)[:-1], rights, J)
     )
     # in the cyclic group a(2, 2) = 3 leaves {1, 2}; skipping 2 on the left misses it
     assert not check_subalgebras(Operation(CYCLE3))

@@ -6,10 +6,12 @@ The inputs are those of perfbench's verify-battery workload: all 113
 associative tables on three symbols and the five seeded m = 4 tables of its
 ``battery_setup``.  One repeat runs every check of ``verify.battery()`` over all
 of them, one check at a time; each check's best repeat is reported under the
-check's function name, with their sum.
+check's function name, with their sum.  Garbage is collected before each
+check's timed pass, so no check is timed collecting another's garbage.
 The first repeat also fills the once-per-m cache of ``check_accompanying``,
-so ``--repeat 1`` includes that fill.  A check that returns false on any
-table makes the exit status 1.  The last line of stdout is one JSON object.
+so ``--repeat 1`` includes that fill.  A check whose verdict on any table
+is not ``True`` (the rule of ``verify.failed_checks``) makes the exit
+status 1.  The last line of stdout is one JSON object.
 Standard library only; cubal and perfbench's ``workloads`` are imported
 from this checkout.
 """
@@ -17,6 +19,7 @@ from this checkout.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import platform
 import sys
@@ -49,10 +52,11 @@ def main(argv=None) -> int:
     failed = set()
     for _ in range(args.repeat):
         for name, check in checks:
+            gc.collect()
             start = time.perf_counter()
             verdicts = [verdict(check(op)) for op in tables]
             best[name] = min(best[name], time.perf_counter() - start)
-            if not all(verdicts):
+            if any(v is not True for v in verdicts):
                 failed.add(name)
     for name, value in best.items():
         print(f"{name:24s} {value:8.4f} s")
