@@ -176,19 +176,20 @@ def _lex_filter(buckets, known, pos: int, v: int, f: int, trail, moved) -> bool:
 
 
 def _search(m: int, t: list[int], val_cells, forced, pos: int, stop: int, buckets=None, prefix=()):
-    """Yield (cells, buckets) for every consistent completion of t up to ``stop``
+    """Yield (cells, |Aut|) for every consistent completion of t up to ``stop``
     that starts with ``prefix``: in a prefix cell only the prefix's value is tried.
 
     With lex-leader ``buckets`` (see ``_lex_filter``), ``forced`` also holds
     each set cell's value, which the consistency pass never reads, and so is
-    the table of known values.  With none, every completion is yielded.
+    the table of known values; |Aut| counts the identity and the relabelings
+    in the sentinel bucket.  With none, every completion is yielded with 1.
     After each value, pruned or not, this is the one place it is undone: the
     buckets on ``moved`` are popped, ``forced[pos]`` is reset (a no-op in the
     labelled search, which never writes it) and the cells on ``trail`` are
     freed, so the search returns every argument as it found it.
     """
     if pos == stop:
-        yield tuple(t[:stop]), buckets
+        yield tuple(t[:stop]), 1 + len(buckets[-1]) if buckets else 1
         return
     f = forced[pos]
     trail: list[int] = []
@@ -239,32 +240,21 @@ def _to_operation(m: int, flat: tuple[int, ...], rows: dict) -> Operation:
     return Operation._trusted(tuple(table))
 
 
-def _leaf_stream(m: int, prefix, lex: bool):
-    """Every leaf below the prefix as it is found, each with |Aut| (1 in the
-    labelled search)."""
-    leaves = _search_from_root(m, m * m, lex, prefix)
-    return ((flat, 1 + len(b[-1]) if lex else 1) for flat, b in leaves)
-
-
 def _leaves(args) -> list[tuple[tuple[int, ...], int]]:
-    """A pool worker's task: the whole ``_leaf_stream`` of one prefix."""
-    return list(_leaf_stream(*args))
-
-
-def _orbit_minima(m: int, jobs: int):
-    """(flat, m!/|Aut|) for every orbit minimum, in lexicographic order."""
-    return ((flat, math.factorial(m) // aut) for flat, aut in _map_over_prefixes(m, jobs, lex=True))
+    """A pool worker's task: every (flat, |Aut|) leaf of one prefix's search."""
+    return list(_search_from_root(*args))
 
 
 def _map_over_prefixes(m: int, jobs: int, lex: bool = False):
     """(flat, |Aut|) for every leaf, in order.  One task streams the search from
     the empty prefix (or the only one); with more jobs each prefix of two rows
     (``lex``) or one row is a task, and a pool worker returns its ``_leaves``."""
-    tasks = [(m, (), lex)]
+    tasks = [(m, m * m, lex)]
     if jobs > 1:
-        tasks = [(m, p, lex) for p, _ in _search_from_root(m, min(2 * m, m * m) if lex else m, lex)]
+        prefixes = _search_from_root(m, min(2 * m, m * m) if lex else m, lex)
+        tasks = [(m, m * m, lex, p) for p, _ in prefixes]
     if len(tasks) == 1:
-        yield from _leaf_stream(*tasks[0])
+        yield from _search_from_root(*tasks[0])
         return
     import multiprocessing  # only here, so a run that starts no pool never loads it
 
@@ -287,7 +277,7 @@ def count_operations(m: int, *, jobs: int = 1, max_m: int = DEFAULT_MAX_M) -> in
     """The number of associative operations on {1, .., m}, as the sum of m!/|Aut|
     over the orbit minima; no labelled table is visited."""
     _check_budget(m, max_m, "counting", jobs)
-    return sum(size for _, size in _orbit_minima(m, jobs))
+    return sum(math.factorial(m) // aut for _, aut in _map_over_prefixes(m, jobs, lex=True))
 
 
 def collect_operations(m: int, *, jobs: int = 1, max_m: int = DEFAULT_MAX_M) -> list[Operation]:
@@ -324,7 +314,8 @@ def orbit_census(m: int, *, jobs: int = 1, max_m: int = DEFAULT_MAX_M) -> Census
     """
     _check_budget(m, max_m, "orbit classification", jobs)
     rows: dict = {}
-    minima = _orbit_minima(m, jobs)
-    representatives = tuple((_to_operation(m, flat, rows), size) for flat, size in minima)
+    minima = _map_over_prefixes(m, jobs, lex=True)
+    order = math.factorial(m)
+    representatives = tuple((_to_operation(m, flat, rows), order // aut) for flat, aut in minima)
     total = sum(size for _, size in representatives)
     return CensusResult(m=m, total=total, representatives=representatives)

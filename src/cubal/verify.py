@@ -14,7 +14,6 @@ from math import gcd, lcm
 
 from .cubic import CubicMatrix, _slabs_of
 from .enumeration import DEFAULT_MAX_M, collect_operations
-from .linalg import rank
 from .operations import (
     Operation,
     _classify_squaring,
@@ -85,7 +84,8 @@ def check_characters(op: Operation) -> bool:
 def check_accompanying(op: Operation) -> bool:
     """The fiber-sum map is a surjective homomorphism with the stated kernel.
 
-    Basis images, surjectivity and the seeded trials' kernel-ideal facts are
+    The basis images (E(i, j, k) goes to the unit u(i, k), so every unit is
+    reached and the map is onto) and the seeded trials' kernel-ideal facts are
     checked once per m by ``_accompanying_trials``; each table runs the law
     phi(xy) = phi(x) phi(y) on one seeded dense pair and the two dense
     products of each kernel trial.
@@ -107,10 +107,6 @@ def _accompanying_trials(m: int):
     triples = list(itertools.product(range(1, m + 1), repeat=3))
     images = [accompanying_image(CubicMatrix.basis(m, *s)) for s in triples]
     if images != [AccompanyingElement.unit(m, s[0], s[2]) for s in triples]:
-        return None
-    # surjectivity: basis images must span all m^2 coefficient dimensions
-    coeff_rows = [[u.coeffs[i][j] for u in images] for i in range(m) for j in range(m)]
-    if rank(coeff_rows) != m * m:
         return None
     rng = random.Random(RNG_SEED)
     pairs = []

@@ -214,7 +214,7 @@ def test_accompanying_check_fails_when_the_map_drops_a_fiber(monkeypatch):
 
 
 def test_accompanying_check_fails_on_an_unbalanced_trial(monkeypatch):
-    # images and rank stay right; only the trial elements see the mutation
+    # the basis images stay right; only the trial elements see the mutation
     op = Operation(CYCLE3)
     balance = verify._fiber_balance
     monkeypatch.setattr(verify, "_fiber_balance", lambda x: balance(x).scale(2))
