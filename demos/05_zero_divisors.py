@@ -18,6 +18,7 @@ from cubal import (
     left_zero_divisor_witness,
     right_symmetric,
 )
+from cubal.linalg import det
 
 E = CubicMatrix.basis
 rng = random.Random(2)
@@ -34,14 +35,14 @@ left_proj = left_symmetric(2)
 
 print("Right projection, singular accompanying matrix:")
 a = E(2, 1, 1, 1)
-print("  det =", accompanying_image(a).det())
+print("  det =", det(accompanying_image(a).coeffs))
 w = left_zero_divisor_witness(a, right_proj)
 print("  witness:", w)
 print("  A X == 0 exactly:", a.mul(w, right_proj).is_zero())
 
 print("\nRight projection, nonsingular accompanying matrix:")
 b = E(2, 1, 1, 1) + E(2, 2, 2, 2)
-print("  det =", accompanying_image(b).det())
+print("  det =", det(accompanying_image(b).coeffs))
 print("  witness:", left_zero_divisor_witness(b, right_proj))
 
 print("\nLeft projection: every matrix is a left zero divisor:")
@@ -59,7 +60,7 @@ for trial in range(40):
         entries = list(a.entries)
         entries[4:8] = entries[0:4]  # duplicate outer slices: det 0 by construction
         a = CubicMatrix(2, entries)
-    singular = accompanying_image(a).det() == 0
+    singular = det(accompanying_image(a).coeffs) == 0
     found = left_zero_divisor_witness(a, right_proj) is not None
     agree += singular == found
 print(f"  agreement on 40 matrices: {agree}/40")

@@ -31,6 +31,7 @@ from .enumeration import (
     orbit_census,
 )
 from .errors import CubalError, FormatError
+from .linalg import det
 from .operations import (
     classify_power_sequence,
     classify_symmetry,
@@ -225,7 +226,7 @@ def _run_zerodiv(args, inputs):
         "side": args.side,
         "exists": witness is not None,
         "witness": None if witness is None else formats.cubic_to_doc(witness),
-        "accompanying_determinant": format_scalar(accompanying_image(a).det()),
+        "accompanying_determinant": format_scalar(det(accompanying_image(a).coeffs)),
     }
 
 

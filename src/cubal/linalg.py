@@ -6,7 +6,8 @@ and returns the pivot rows it has reduced, ``det`` reads its last pivot, and
 ``rref`` (so ``rank`` and ``kernel_basis``) ends with back substitution on
 the pivot rows.  Rows are scaled to ints (``scalars.integral``; all-int rows
 in one scan), so every division is exact with ``//``.  Entries become
-``Fraction`` only when normalized.
+``Fraction`` only when normalized.  ``matmul`` is the product of the m x m
+accompanying algebra, whose elements are these rows.
 """
 
 from __future__ import annotations
@@ -120,6 +121,15 @@ def det(rows):
             return Fraction(0)
         sign, p = (-sign if step[0] % 2 else sign), step[1][0]
     return Fraction(sign * p, scale)
+
+
+def matmul(p, q) -> tuple[tuple, ...]:
+    """The product of the rows p and q, as row tuples; ragged rows in q, or a
+    row of p whose length is not the number of rows of q, raise ``ValueError``."""
+    cols = tuple(zip(*q, strict=True))
+    return tuple(
+        tuple(sum(a * b for a, b in zip(row, col, strict=True)) for col in cols) for row in p
+    )
 
 
 def kernel_basis(rows) -> list[list]:

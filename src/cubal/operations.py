@@ -22,6 +22,7 @@ CONVERGENT = "convergent"
 EVENTUALLY_PERIODIC = "eventually_periodic"
 
 MAX_SUBSET_SCAN_M = 20
+MAX_ORBIT_M = 8
 
 
 def _normalize_rows(table) -> tuple[tuple[int, ...], ...]:
@@ -185,7 +186,12 @@ def act(pi: Permutation, a: Operation) -> Operation:
 
 
 def orbit(a: Operation) -> frozenset[Operation]:
-    """The set of relabelings of a under the full symmetric group."""
+    """The set of relabelings of a under the full symmetric group.
+
+    It visits all m! permutations, hence the guard at m = MAX_ORBIT_M.
+    """
+    if a.m > MAX_ORBIT_M:
+        raise CapacityError(f"{a.m}! relabeling scan exceeds the budget (max m = {MAX_ORBIT_M})")
     return frozenset(act(pi, a) for pi in all_permutations(a.m))
 
 

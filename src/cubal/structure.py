@@ -4,103 +4,31 @@ Covers the basis-relabeling isomorphisms between equivalent operations, the
 multiplicative-linear-form (character) decision procedure, exact
 zero-divisor solvers (an m^2 x m^2 block, filled by one loop over the fixed
 factor's int form and reduced up to its first dependent column), and the
-kernel ideal of the accompanying surjection.  It also holds the
-accompanying algebra: ``AccompanyingElement`` is the library's one m x m
-matrix type, whose coefficients must be ints or Fractions, and
-``accompanying_image``, the surjection onto it, is the one place the
-middle-index fiber sums are taken.
+kernel ideal of the accompanying surjection.  ``accompanying_image``, the
+surjection onto the accompanying algebra, is the one place the middle-index
+fiber sums are taken; the algebra itself is m x m rows under ``linalg``.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import NamedTuple
 
-from .cubic import CubicMatrix, require_size
-from .errors import FormatError
-from .linalg import det, first_dependent_column, kernel_basis
+from .cubic import CubicMatrix
+from .linalg import first_dependent_column, kernel_basis
 from .operations import Operation, Permutation
-from .scalars import require_rational
 
 
-class AccompanyingElement:
-    """An element of the matrix-unit algebra on units u(i, j), i, j in I.
+class AccompanyingElement(NamedTuple):
+    """phi(x) as its coefficient rows: m tuples of m ints or Fractions.
 
-    Units multiply by u(i, j) u(k, l) = u(i, l) when j = k and vanish
-    otherwise, so coefficient matrices compose like ordinary m x m matrices.
+    The accompanying algebra is m x m rows under ``linalg`` (``matmul``,
+    ``det``).  This record is kept only because perfbench's workloads read
+    ``accompanying_image(x).coeffs``; otherwise phi would return the rows.
     """
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        coeffs = tuple(tuple(row) for row in coeffs)
-        m = len(coeffs)
-        require_size(m)
-        if any(len(row) != m for row in coeffs):
-            raise FormatError("coefficient matrix must be m x m")
-        require_rational(*(x for row in coeffs for x in row))
-        self.coeffs = coeffs
-
-    @classmethod
-    def _trusted(cls, coeffs: tuple) -> "AccompanyingElement":
-        """The element of m x m int and Fraction tuples the library computed."""
-        x = object.__new__(cls)
-        x.coeffs = coeffs
-        return x
-
-    @classmethod
-    def unit(cls, m: int, i: int, j: int) -> "AccompanyingElement":
-        """The basis unit u(i, j)."""
-        for idx in (i, j):
-            if not 1 <= idx <= m:
-                raise FormatError(f"index {idx} outside 1..{m}")
-        rows = [[0] * m for _ in range(m)]
-        rows[i - 1][j - 1] = 1
-        return cls(rows)
-
-    @property
-    def m(self) -> int:
-        return len(self.coeffs)
-
-    def mul(self, other: "AccompanyingElement") -> "AccompanyingElement":
-        """Bilinear extension of the unit rule; matrix product of coefficients."""
-        if self.m != other.m:
-            raise ValueError("dimension mismatch")
-        m = self.m
-        return AccompanyingElement._trusted(
-            tuple(
-                tuple(
-                    sum(self.coeffs[i][j] * other.coeffs[j][l] for j in range(m))
-                    for l in range(m)
-                )
-                for i in range(m)
-            )
-        )
-
-    def __add__(self, other):
-        if self.m != other.m:
-            raise ValueError("dimension mismatch")
-        return AccompanyingElement._trusted(
-            tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.coeffs, other.coeffs)
-            )
-        )
-
-    def det(self):
-        return det([list(row) for row in self.coeffs])
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.coeffs for x in row)
-
-    def __eq__(self, other):
-        return isinstance(other, AccompanyingElement) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"AccompanyingElement({[list(r) for r in self.coeffs]})"
+    coeffs: tuple
 
 
 def accompanying_image(x: CubicMatrix) -> AccompanyingElement:
@@ -118,7 +46,7 @@ def accompanying_image(x: CubicMatrix) -> AccompanyingElement:
             row[jk % m] += v
     if d != 1:
         sums = [[Fraction(s, d) if s else 0 for s in row] for row in sums]
-    return AccompanyingElement._trusted(tuple(map(tuple, sums)))
+    return AccompanyingElement(tuple(map(tuple, sums)))
 
 
 def permute_indices(pi: Permutation, x: CubicMatrix) -> CubicMatrix:
@@ -276,7 +204,7 @@ def in_kernel_ideal(x: CubicMatrix) -> bool:
     These matrices form the kernel of the accompanying surjection and hence
     a two-sided ideal for every operation's multiplication.
     """
-    return accompanying_image(x).is_zero()
+    return not any(map(any, accompanying_image(x).coeffs))
 
 
 def _basis_product_triple(op: Operation, s, t):

@@ -14,6 +14,7 @@ from math import gcd, lcm
 
 from .cubic import CubicMatrix, _slabs_of
 from .enumeration import DEFAULT_MAX_M, collect_operations
+from .linalg import det, matmul
 from .operations import (
     Operation,
     _classify_squaring,
@@ -26,7 +27,6 @@ from .operations import (
 )
 from .scalars import format_scalar
 from .structure import (
-    AccompanyingElement,
     _basis_product_triple,
     accompanying_image,
     character_search,
@@ -94,7 +94,7 @@ def check_accompanying(op: Operation) -> bool:
     if trials is None:
         return False
     pairs, (x, y, phi_xy) = trials
-    return accompanying_image(x.mul(y, op)) == phi_xy and all(
+    return accompanying_image(x.mul(y, op)).coeffs == phi_xy and all(
         in_kernel_ideal(balanced.mul(z, op)) and in_kernel_ideal(z.mul(balanced, op))
         for balanced, z in pairs
     )
@@ -103,21 +103,18 @@ def check_accompanying(op: Operation) -> bool:
 @functools.lru_cache(maxsize=None)
 def _accompanying_trials(m: int):
     """The table-free facts of theorem_3: the (balanced, y) trial pairs and a
-    dense pair (x, y) with phi(x) phi(y), or None."""
-    triples = list(itertools.product(range(1, m + 1), repeat=3))
-    images = [accompanying_image(CubicMatrix.basis(m, *s)) for s in triples]
-    if images != [AccompanyingElement.unit(m, s[0], s[2]) for s in triples]:
-        return None
+    dense pair (x, y) with the rows of phi(x) phi(y), or None."""
+    S = range(1, m + 1)
+    for i, n, k in itertools.product(S, repeat=3):  # E(i, n, k) goes to the unit u(i, k)
+        unit = tuple(tuple(int((r, c) == (i, k)) for c in S) for r in S)
+        if accompanying_image(CubicMatrix.basis(m, i, n, k)).coeffs != unit:
+            return None
     rng = random.Random(RNG_SEED)
     pairs = []
     # positive scaling keeps kernel-ideal membership, so trials run on int multiples
     for _ in range(ACCOMPANYING_TRIALS):
         x = random_cubic(m, rng).integer_multiple()
-        fiber_sums_vanish = all(
-            sum(x.entry(i, n, j) for n in range(1, m + 1)) == 0
-            for i in range(1, m + 1)
-            for j in range(1, m + 1)
-        )
+        fiber_sums_vanish = all(sum(x.entry(i, n, j) for n in S) == 0 for i in S for j in S)
         if in_kernel_ideal(x) != fiber_sums_vanish:
             return None
         balanced = x - _fiber_balance(x)
@@ -126,7 +123,8 @@ def _accompanying_trials(m: int):
             return None
         pairs.append((balanced, y))
     x, y = random_cubic(m, rng), random_cubic(m, rng)
-    return tuple(pairs), (x, y, accompanying_image(x).mul(accompanying_image(y)))
+    phi_xy = matmul(accompanying_image(x).coeffs, accompanying_image(y).coeffs)
+    return tuple(pairs), (x, y, phi_xy)
 
 
 def _fiber_balance(x: CubicMatrix) -> CubicMatrix:
@@ -236,7 +234,7 @@ def check_zero_divisors(op: Operation) -> bool:
                 return False
         if kind in ("right", "both"):
             exists = witness is not None
-            if exists != (accompanying_image(a_mat).det() == 0):
+            if exists != (det(accompanying_image(a_mat).coeffs) == 0):
                 return False
         if kind == "left" and m >= 2 and witness is None:
             return False
@@ -247,31 +245,29 @@ def check_plenary_powers(op: Operation) -> bool:
     """Squaring a basis matrix E(j, i, j) tracks the index squaring orbit of i.
 
     Only the m^2 squares E(j, i, j)^2 are dense products, checked against the
-    triple rule; each walk step squares one of them, so walks run on triples.
-    Each i's power sequence and its class are computed once, for every j.
+    triple rule.  That rule squares E(j, i, j) to E(j, a(i, i), j), whatever
+    j is, so each i's walk runs once, on triples (1, ., 1), against its power
+    sequence and its class.
     """
     m = op.m
     steps = 2 * m
     square = lambda s: _basis_product_triple(op, s, s)
-    walks = [
-        (i, power_sequence(i, op, steps), classify_power_sequence(i, op))
-        for i in range(1, m + 1)
-    ]
-    for j in range(1, m + 1):
-        for i, seq, index_class in walks:
-            e = CubicMatrix.basis(m, j, i, j)
-            if e.mul(e, op) != CubicMatrix.basis(m, *square((j, i, j))):
+    for j, i in itertools.product(range(1, m + 1), repeat=2):
+        e = CubicMatrix.basis(m, j, i, j)
+        if e.mul(e, op) != CubicMatrix.basis(m, *square((j, i, j))):
+            return False
+    for i in range(1, m + 1):
+        t, seq = (1, i, 1), power_sequence(i, op, steps)
+        for n in range(steps + 1):
+            if t != (1, seq[n], 1):
                 return False
-            t = (j, i, j)
-            for n in range(steps + 1):
-                if t != (j, seq[n], j):
-                    return False
-                t = square(t)
-            matrix_class = _classify_squaring((j, i, j), square)
-            if (matrix_class.tag, matrix_class.entry, matrix_class.period) != (
-                index_class.tag, index_class.entry, index_class.period
-            ):
-                return False
+            t = square(t)
+        matrix_class = _classify_squaring((1, i, 1), square)
+        index_class = classify_power_sequence(i, op)
+        if (matrix_class.tag, matrix_class.entry, matrix_class.period) != (
+            index_class.tag, index_class.entry, index_class.period
+        ):
+            return False
     return True
 
 

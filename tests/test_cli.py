@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from cubal import operations
 from cubal.cli import EXIT_INTERNAL, main
 from cubal.enumeration import canonical_representative
 from cubal.formats import dump_json
@@ -307,6 +308,13 @@ class TestAlgebraCommands:
             "period": 2,
             "cycle": [2, 3],
         }
+
+    def test_classify_refuses_an_orbit_over_its_budget(self, capsys, table_file, monkeypatch):
+        # the chain min(i, j) has orbit size m!: 9! = 362,880 relabelings
+        monkeypatch.setattr(operations, "all_permutations", lambda m: pytest.fail("scan started"))
+        chain = [[min(i, j) for j in range(1, 10)] for i in range(1, 10)]
+        assert main(["classify", "--op", table_file(chain)]) == 2
+        assert "9! relabeling scan exceeds the budget (max m = 8)" in capsys.readouterr().err
 
     def test_rejects_non_associative_table(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"

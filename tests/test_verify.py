@@ -191,7 +191,7 @@ def test_accompanying_check_fails_when_the_product_drops_a_term(monkeypatch, cen
         assert check_accompanying(op)
         # the dense pair's law fails alone, whatever the kernel trials say
         x, y, phi_xy = verify._accompanying_trials(op.m)[1]
-        assert accompanying_image(drop_one_term(x, y, op)) != phi_xy
+        assert accompanying_image(drop_one_term(x, y, op)).coeffs != phi_xy
         monkeypatch.setattr(CubicMatrix, "mul", drop_one_term)
         assert not check_accompanying(op)
         assert verify_operation(op)["theorem_3"] is False
@@ -206,7 +206,7 @@ def test_accompanying_check_fails_when_the_map_drops_a_fiber(monkeypatch):
     def drop_last_fiber(x):
         coeffs = [list(row) for row in image(x).coeffs]
         coeffs[-1][-1] = 0
-        return AccompanyingElement(coeffs)
+        return AccompanyingElement(tuple(map(tuple, coeffs)))
 
     monkeypatch.setattr(verify, "accompanying_image", drop_last_fiber)
     verify._accompanying_trials.cache_clear()
