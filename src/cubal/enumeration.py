@@ -1,16 +1,19 @@
 """Backtracking enumeration of all associative Cayley tables on {1, .., m}.
 
 Cells are filled in row-major order with values tried in increasing order,
-so tables come out in lexicographic order.  After each assignment every
-associativity triple whose four products are already determined is checked,
-which prunes dead branches as early as possible; a full m^(m^2) scan is
-hopeless beyond m = 3.
+so tables come out in lexicographic order.  One table holds every known
+cell: a cell is known once it is set or forced, and a forced value is the
+value of every consistent completion, so it may be compared early.  After
+each assignment every associativity triple whose four products are already
+known is checked, and a triple with one unknown cell forces it; a forced
+cell is never forced again, so a pin cannot clash, and the comparisons
+alone find every contradiction.  This prunes dead branches as early as
+possible; a full m^(m^2) scan is hopeless beyond m = 3.
 
 The orbit census and the count run the same search with a lex-leader
-filter.  A cell is known once it is set or forced; a forced value is the
-value of every consistent completion, so it may be compared early.  Each
-non-identity relabeling pi waits in the bucket of the first cell that its
-next comparison of act(pi, t) with t lacks, and a node advances only the
+filter, which reads the same table of known cells.  Each non-identity
+relabeling pi waits in the bucket of the first cell that its next
+comparison of act(pi, t) with t lacks, and a node advances only the
 buckets of its newly known cells.  One that reads smaller proves no
 completion is the minimum of its orbit and prunes the node; one that reads
 larger can never catch up and is dropped.  So the leaves are exactly the
@@ -58,28 +61,26 @@ def _check_budget(m: int, max_m: int, what: str, jobs: int = 1) -> None:
         raise CapacityError(f"{what} for m={m} exceeds the budget of {cap}; {hint}")
 
 
-def _pin(forced, trail, c: int, w: int) -> bool:
-    """Force the unset cell c to w, recorded on ``trail`` for undo; False if an
-    earlier triple forced it to another value."""
-    f = forced[c]
-    if f < 0:
-        forced[c] = w
-        trail.append(c)
-        return True
-    return f == w
+def _pin(t: list[int], trail, c: int, w: int) -> None:
+    """Force the unknown cell c to w, recorded on ``trail`` for undo."""
+    t[c] = w
+    trail.append(c)
 
 
-def _consistent(t: list[int], m: int, pos: int, v: int, val_cells, forced, trail) -> bool:
+def _consistent(t: list[int], m: int, pos: int, v: int, val_cells, trail) -> bool:
     """Process every associativity triple touched by assigning cell pos = v.
 
     A triple (x, y, z) compares t[t[x,y], z] with t[x, t[y,z]]; it is visited
-    as soon as any of its four contributing cells is filled, which is exactly
-    when the new cell plays one of the four roles below.  Fully determined
-    triples are checked; a triple with a single unset cell pins that cell's
-    value through ``_pin``, the one place a forced value is written, so later
-    cells are branched on only when genuinely free.  The caller must have
-    stored v in t[pos] already: a triple may mention its own inner-product
-    cell (for instance when t[x,y] = x), and those lookups must resolve to v.
+    as soon as any of its four contributing cells is set, which is exactly
+    when the new cell plays one of the four roles below.  ``t`` holds every
+    known value, set or forced, so a forced value is compared like a set
+    one.  Triples with all their cells known are checked; a triple with a
+    single unknown cell pins that cell through ``_pin``, the one place a
+    forced value is written, so a pin never meets a known cell and cannot
+    clash, and later cells are branched on only when genuinely free.  The
+    caller must have stored v in t[pos] already: a triple may mention its
+    own inner-product cell (for instance when t[x,y] = x), and those lookups
+    must resolve to v.
     """
     i, j = divmod(pos, m)
     base_i = i * m
@@ -91,13 +92,12 @@ def _consistent(t: list[int], m: int, pos: int, v: int, val_cells, forced, trail
         if q >= 0:
             lhs = t[base_v + z]
             rhs = t[base_i + q]
-            if lhs >= 0:
+            if lhs < 0:
                 if rhs >= 0:
-                    if lhs != rhs:
-                        return False
-                elif not _pin(forced, trail, base_i + q, lhs):
-                    return False
-            elif rhs >= 0 and not _pin(forced, trail, base_v + z, rhs):
+                    _pin(t, trail, base_v + z, rhs)
+            elif rhs < 0:
+                _pin(t, trail, base_i + q, lhs)
+            elif lhs != rhs:
                 return False
     # role 2: the new cell is the inner product of (x, i, j)
     for x in range(m):
@@ -105,13 +105,12 @@ def _consistent(t: list[int], m: int, pos: int, v: int, val_cells, forced, trail
         if p >= 0:
             lhs = t[p * m + j]
             rhs = t[x * m + v]
-            if lhs >= 0:
+            if lhs < 0:
                 if rhs >= 0:
-                    if lhs != rhs:
-                        return False
-                elif not _pin(forced, trail, x * m + v, lhs):
-                    return False
-            elif rhs >= 0 and not _pin(forced, trail, p * m + j, rhs):
+                    _pin(t, trail, p * m + j, rhs)
+            elif rhs < 0:
+                _pin(t, trail, x * m + v, lhs)
+            elif lhs != rhs:
                 return False
     # role 3: the new cell is the outer-left product of (x, y, j), t[x,y] = i
     for c0 in val_cells[i]:
@@ -119,10 +118,9 @@ def _consistent(t: list[int], m: int, pos: int, v: int, val_cells, forced, trail
         if q >= 0:
             c = (c0 // m) * m + q
             rhs = t[c]
-            if rhs >= 0:
-                if rhs != v:
-                    return False
-            elif not _pin(forced, trail, c, v):
+            if rhs < 0:
+                _pin(t, trail, c, v)
+            elif rhs != v:
                 return False
     # role 4: the new cell is the outer-right product of (i, y, z), t[y,z] = j
     for c0 in val_cells[j]:
@@ -130,37 +128,32 @@ def _consistent(t: list[int], m: int, pos: int, v: int, val_cells, forced, trail
         if p >= 0:
             c = p * m + c0 % m
             lhs = t[c]
-            if lhs >= 0:
-                if lhs != v:
-                    return False
-            elif not _pin(forced, trail, c, v):
+            if lhs < 0:
+                _pin(t, trail, c, v)
+            elif lhs != v:
                 return False
     return True
 
 
-def _lex_filter(buckets, known, pos: int, v: int, f: int, trail, moved) -> bool:
+def _lex_filter(buckets, t: list[int], pos: int, f: int, trail, moved) -> bool:
     """Advance the relabelings waiting on the cells that have just become known.
 
-    ``known[c]`` is the value of cell c once it is set or forced, else -1.
-    The new cells are ``pos`` (set to v here, unless forced already: f >= 0)
-    and the newly forced ``trail``.  Each relabeling (src, img, k), with
-    act(pi, t)[c] = img[t[src[c]]], agrees with t on cells 0 .. k-1 and
-    waits in ``buckets[w]``, w the first cell that its comparison of cell k
-    with cell src[k] still lacks; the sentinel m² is never known, so
-    ``buckets[m²]`` holds those that agree everywhere.  One that reads larger
-    is dropped.  One that reads smaller means no completion is an orbit
-    minimum, and False is returned.  Every bucket appended to is recorded
-    on ``moved``; nothing is undone here, on either outcome.
+    ``t`` holds the value of every set or forced cell, else -1; it is read
+    here, never written.  The new cells are ``pos`` (unless it was forced
+    already: f >= 0) and the newly forced ``trail``.  Each relabeling
+    (src, img, k), with act(pi, t)[c] = img[t[src[c]]], agrees with t on
+    cells 0 .. k-1 and waits in ``buckets[w]``, w the first cell that its
+    comparison of cell k with cell src[k] still lacks; the sentinel m² is
+    never known, so ``buckets[m²]`` holds those that agree everywhere.  One
+    that reads larger is dropped.  One that reads smaller means no
+    completion is an orbit minimum, and False is returned.  Every bucket
+    appended to is recorded on ``moved``; nothing is undone here, on either
+    outcome.
     """
-    if f < 0:
-        known[pos] = v
-        cells = (pos, *trail)
-    else:
-        cells = trail
-    for c in cells:
+    for c in (pos, *trail) if f < 0 else trail:
         for rel in buckets[c]:
             src, img, k = rel
-            while (a := known[k]) >= 0 and (b := known[src[k]]) >= 0 and img[b] == a:
+            while (a := t[k]) >= 0 and (b := t[src[k]]) >= 0 and img[b] == a:
                 k += 1
             if a < 0:
                 w = k
@@ -175,39 +168,39 @@ def _lex_filter(buckets, known, pos: int, v: int, f: int, trail, moved) -> bool:
     return True
 
 
-def _search(m: int, t: list[int], val_cells, forced, pos: int, stop: int, buckets=None, prefix=()):
+def _search(m: int, t: list[int], val_cells, pos: int, stop: int, buckets=None, prefix=()):
     """Yield (cells, |Aut|) for every consistent completion of t up to ``stop``
     that starts with ``prefix``: in a prefix cell only the prefix's value is tried.
 
-    With lex-leader ``buckets`` (see ``_lex_filter``), ``forced`` also holds
-    each set cell's value, which the consistency pass never reads, and so is
-    the table of known values; |Aut| counts the identity and the relabelings
-    in the sentinel bucket.  With none, every completion is yielded with 1.
-    After each value, pruned or not, this is the one place it is undone: the
-    buckets on ``moved`` are popped, ``forced[pos]`` is reset (a no-op in the
-    labelled search, which never writes it) and the cells on ``trail`` are
-    freed, so the search returns every argument as it found it.
+    ``t`` is the one table of known cells: each set or forced value, -1 for
+    an unknown cell, and the never-known sentinel cell m² last.  A forced
+    cell is the only value tried at its position.  With lex-leader
+    ``buckets`` (see ``_lex_filter``), |Aut| counts the identity and the
+    relabelings in the sentinel bucket; with none, every completion is
+    yielded with 1.  After each value, pruned or not, this is the one place
+    it is undone: the buckets on ``moved`` are popped and the cells on
+    ``trail`` are freed; at the end t[pos] gets back its value on entry, so
+    the search returns every argument as it found it.
     """
     if pos == stop:
         yield tuple(t[:stop]), 1 + len(buckets[-1]) if buckets else 1
         return
-    f = forced[pos]
+    f = t[pos]
     trail: list[int] = []
     moved: list[int] = []
     for v in (prefix[pos],) if pos < len(prefix) else (range(m) if f < 0 else (f,)):
         t[pos] = v
-        if _consistent(t, m, pos, v, val_cells, forced, trail) and (
-            buckets is None or _lex_filter(buckets, forced, pos, v, f, trail, moved)
+        if _consistent(t, m, pos, v, val_cells, trail) and (
+            buckets is None or _lex_filter(buckets, t, pos, f, trail, moved)
         ):
             val_cells[v].append(pos)
-            yield from _search(m, t, val_cells, forced, pos + 1, stop, buckets, prefix)
+            yield from _search(m, t, val_cells, pos + 1, stop, buckets, prefix)
             val_cells[v].pop()
         while moved:
             buckets[moved.pop()].pop()
-        forced[pos] = f
         while trail:
-            forced[trail.pop()] = -1
-    t[pos] = -1
+            t[trail.pop()] = -1
+    t[pos] = f
 
 
 @functools.lru_cache(maxsize=None)
@@ -221,11 +214,11 @@ def _relabelings(m: int) -> tuple:
 
 
 def _search_from_root(m: int, stop: int, lex: bool, prefix=()):
-    """``_search`` from the empty table; forced has the never-known sentinel cell
-    m², and with ``lex`` every relabeling waits on cell 0."""
-    t, val_cells, forced = [-1] * (m * m), [[] for _ in range(m)], [-1] * (m * m + 1)
+    """``_search`` from the empty table of m² unknown cells and the sentinel;
+    with ``lex`` every relabeling waits on cell 0."""
+    t, val_cells = [-1] * (m * m + 1), [[] for _ in range(m)]
     buckets = [list(_relabelings(m))] + [[] for _ in range(m * m)] if lex else None
-    return _search(m, t, val_cells, forced, 0, stop, buckets, prefix)
+    return _search(m, t, val_cells, 0, stop, buckets, prefix)
 
 
 def _to_operation(m: int, flat: tuple[int, ...], rows: dict) -> Operation:

@@ -70,13 +70,13 @@ def record_trails(monkeypatch):
     stats, digest = [0, 0, 0], hashlib.sha256()
     consistent = enumeration._consistent
 
-    def recording(t, m, pos, v, val_cells, forced, trail):
+    def recording(t, m, pos, v, val_cells, trail):
         stats[0] += 1
-        ok = consistent(t, m, pos, v, val_cells, forced, trail)
+        ok = consistent(t, m, pos, v, val_cells, trail)
         if ok:
             stats[1] += 1
             stats[2] += len(trail)
-            digest.update(repr((pos, v, tuple(trail), tuple(forced[c] for c in trail))).encode())
+            digest.update(repr((pos, v, tuple(trail), tuple(t[c] for c in trail))).encode())
         return ok
 
     monkeypatch.setattr(enumeration, "_consistent", recording)
@@ -332,7 +332,7 @@ class TestOrbitCensus:
         # for forced cells to be set would prune later and take more
         calls, _ = record_trails(monkeypatch)
         assert orbit_census(4).orbit_count == 188
-        assert calls[0] == 2692
+        assert calls[0] == 2648
 
     def test_m4_sizes_are_group_order_over_stabilizer(self):
         perms = list(all_permutations(4))
@@ -351,16 +351,17 @@ class TestSplitSearch:
     def test_split_search_work_is_pinned(self, monkeypatch, in_process_pool):
         # the split into prefixes plus every worker's walk down its prefix
         # and through its subtree; a worker that strayed from its prefix, or
-        # dropped part of it, would take a different count.  The labelled
-        # split is the one-job search's 35,305 passes plus m = 4 prefix
-        # cells for each of its 215 one-row prefixes
+        # dropped part of it, would take a different count.  Each split is
+        # the one-job search plus one pass per prefix cell: 2,648 passes plus
+        # 8 cells for each of 36 two-row prefixes, and 31,701 plus 4 cells
+        # for each of 198 one-row prefixes
         calls, _ = record_trails(monkeypatch)
         split = orbit_census(4, jobs=2)
-        assert calls[0] == 3012
+        assert calls[0] == 2936
         assert split == orbit_census(4)
         calls[0] = 0
         assert len(collect_operations(4, jobs=2)) == KNOWN_COUNTS[4]
-        assert calls[0] == 36165
+        assert calls[0] == 32493
 
     def test_pool_never_outnumbers_its_tasks(self, in_process_pool):
         assert orbit_census(2, jobs=64) == orbit_census(2)  # 5 two-row prefixes
@@ -375,13 +376,13 @@ class TestSearchBookkeeping:
         [
             (
                 lambda: orbit_census(4),
-                [2692, 1409, 652],
-                "43c52781413772ad2f829a819a7245c1c2260371fbe0059d8a5fff534fbdec71",
+                [2648, 1377, 641],
+                "ad633baff41dce00dbea79d743ce7ed75fc13918e5f2286787c5f353f5107141",
             ),
             (
                 lambda: collect_operations(4),
-                [35305, 21453, 8079],
-                "b39a2d8e0777710448f16f8145aac264924f1d75ee9bec321df796f3d423fc95",
+                [31701, 20510, 7255],
+                "9451db296638284ea11aecb7f76585ea6f49f5dea0eafb3a05adac575804ca2c",
             ),
         ],
         ids=["orbit_census", "collect_operations"],
@@ -394,14 +395,33 @@ class TestSearchBookkeeping:
         assert got == stats
         assert digest.hexdigest() == sha256
 
+    @pytest.mark.parametrize(
+        "run, calls",
+        [(lambda: orbit_census(4), 1120), (lambda: collect_operations(4), 12547)],
+        ids=["orbit_census", "collect_operations"],
+    )
+    def test_a_pin_only_meets_unknown_cells(self, monkeypatch, run, calls):
+        # the consistency pass reads forced values from the same table, so a
+        # forced cell is compared, never pinned again or pinned to a clash
+        pin, seen = enumeration._pin, []
+
+        def checking(t, trail, c, w):
+            assert t[c] < 0
+            seen.append(c)
+            pin(t, trail, c, w)
+
+        monkeypatch.setattr(enumeration, "_pin", checking)
+        run()
+        assert len(seen) == calls
+
     @pytest.mark.parametrize("lex", [False, True], ids=["labelled", "lex"])
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_the_search_leaves_no_trace(self, m, lex):
-        t, val_cells, forced = [-1] * (m * m), [[] for _ in range(m)], [-1] * (m * m + 1)
+        t, val_cells = [-1] * (m * m + 1), [[] for _ in range(m)]
         buckets = [list(enumeration._relabelings(m))] + [[] for _ in range(m * m)] if lex else None
-        state = [t, val_cells, forced, buckets]
+        state = [t, val_cells, buckets]
         before = repr(state)
-        leaves = sum(1 for _ in enumeration._search(m, t, val_cells, forced, 0, m * m, buckets))
+        leaves = sum(1 for _ in enumeration._search(m, t, val_cells, 0, m * m, buckets))
         assert leaves == (orbit_census(m).orbit_count if lex else KNOWN_COUNTS[m])
         assert repr(state) == before
 

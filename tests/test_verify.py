@@ -10,7 +10,8 @@ import pytest
 from cubal import verify
 from cubal.cli import main
 from cubal.cubic import CubicMatrix
-from cubal.operations import Operation
+from cubal.linalg import det
+from cubal.operations import Operation, left_symmetric, right_symmetric
 from cubal.enumeration import orbit_census
 from cubal.structure import AccompanyingElement, accompanying_image
 from cubal.verify import (
@@ -113,6 +114,25 @@ def test_zero_divisor_check_solves_exactly_the_trials(census3, monkeypatch):
     draws = [a for op in census3 for a in zero_divisor_trials(op)]
     singular = sum(a.entries[:9] == a.entries[18:] for a in draws)
     assert 0.3 < singular / len(draws) < 0.7
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_zero_divisor_check_fails_when_a_left_projection_has_no_witness(monkeypatch, m):
+    # under the left projection every element is a left zero divisor
+    op = left_symmetric(m)
+    assert check_zero_divisors(op)
+    monkeypatch.setattr(verify, "left_zero_divisor_witness", lambda a, op: None)
+    assert not check_zero_divisors(op)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_zero_divisor_check_fails_when_det_misses_a_singular_trial(monkeypatch, m):
+    # under the right projection a witness exists exactly when det == 0
+    op = right_symmetric(m)
+    assert check_zero_divisors(op)
+    assert any(det(accompanying_image(a).coeffs) == 0 for a in zero_divisor_trials(op))
+    monkeypatch.setattr(verify, "det", lambda rows: 1)
+    assert not check_zero_divisors(op)
 
 
 def fraction_trials(op):
@@ -280,6 +300,14 @@ def test_m1_commutativity_fails_when_the_unit_is_not_idempotent(monkeypatch):
     op = Operation([[1]])
     mul = CubicMatrix.mul
     monkeypatch.setattr(CubicMatrix, "mul", lambda x, y, op: mul(x, y, op).scale(2))
+    assert not check_commutativity(op)[0]
+
+
+@pytest.mark.parametrize("op", [Operation([[1, 2], [2, 1]]), Operation(CYCLE3)], ids=["m2", "m3"])
+def test_commutativity_fails_under_a_symmetrized_product(monkeypatch, op):
+    assert check_commutativity(op)[0]
+    mul = CubicMatrix.mul
+    monkeypatch.setattr(CubicMatrix, "mul", lambda x, y, op: mul(x, y, op) + mul(y, x, op))
     assert not check_commutativity(op)[0]
 
 
