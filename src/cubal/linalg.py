@@ -1,13 +1,18 @@
 """Exact Gaussian elimination over the rationals.
 
 Matrices are lists of row lists.  One fraction-free (Bareiss) forward pass
-serves all: ``first_dependent_column`` stops it at the first pivotless column
-and returns the pivot rows it has reduced, ``det`` reads its last pivot, and
-``rref`` (so ``rank`` and ``kernel_basis``) ends with back substitution on
-the pivot rows.  Rows are scaled to ints (``scalars.integral``; all-int rows
-in one scan), so every division is exact with ``//``.  Entries become
-``Fraction`` only when normalized.  ``matmul`` is the product of the m x m
-accompanying algebra, whose elements are these rows.
+serves all.  It pulls the columns one at a time and reduces each against
+the pivots found before it (left-looking), so a caller that stops it reads
+no column after that point: ``first_dependent_column`` stops it at the
+first pivotless column and returns the pivot rows it has reduced, ``det``
+reads its last pivot, and ``rref`` (so ``rank`` and ``kernel_basis``) ends
+with back substitution on the pivot rows.  ``first_dependent_int_column``
+takes int columns from any iterator, such as a generator that makes each
+column only when it is pulled.  Rows are scaled to ints
+(``scalars.integral``; all-int rows in one scan), so every division is exact
+with ``//``.  Entries become ``Fraction`` only when normalized.  ``matmul``
+is the product of the m x m accompanying algebra, whose elements are these
+rows.
 """
 
 from __future__ import annotations
@@ -32,33 +37,50 @@ def _integral_rows(rows):
     return mat, scale
 
 
-def _forward(mat):
-    """Fraction-free forward elimination of the int rows ``mat``.
+def _forward(columns):
+    """Fraction-free forward elimination of the matrix with these int columns,
+    pulled one at a time (left-looking): no column after the one the caller
+    stops at is read.
 
     Yields, for each column, None when no row left is nonzero there, else the
-    position of the first such row among the rows left and that row from the
-    column on; it and the column are then dropped.  A row keeps the pivot q it
-    was last reduced by and stands for row * prev / q, prev the last pivot.
-    Under pivot row t, its nonzero r = row[0] makes it (t[0] * row - r * t) // q,
-    exact as every true entry is a minor; a row that is 0 there is only cut.
+    position of the first such row among the rows left and that pivot row
+    from the column on, a list that grows as later columns are pulled; the
+    row is then dropped.  A row keeps the pivot q it was last reduced by and
+    stands for row * prev / q, prev the last pivot.  A step keeps the rows
+    left whose entry r in its pivot column is nonzero, with their q.  Each
+    pulled column first replays the steps in order: it pops the pivot row's
+    entry t, rescales it by prev / q when that row's q != prev, appends it to
+    the pivot row, and gives each kept row (p * x - r * t) // q, exact as
+    every true entry is a minor; the other rows keep x.  A step whose rows
+    left were all 0 in its pivot column (as in an upper-triangular matrix)
+    replays as the pop and the append only.
     """
-    rows, prev = [(1, row) for row in mat], 1
-    for _ in range(len(mat[0]) if mat else 0):
-        k = next((k for k, (_, row) in enumerate(rows) if row[0]), None)
+    steps, qs, prev = [], None, 1
+    for col in columns:
+        col = list(col)
+        if qs is None:
+            qs = [1] * len(col)
+        for k, scale, top, p, under in steps:
+            t = col.pop(k)
+            if scale is not None:
+                t = t * scale[0] // scale[1]
+            top.append(t)
+            for i, r, q in under:
+                col[i] = (p * col[i] - r * t) // q
+        k = next((k for k, x in enumerate(col) if x), None)
         if k is None:
-            rows = [(q, row[1:]) for q, row in rows]
             yield None
             continue
-        q, top = rows.pop(k)
-        top = top if q == prev else [a * prev // q for a in top]
+        q, p = qs.pop(k), col.pop(k)
+        scale = None if q == prev else (prev, q)
+        if scale is not None:
+            p = p * prev // q
+        top = [p]
+        under = [(i, r, qs[i]) for i, r in enumerate(col) if r]
+        for i, _, _ in under:
+            qs[i] = p
+        steps.append((k, scale, top, p, under))
         yield k, top
-        p, tail = top[0], top[1:]
-        for i, (q, row) in enumerate(rows):
-            r = row[0]
-            if r:
-                rows[i] = p, [(p * a - r * b) // q for a, b in zip(row[1:], tail)]
-            else:
-                rows[i] = q, row[1:]
         prev = p
 
 
@@ -69,10 +91,16 @@ def first_dependent_column(rows) -> tuple[int | None, list[list[int]]]:
     and the rows have the rref of the first f + 1 columns.  (None, []) when
     every column has a pivot."""
     mat, _ = _integral_rows(rows)
+    return first_dependent_int_column(zip(*mat))
+
+
+def first_dependent_int_column(columns) -> tuple[int | None, list[list[int]]]:
+    """``first_dependent_column`` of the matrix with these int columns, which
+    are pulled one at a time: none after column f is read, or made."""
     tops = []
-    for c, step in enumerate(_forward(mat)):
+    for c, step in enumerate(_forward(columns)):
         if step is None:
-            return c, [[0] * i + top[: c + 1 - i] for i, top in enumerate(tops)]
+            return c, [[0] * i + top for i, top in enumerate(tops)]
         tops.append(step[1])
     return None, []
 
@@ -88,7 +116,7 @@ def rref(rows) -> tuple[list[list], list[int]]:
     mat, _ = _integral_rows(rows)
     reduced = [[Fraction(0)] * len(row) for row in mat]
     pivots, tops = [], []
-    for j, step in enumerate(_forward(mat)):
+    for j, step in enumerate(_forward(zip(*mat))):
         if step is not None:
             reduced[len(pivots)][j] = Fraction(1)
             pivots.append(j)
@@ -116,7 +144,7 @@ def det(rows):
         raise ValueError("determinant needs a square matrix")
     mat, scale = _integral_rows(rows)
     sign, p = 1, 1
-    for step in _forward(mat):
+    for step in _forward(zip(*mat)):
         if step is None:
             return Fraction(0)
         sign, p = (-sign if step[0] % 2 else sign), step[1][0]

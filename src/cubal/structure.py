@@ -2,11 +2,12 @@
 
 Covers the basis-relabeling isomorphisms between equivalent operations, the
 multiplicative-linear-form (character) decision procedure, exact
-zero-divisor solvers (an m^2 x m^2 block, filled by one loop over the fixed
-factor's int form and reduced up to its first dependent column), and the
-kernel ideal of the accompanying surjection.  ``accompanying_image``, the
-surjection onto the accompanying algebra, is the one place the middle-index
-fiber sums are taken; the algebra itself is m x m rows under ``linalg``.
+zero-divisor solvers (an m^2 x m^2 block whose columns are made from the
+fixed factor's int form one at a time, as the forward pass pulls them, up
+to the first dependent one), and the kernel ideal of the accompanying
+surjection.  ``accompanying_image``, the surjection onto the accompanying
+algebra, is the one place the middle-index fiber sums are taken; the
+algebra itself is m x m rows under ``linalg``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .cubic import CubicMatrix
-from .linalg import first_dependent_column, kernel_basis
+from .linalg import first_dependent_int_column, kernel_basis
 from .operations import Operation, Permutation
 
 
@@ -130,21 +131,32 @@ def character_search(a: Operation) -> list[CubicMatrix]:
     return [unit]
 
 
-def _zero_product_block(fixed: CubicMatrix, op: Operation, side: str) -> list[list]:
-    """The m^2 x m^2 block that ``_solve_zero_product`` solves, by the triple rule."""
+def _block_columns(fixed: CubicMatrix, op: Operation, side: str):
+    """The columns of the m^2 x m^2 block that ``_solve_zero_product`` solves,
+    in order, each made by the triple rule only when it is pulled."""
     m = fixed.m
     a = [[x - 1 for x in row] for row in op.rows]
-    block = [[0] * (m * m) for _ in range(m * m)]
-    for s, slab in enumerate(fixed.slabs):
-        for tu, val in slab:
-            t, u = divmod(tu, m)
-            if side == "left":  # A[i, l, k] = A[s, t, u]: row (i, a(l, n)), column (k, n)
-                for n, v in enumerate(a[t]):
-                    block[s * m + v][u * m + n] += val
-            else:  # A[k, n, r] = A[s, t, u]: row (a(l, n), r), column (l, k)
-                for l, row in enumerate(a):
-                    block[row[t] * m + u][l * m + s] += val
-    return block
+    if side == "left":  # A[i, l, k] goes to row (i, a(l, n)) of column (k, n)
+        for k in range(m):
+            k_terms = [
+                (i * m, a[lk // m], val)
+                for i, slab in enumerate(fixed.slabs)
+                for lk, val in slab
+                if lk % m == k
+            ]
+            for n in range(m):
+                col = [0] * (m * m)
+                for im, row, val in k_terms:
+                    col[im + row[n]] += val
+                yield col
+    else:  # A[k, n, r] goes to row (a(l, n), r) of column (l, k)
+        terms = [[(*divmod(nr, m), val) for nr, val in slab] for slab in fixed.slabs]
+        for row in a:
+            for k_terms in terms:
+                col = [0] * (m * m)
+                for n, r, val in k_terms:
+                    col[row[n] * m + r] += val
+                yield col
 
 
 def _solve_zero_product(
@@ -154,24 +166,29 @@ def _solve_zero_product(
 
     The outer index of X away from fixed passes through the product, so on
     flat coordinates X -> fixed * X is M (x) I_m and X -> X * fixed is
-    I_m (x) N.  The m^2 x m^2 block M (N) acts on the slice r = 1 (i = 1) and
-    is built in one pass over A, the int multiple of fixed (its slabs, the
-    same kernel), by the triple rule: left, A[i, l, k] adds to row
-    (i, a(l, n)), column (k, n), for every n; right, A[k, n, r] adds to row
-    (a(l, n), r), column (l, k), for every l.  As rref(M (x) I) =
-    rref(M) (x) I, its first kernel vector, placed on that same slice, is
-    exactly the first kernel vector of the whole m^3 x m^3 map.  That vector
-    is 1 at the first pivotless column f, minus the reduced column f before
-    it, 0 after.  Row operations act on each column prefix alone and the
-    reduced form is unique, so the rref of the first f + 1 columns is the
-    prefix of rref(M): its kernel vector, padded with 0s, is the same in value and type.
-    The forward pass that finds f has already reduced the f pivot rows of
-    that prefix, so ``kernel_basis`` only finishes them (one zero row when f = 0).
+    I_m (x) N.  The m^2 x m^2 block M (N) acts on the slice r = 1 (i = 1).
+    By the triple rule on A, the int multiple of fixed (its slabs, the same
+    kernel): left, column (k, n) holds A[i, l, k] at row (i, a(l, n)); right,
+    column (l, k) holds A[k, n, r] at row (a(l, n), r).  As
+    rref(M (x) I) = rref(M) (x) I, its first kernel vector, placed on that
+    same slice, is exactly the first kernel vector of the whole m^3 x m^3
+    map.  That vector is 1 at the first pivotless column f, minus the
+    reduced column f before it, 0 after.  Row operations act on each column
+    prefix alone and the reduced form is unique, so the rref of the first
+    f + 1 columns is the prefix of rref(M): its kernel vector, padded with
+    0s, is the same in value and type.  So ``_block_columns`` makes each
+    column only when the forward pass pulls it, and the pass stops at f:
+    columns after f are never made.  f is often small.  When Cayley columns
+    n' < n agree, left columns (k, n') and (k, n) are equal, so f is at most
+    (1, n); when rows l' < l agree, right columns (l', k) and (l, k) are, so
+    f is at most (l, 1).  The pass has already reduced the f pivot rows of
+    the prefix, so ``kernel_basis`` only finishes them (one zero row when
+    f = 0).
     """
     m = fixed.m
     if op.m != m:
         raise ValueError("size mismatch")
-    f, prefix = first_dependent_column(_zero_product_block(fixed, op, side))
+    f, prefix = first_dependent_int_column(_block_columns(fixed, op, side))
     if f is None:
         return None
     entries = [0] * (m * m * m)

@@ -6,7 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from cubal.linalg import det, first_dependent_column, kernel_basis, rank, rref
+from cubal.linalg import (
+    _forward,
+    det,
+    first_dependent_column,
+    first_dependent_int_column,
+    kernel_basis,
+    rank,
+    rref,
+)
 
 
 def random_matrix(n, rng):
@@ -344,3 +352,26 @@ class TestFirstDependentColumn:
             2, [[1, 2, 0], [0, -2, 1]]
         )
         assert first_dependent_column([[0, 1], [1, 1], [2, 2]]) == (None, [])
+
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_no_column_is_pulled_after_the_first_dependent_one(self, shape):
+        rng = random.Random(f"pulled:{shape}")
+        n_rows, n_cols = self.SHAPES[shape]
+        for _ in range(40):
+            mat = self.matrix("int", n_rows, n_cols, rng)
+            pulled = []
+
+            def columns():
+                for col in zip(*mat):
+                    pulled.append(col)
+                    yield col
+
+            for c, step in enumerate(_forward(columns())):
+                assert len(pulled) == c + 1
+                if step is None:
+                    break
+            f = first_missing_pivot(mat)
+            assert len(pulled) == (n_cols if f is None else f + 1)
+            pulled.clear()
+            assert first_dependent_int_column(columns()) == first_dependent_column(mat)
+            assert len(pulled) == (n_cols if f is None else f + 1)

@@ -13,7 +13,7 @@ import pytest
 from cubal.cli import main
 from cubal.cubic import CubicMatrix
 from cubal.enumeration import orbit_census
-from cubal.linalg import det, kernel_basis, matmul, rank
+from cubal.linalg import det, first_dependent_int_column, kernel_basis, matmul, rank
 from cubal.operations import (
     Operation,
     Permutation,
@@ -28,7 +28,7 @@ from cubal.operations import (
 )
 from cubal.structure import (
     _basis_product_triple,
-    _zero_product_block,
+    _block_columns,
     accompanying_image,
     character_search,
     in_kernel_ideal,
@@ -392,11 +392,16 @@ def full_zero_divisor_witness(a, op, side):
     return CubicMatrix(m, kernel[0]) if kernel else None
 
 
+def block_of(a, op, side):
+    """The whole m^2 x m^2 block, its columns from _block_columns as rows."""
+    return [list(row) for row in zip(*_block_columns(a, op, side))]
+
+
 def whole_block_witness(a, op, side):
     """The first kernel vector of the whole m^2 x m^2 block, on the slice
     E(k, n, 1) (side="left") or E(1, l, k) (side="right"), or None."""
     m = a.m
-    kernel = kernel_basis(_zero_product_block(a, op, side))
+    kernel = kernel_basis(block_of(a, op, side))
     if not kernel:
         return None
     entries = [0] * (m**3)
@@ -424,7 +429,7 @@ def adjoin(op, kind):
 def dense_product_block(fixed, op, side):
     """The m^2 x m^2 zero-divisor block built column by column from dense
     products with E(k, n, 1) (side="left") or E(1, l, k) (side="right"), on
-    the int multiple of fixed; _zero_product_block builds it by the triple rule."""
+    the int multiple of fixed; _block_columns builds it by the triple rule."""
     m = fixed.m
     fixed = fixed.integer_multiple()
     block = slice(None, None, m) if side == "left" else slice(m * m)
@@ -571,7 +576,7 @@ class TestZeroProductBlock:
         for op in [Operation([[1]])] + census2 + census3:
             m = op.m
             a = CubicMatrix(m, [draw(rng) for _ in range(m**3)])
-            block, expected = _zero_product_block(a, op, side), dense_product_block(a, op, side)
+            block, expected = block_of(a, op, side), dense_product_block(a, op, side)
             assert block == expected
             assert [[type(x) for x in row] for row in block] == [
                 [type(x) for x in row] for row in expected
@@ -582,9 +587,71 @@ class TestZeroProductBlock:
         # a single entry fills exactly m cells, one per free index
         for op in census3[::13]:
             for t in itertools.product(range(1, 4), repeat=3):
-                block = _zero_product_block(E(3, *t), op, side)
+                block = block_of(E(3, *t), op, side)
                 assert block == dense_product_block(E(3, *t), op, side)
                 assert sorted(x for row in block for x in row if x) == [1, 1, 1]
+
+
+class TestEqualLinesStopTheSolveEarly:
+    """Equal Cayley columns n' < n make the left block's columns (k, n') and
+    (k, n) equal for every element, so E(1, n, 1) - E(1, n', 1) is a left
+    annihilator and the left solve stops by block column (1, n); equal rows
+    l' < l do the same on the right, by block column (l, 1).  This extends
+    the paper's projection cases: a(i, j) = i has all its columns equal."""
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_every_table_up_to_m4_with_equal_lines(self, side, census2, census3, census4):
+        tables = 0
+        for op in [Operation([[1]])] + census2 + census3 + census4:
+            m = op.m
+            lines = list(zip(*op.rows)) if side == "left" else op.rows
+            pairs = [
+                (s + 1, t + 1)
+                for s, t in itertools.combinations(range(m), 2)
+                if lines[s] == lines[t]
+            ]
+            if not pairs:
+                continue
+            tables += 1
+            n = min(t for _, t in pairs)  # the first line equal to an earlier one
+            stop = n - 1 if side == "left" else (n - 1) * m  # block column (1, n) or (n, 1)
+            for a in zero_divisor_trials(op):
+                for s, t in pairs:
+                    x = E(m, 1, t, 1) - E(m, 1, s, 1)
+                    assert (a.mul(x, op) if side == "left" else x.mul(a, op)).is_zero()
+                f, _ = first_dependent_int_column(_block_columns(a, op, side))
+                assert f is not None and f <= stop
+        assert tables == 3 + 61 + 2055
+
+
+class TestBlockColumnsOnDemand:
+    """A solve builds block columns only up to the first dependent one."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """The block columns the solves build, in order, from now on."""
+        built, real = [], _block_columns
+
+        def counted(fixed, op, side):
+            for col in real(fixed, op, side):
+                built.append(col)
+                yield col
+
+        monkeypatch.setattr("cubal.structure._block_columns", counted)
+        return built
+
+    @pytest.mark.parametrize(
+        "op, columns, divisor", [(left_symmetric(4), 2, True), (right_symmetric(4), 16, False)]
+    )
+    def test_projections_at_m4(self, monkeypatch, op, columns, divisor):
+        # a(i, j) = i: all Cayley columns are equal, so block column 1 is column 0;
+        # a(i, j) = j: the block is phi(A) (x) I, nonsingular for a generic A
+        a = random_cubic(4, random.Random(53))
+        built = self.spy(monkeypatch)
+        w = left_zero_divisor_witness(a, op)
+        assert (w is not None) == divisor
+        assert len(built) == columns
+        assert built == list(_block_columns(a, op, "left"))[:columns]
 
 
 class TestSpans:
