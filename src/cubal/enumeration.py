@@ -29,8 +29,9 @@ split on the first row (the plain search) or the first two rows (the
 lex-leader search, whose first rows are few), and each worker follows its
 prefix from the root through the same search and returns that prefix's
 leaves as one list; the lists are read in prefix order so the output never
-depends on the worker count.  The tables of one census share their row
-tuples: each distinct row is built once, and there are at most m^m of them.
+depends on the worker count.  One stream, ``_operations``, makes every
+table a caller gets, so the tables of one census share their row tuples:
+each distinct row is built once, and there are at most m^m of them.
 """
 
 from __future__ import annotations
@@ -221,18 +222,6 @@ def _search_from_root(m: int, stop: int, lex: bool, prefix=()):
     return _search(m, t, val_cells, 0, stop, buckets, prefix)
 
 
-def _to_operation(m: int, flat: tuple[int, ...], rows: dict) -> Operation:
-    """The operation of a leaf.  ``rows``, owned by the caller, maps each row of
-    leaves seen so far to its 1-based tuple, so the tables it makes share rows."""
-    table = []
-    for r in range(0, m * m, m):
-        row = rows.get(key := flat[r : r + m])
-        if row is None:
-            row = rows[key] = tuple(v + 1 for v in key)
-        table.append(row)
-    return Operation._trusted(tuple(table))
-
-
 def _leaves(args) -> list[tuple[tuple[int, ...], int]]:
     """A pool worker's task: every (flat, |Aut|) leaf of one prefix's search."""
     return list(_search_from_root(*args))
@@ -258,12 +247,21 @@ def _map_over_prefixes(m: int, jobs: int, lex: bool = False):
             yield from chunk
 
 
+def _operations(m: int, jobs: int = 1, lex: bool = False):
+    """(Operation, |Aut|) for every leaf, in order; the tables share the
+    1-based tuple of each distinct row, made once."""
+    rows: dict = {}
+    for flat, aut in _map_over_prefixes(m, jobs, lex):
+        keys = [flat[r : r + m] for r in range(0, m * m, m)]
+        table = [rows.get(k) or rows.setdefault(k, tuple(v + 1 for v in k)) for k in keys]
+        yield Operation._trusted(tuple(table)), aut
+
+
 def enumerate_operations(m: int, *, max_m: int = DEFAULT_MAX_M):
     """Yield every associative operation on {1, .., m} once, in lexicographic order."""
     _check_budget(m, max_m, "enumeration")
-    rows: dict = {}
-    for flat, _ in _search_from_root(m, m * m, lex=False):
-        yield _to_operation(m, flat, rows)
+    for op, _ in _operations(m):
+        yield op
 
 
 def count_operations(m: int, *, jobs: int = 1, max_m: int = DEFAULT_MAX_M) -> int:
@@ -276,8 +274,7 @@ def count_operations(m: int, *, jobs: int = 1, max_m: int = DEFAULT_MAX_M) -> in
 def collect_operations(m: int, *, jobs: int = 1, max_m: int = DEFAULT_MAX_M) -> list[Operation]:
     """The full census as a list, in lexicographic order."""
     _check_budget(m, max_m, "enumeration", jobs)
-    rows: dict = {}
-    return [_to_operation(m, flat, rows) for flat, _ in _map_over_prefixes(m, jobs)]
+    return [op for op, _ in _operations(m, jobs)]
 
 
 def canonical_representative(a: Operation) -> Operation:
@@ -306,9 +303,7 @@ def orbit_census(m: int, *, jobs: int = 1, max_m: int = DEFAULT_MAX_M) -> Census
     the labelled total is the sum of the sizes.
     """
     _check_budget(m, max_m, "orbit classification", jobs)
-    rows: dict = {}
-    minima = _map_over_prefixes(m, jobs, lex=True)
     order = math.factorial(m)
-    representatives = tuple((_to_operation(m, flat, rows), order // aut) for flat, aut in minima)
+    representatives = tuple((op, order // aut) for op, aut in _operations(m, jobs, lex=True))
     total = sum(size for _, size in representatives)
     return CensusResult(m=m, total=total, representatives=representatives)

@@ -385,6 +385,37 @@ class TestExitCodes:
                 err = capsys.readouterr().err
                 assert err == f'cubal: "m" must be a positive integer, got {m!r}\n'
 
+    @pytest.mark.parametrize(
+        "name, text, argv, message",
+        [
+            ("ragged.json", '{"m": 2, "entries": [[["1", "0"], ["0"]], [["0", "0"], ["0", "1"]]]}',
+             ["mul", "--op", "{op}", "{file}", "{a2}"], "ragged cubic array"),
+            ("ragged.json", '{"m": 2, "entries": [[["1", "0"], ["0"]], [["0", "0"], ["0", "1"]]]}',
+             ["phi", "{file}"], "ragged cubic array"),
+            ("cut.json", '{"m": 2, "entries": [[["1"', ["phi", "{file}"],
+             "bad JSON in cut.json: Expecting ',' delimiter: line 1 column 27 (char 26)"),
+            ("no_m.json", '{"entries": [[["1"]]]}', ["phi", "{file}"],
+             'cubic matrix document needs "m" and "entries" keys'),
+            ("no_entries.json", '{"m": 1}', ["mul", "--op", "{op}", "{a2}", "{file}"],
+             'cubic matrix document needs "m" and "entries" keys'),
+            ("empty.txt", "", ["classify", "--op", "{file}"], "empty table file"),
+            ("blank.txt", "  \n\n", ["char", "--op", "{file}"], "empty table file"),
+            ("zero.txt", "0\n", ["classify", "--op", "{file}"], "empty Cayley table"),
+        ],
+        ids=["ragged-mul", "ragged-phi", "cubic-bad-json", "cubic-no-m", "cubic-no-entries",
+             "empty-table", "blank-table", "text-m0"],
+    )
+    def test_bad_input_file_is_exit_2_with_its_message(
+        self, capsys, monkeypatch, tmp_path, files, name, text, argv, message
+    ):
+        op, a2, _ = files
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / name).write_text(text)
+        assert main([arg.format(op=op, a2=a2, file=name) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cubal: {message}\n"
+
     def test_bad_table_json_names_its_file(self, capsys, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "broken.json").write_text('{"m": 1, table: [[1]]}\n')

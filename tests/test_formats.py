@@ -1,5 +1,6 @@
 """Round-trips and rejection behavior of the documented file formats."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -179,6 +180,28 @@ class TestCensusFormats:
             census_from_doc(doc)
         doc["m"] = 3
         assert census_from_doc(doc).m == 3
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            None,
+            [],
+            {"m": 2},
+            {"m": 2, "orbit_count": 0, "orbits": []},
+            {"m": 2, "total": 1, "orbit_count": 1, "orbits": [{"size": 1}]},
+            {"m": 2, "total": 1, "orbit_count": 1, "orbits": [[[1, 1], [1, 1]]]},
+        ],
+        ids=["null", "list", "no-orbits", "no-total", "no-representative", "bare-table"],
+    )
+    def test_malformed_doc_rejected(self, doc):
+        with pytest.raises(FormatError, match="bad census document"):
+            census_from_doc(doc)
+
+    def test_expansion_rejects_a_wrong_orbit_size(self, orbits2):
+        (rep, size), *rest = orbits2.representatives
+        wrong = dataclasses.replace(orbits2, representatives=((rep, size + 1), *rest))
+        with pytest.raises(FormatError, match=f"stored orbit size {size + 1} disagrees"):
+            expand_census(wrong)
 
 
 class TestDumpJson:

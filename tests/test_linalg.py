@@ -267,6 +267,9 @@ class TestKernel:
     def test_trivial_kernel(self):
         assert kernel_basis([[1, 0], [0, 1]]) == []
 
+    def test_no_rows(self):
+        assert kernel_basis([]) == []
+
     def test_one_dimensional_kernel(self):
         basis = kernel_basis([[1, 2], [2, 4]])
         assert len(basis) == 1

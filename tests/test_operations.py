@@ -87,6 +87,10 @@ class TestPermutation:
     def test_all_permutations_count(self):
         assert sum(1 for _ in all_permutations(4)) == 24
 
+    def test_compose_rejects_another_size(self):
+        with pytest.raises(ValueError, match="size mismatch"):
+            Permutation([2, 1]).compose(Permutation.identity(3))
+
 
 class TestAction:
     def test_identity_fixes_everything(self, m2_ops):
@@ -156,6 +160,10 @@ class TestEquivalence:
 
     def test_two_fixed_points_are_inequivalent(self, m2_ops):
         assert are_equivalent(m2_ops[2], m2_ops[3]) is None
+
+    def test_tables_of_another_size_raise(self, m2_ops):
+        with pytest.raises(ValueError, match="different sizes"):
+            are_equivalent(m2_ops[0], Operation(CYCLE3))
 
 
 class TestSymmetry:

@@ -641,17 +641,60 @@ class TestBlockColumnsOnDemand:
         return built
 
     @pytest.mark.parametrize(
-        "op, columns, divisor", [(left_symmetric(4), 2, True), (right_symmetric(4), 16, False)]
+        "side, op, columns, divisor",
+        [
+            ("left", left_symmetric(4), 2, True),
+            ("left", right_symmetric(4), 16, False),
+            ("right", right_symmetric(4), 5, True),
+            ("right", left_symmetric(4), 16, False),
+        ],
+        ids=[
+            "left-left_symmetric",
+            "left-right_symmetric",
+            "right-right_symmetric",
+            "right-left_symmetric",
+        ],
     )
-    def test_projections_at_m4(self, monkeypatch, op, columns, divisor):
-        # a(i, j) = i: all Cayley columns are equal, so block column 1 is column 0;
-        # a(i, j) = j: the block is phi(A) (x) I, nonsingular for a generic A
+    def test_projections_at_m4(self, monkeypatch, side, op, columns, divisor):
+        # left, a(i, j) = i: all Cayley columns are equal, so block column 1 is column 0;
+        # right, a(i, j) = j: all rows are, so block column (2, 1) = 4 is column (1, 1);
+        # the other projection gives phi(A) (x) I (I (x) phi(A)^T), nonsingular for a generic A
         a = random_cubic(4, random.Random(53))
         built = self.spy(monkeypatch)
-        w = left_zero_divisor_witness(a, op)
+        solve = left_zero_divisor_witness if side == "left" else right_zero_divisor_witness
+        w = solve(a, op)
         assert (w is not None) == divisor
+        if divisor:
+            assert (a.mul(w, op) if side == "left" else w.mul(a, op)).is_zero()
         assert len(built) == columns
-        assert built == list(_block_columns(a, op, "left"))[:columns]
+        assert built == list(_block_columns(a, op, side))[:columns]
+
+
+class TestSizeMismatch:
+    """A map given objects on different numbers of symbols raises ValueError."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda op3, x2: permute_indices(Permutation.identity(3), x2),
+            lambda op3, x2: verify_isomorphism(op3, right_symmetric(2), Permutation.identity(3)),
+            lambda op3, x2: verify_isomorphism(op3, op3, Permutation.identity(2)),
+            lambda op3, x2: is_character(x2, op3),
+            lambda op3, x2: left_zero_divisor_witness(x2, op3),
+            lambda op3, x2: right_zero_divisor_witness(x2, op3),
+        ],
+        ids=[
+            "permute_indices",
+            "verify_isomorphism-tables",
+            "verify_isomorphism-permutation",
+            "is_character",
+            "left_zero_divisor_witness",
+            "right_zero_divisor_witness",
+        ],
+    )
+    def test_raises_value_error(self, call, cycle3):
+        with pytest.raises(ValueError, match="size mismatch"):
+            call(cycle3, E(2, 1, 1, 1))
 
 
 class TestSpans:

@@ -1,5 +1,6 @@
 """The batch check battery used by the verify command."""
 
+import dataclasses
 import itertools
 import json
 import random
@@ -241,6 +242,16 @@ def test_accompanying_check_fails_on_an_unbalanced_trial(monkeypatch):
     assert not check_accompanying(op)
 
 
+def test_accompanying_check_fails_when_every_matrix_reads_as_in_the_kernel(monkeypatch):
+    # only the cross-check of in_kernel_ideal against the fiber sums sees this:
+    # the products of the balanced trials lie in the kernel ideal anyway
+    op = Operation(CYCLE3)
+    assert check_accompanying(op)
+    verify._accompanying_trials.cache_clear()  # the fixture clears it again after
+    monkeypatch.setattr(verify, "in_kernel_ideal", lambda x: True)
+    assert not check_accompanying(op)
+
+
 def test_table_free_facts_are_computed_once_per_m():
     ops = [Operation(CYCLE3), Operation([[1, 1, 1], [1, 1, 1], [1, 1, 1]])]
     assert all(check_accompanying(op) for op in ops)
@@ -334,6 +345,19 @@ def test_plenary_check_fails_on_a_power_sequence_off_by_one(monkeypatch):
     power_sequence = verify.power_sequence
     monkeypatch.setattr(
         verify, "power_sequence", lambda i, op, steps: power_sequence(i, op, steps + 1)[1:]
+    )
+    assert not check_plenary_powers(op)
+
+
+def test_plenary_check_fails_when_the_index_class_is_wrong(monkeypatch):
+    # the walks still match; only the comparison of the two classes sees this
+    op = Operation(CYCLE3)
+    assert check_plenary_powers(op)
+    classify = verify.classify_power_sequence
+    monkeypatch.setattr(
+        verify,
+        "classify_power_sequence",
+        lambda i, op: dataclasses.replace(classify(i, op), entry=classify(i, op).entry + 1),
     )
     assert not check_plenary_powers(op)
 
