@@ -23,8 +23,8 @@ def dump_json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _doc_m(doc) -> int:
-    m = doc["m"]
+def _positive_m(m) -> int:
+    """The declared size m of any input format, when it is an int of at least 1."""
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise FormatError(f'"m" must be a positive integer, got {m!r}')
     return m
@@ -34,7 +34,7 @@ def operation_from_doc(doc, *, unchecked: bool = False) -> Operation:
     if not isinstance(doc, dict) or "m" not in doc or "table" not in doc:
         raise FormatError('operation document needs "m" and "table" keys')
     table = doc["table"]
-    if not isinstance(table, list) or len(table) != _doc_m(doc):
+    if not isinstance(table, list) or len(table) != _positive_m(doc["m"]):
         raise FormatError('"table" must hold m rows')
     return Operation(table, unchecked=unchecked)
 
@@ -44,7 +44,7 @@ def table_from_text(text: str, *, unchecked: bool = False) -> Operation:
     if not lines:
         raise FormatError("empty table file")
     try:
-        m = int(lines[0])
+        m = _positive_m(int(lines[0]))
         rows = [[int(v) for v in line.split()] for line in lines[1:]]
     except ValueError as exc:
         raise FormatError(f"bad table text: {exc}") from None
@@ -86,7 +86,7 @@ def cubic_to_doc(x: CubicMatrix) -> dict:
 def cubic_from_doc(doc) -> CubicMatrix:
     if not isinstance(doc, dict) or "m" not in doc or "entries" not in doc:
         raise FormatError('cubic matrix document needs "m" and "entries" keys')
-    m = _doc_m(doc)
+    m = _positive_m(doc["m"])
     nested = doc["entries"]
     if not isinstance(nested, list) or not all(
         isinstance(plane, list) and all(isinstance(row, list) for row in plane) for plane in nested
@@ -121,7 +121,7 @@ def census_to_doc(census: CensusResult) -> dict:
 
 def census_from_doc(doc) -> CensusResult:
     try:
-        m = _doc_m(doc)
+        m = _positive_m(doc["m"])
         representatives = tuple(
             (Operation(entry["representative"]), entry["size"])
             for entry in doc["orbits"]

@@ -137,11 +137,12 @@ def _fiber_balance(x: CubicMatrix) -> CubicMatrix:
 
 
 def check_subalgebras(op: Operation) -> bool:
-    """Theorem 4 through the product: for every nonempty J, the verdicts of
-    ``subset_closures`` are those the table rows give, and an off-diagonal
-    element squares to 0.  J = image(a) is one of the subsets."""
+    """Theorem 4 through the product: for every nonempty J, the verdicts that
+    ``subset_closures`` reads off one product are those ``_escape`` gives on
+    the table rows, and the off-diagonal sum of E(1, j, 2) squares to 0.
+    J = image(a) is one of the subsets."""
     rows, S = op.rows, range(1, op.m + 1)
-    y = _subset_probes(op.m)[1]
+    y = _closure_probes(op.m)[2]
     return (y is None or y.mul(y, op).is_zero()) and all(
         closures == tuple(_escape(rows, *sides, J) is None for sides in ((J, J), (S, J), (J, S)))
         for J, closures in subset_closures(op)
@@ -149,36 +150,37 @@ def check_subalgebras(op: Operation) -> bool:
 
 
 def subset_closures(op: Operation):
-    """Yield, per nonempty J of 1..m by size then members, J and whether the
-    middle indices of x_J x_J, u x_J and x_J u lie in J, for x_J the sum of
-    E(1, j, 1) over j in J and u = x_{1..m}: whether the span of
-    {E(i, j, k): j in J} is a subalgebra, a left ideal and a right ideal.
-    Every coefficient is 1, so no term cancels and those middle indices are
-    exactly a(J, J), a(S, J) and a(J, S)."""
+    """Yield, per nonempty J of S = 1..m by size then members, J and whether
+    the middle indices of the product over J x J, S x J and J x S lie in J:
+    whether the span of {E(i, j, k): j in J} is a subalgebra, a left ideal
+    and a right ideal.  One product P = X U, for X the sum of E(s, s, 1) and
+    U the sum of E(1, t, t) over S, is the sum of E(s, a(s, t), t): one term
+    per outer cell (s, ., t), so none cancels and each cell holds a(s, t)."""
     m = op.m
-    for J, pairs in _subset_probes(m)[0]:
-        yield J, tuple(
-            {jr // m + 1 for slab in x.mul(y, op).slabs for jr, _ in slab}.issubset(J)
-            for x, y in pairs
-        )
+    x, u, _ = _closure_probes(m)
+    cells = [[0] * m for _ in range(m)]  # the middle indices at (s, ., t), as bits
+    for s, slab in enumerate(x.mul(u, op).slabs):
+        for jt, _ in slab:
+            cells[s][jt % m] |= 1 << jt // m
+    # unions(bits)[T], for a set T of positions in bits given as bits, is the union of the bits at T
+    unions = lambda bits: functools.reduce(lambda out, b: out + [c | b for c in out], bits, [0])
+    rows = [unions(row) for row in cells]  # [s][T]: the middle indices over {s} x T
+    over_left = unions(row[-1] for row in rows)  # [T]: over T x S
+    over_right = [functools.reduce(int.__or__, col) for col in zip(*rows)]  # [T]: over S x T
+    S = tuple(range(1, m + 1))
+    for J in (J for size in S for J in itertools.combinations(S, size)):
+        inside = sum(1 << j - 1 for j in J)
+        square = functools.reduce(int.__or__, (rows[j - 1][inside] for j in J))
+        yield J, tuple(not bits & ~inside for bits in (square, over_right[inside], over_left[inside]))
 
 
 @functools.lru_cache(maxsize=None)
-def _subset_probes(m: int):
-    """The factor pairs of theorem_4, built once per m: per nonempty J, J with
-    (x_J, x_J), (u, x_J) and (x_J, u), one u = x_{1..m} for all; and the sum
-    of E(1, j, 2) over j, or None when m = 1.  Each factor meets a new right
-    factor on every product, so the probes take ``mul``'s slab path."""
-    def ones(J, k=1):  # the sum of E(1, j, k) over j in J
-        slab = tuple(((j - 1) * m + k - 1, 1) for j in J)
-        return CubicMatrix._from_form(m, (slab,) + ((),) * (m - 1), 1)
-
-    S, probes = tuple(range(1, m + 1)), []
-    u = ones(S)
-    for J in (J for size in S for J in itertools.combinations(S, size)):
-        x = ones(J)
-        probes.append((J, ((x, x), (u, x), (x, u))))
-    return tuple(probes), ones(S, 2) if m >= 2 else None
+def _closure_probes(m: int):
+    """The factors of theorem_4, built once per m: X and U of
+    ``subset_closures``, and the sum of E(1, j, 2) over j, or None when m = 1."""
+    S = range(1, m + 1)
+    x, u = _ones(m, [(s, s, 1) for s in S]), _ones(m, [(1, t, t) for t in S])
+    return x, u, _ones(m, [(1, j, 2) for j in S]) if m >= 2 else None
 
 
 def check_commutativity(op: Operation) -> tuple[bool, dict]:
@@ -244,17 +246,21 @@ def check_zero_divisors(op: Operation) -> bool:
 def check_plenary_powers(op: Operation) -> bool:
     """Squaring a basis matrix E(j, i, j) tracks the index squaring orbit of i.
 
-    Only the m^2 squares E(j, i, j)^2 are dense products, checked against the
-    triple rule.  That rule squares E(j, i, j) to E(j, a(i, i), j), whatever
-    j is, so each i's walk runs once, on triples (1, ., 1), against its power
-    sequence and its class.
+    The m^2 squares E(j, i, j)^2 are taken densely as m squares, of D_s, the
+    sum of E(j, i, j) over i with j - 1 = i - 1 + s mod m, s = 0..m-1: each
+    E(j, i, j) lies in one D_s.  Within D_s the outer indices differ, so no
+    cross term survives, and D_s^2 must be the sum of the triple rule's
+    squares E(j, a(i, i), j).  That rule squares E(j, i, j) to E(j, a(i, i), j)
+    whatever j is, so each i's walk runs once, on triples (1, ., 1), against
+    its power sequence and its class.
     """
     m = op.m
     steps = 2 * m
     square = lambda s: _basis_product_triple(op, s, s)
-    for j, i in itertools.product(range(1, m + 1), repeat=2):
-        e = CubicMatrix.basis(m, j, i, j)
-        if e.mul(e, op) != CubicMatrix.basis(m, *square((j, i, j))):
+    for s in range(m):
+        triples = [((i + s) % m + 1, i + 1, (i + s) % m + 1) for i in range(m)]
+        d = _ones(m, triples)
+        if d.mul(d, op) != _ones(m, map(square, triples)):
             return False
     for i in range(1, m + 1):
         t, seq = (1, i, 1), power_sequence(i, op, steps)
@@ -269,6 +275,14 @@ def check_plenary_powers(op: Operation) -> bool:
         ):
             return False
     return True
+
+
+def _ones(m: int, triples) -> CubicMatrix:
+    """The sum of E(i, j, k) over the distinct (i, j, k) in triples."""
+    slabs = [[] for _ in range(m)]
+    for i, j, k in triples:
+        slabs[i - 1].append(((j - 1) * m + k - 1, 1))
+    return CubicMatrix._from_form(m, tuple(tuple(sorted(slab)) for slab in slabs), 1)
 
 
 def battery():

@@ -400,10 +400,13 @@ class TestExitCodes:
              'cubic matrix document needs "m" and "entries" keys'),
             ("empty.txt", "", ["classify", "--op", "{file}"], "empty table file"),
             ("blank.txt", "  \n\n", ["char", "--op", "{file}"], "empty table file"),
-            ("zero.txt", "0\n", ["classify", "--op", "{file}"], "empty Cayley table"),
+            ("zero.txt", "0\n", ["classify", "--op", "{file}"],
+             '"m" must be a positive integer, got 0'),
+            ("minus.txt", "-1\n", ["classify", "--op", "{file}"],
+             '"m" must be a positive integer, got -1'),
         ],
         ids=["ragged-mul", "ragged-phi", "cubic-bad-json", "cubic-no-m", "cubic-no-entries",
-             "empty-table", "blank-table", "text-m0"],
+             "empty-table", "blank-table", "text-m0", "text-m-1"],
     )
     def test_bad_input_file_is_exit_2_with_its_message(
         self, capsys, monkeypatch, tmp_path, files, name, text, argv, message

@@ -13,7 +13,7 @@ from cubal.cli import main
 from cubal.cubic import CubicMatrix
 from cubal.linalg import det
 from cubal.operations import Operation, left_symmetric, right_symmetric
-from cubal.enumeration import orbit_census
+from cubal.enumeration import collect_operations, orbit_census
 from cubal.structure import AccompanyingElement, accompanying_image
 from cubal.verify import (
     check_accompanying,
@@ -432,3 +432,83 @@ def test_subset_closure_counts(m, tables, census2, census3, census4):
         counts[3] += sum(c[1] and c[2] for c in closures)
         counts[4] += any(c[1] != c[2] for c in closures)
     assert tuple(counts) == SUBSET_COUNTS[m, tables]
+
+
+CLOSURE_ROWS = {  # per table as in SUBSET_COUNTS, over the orbit minima and weighted by orbit size
+    4: ((1857, 903, 903, 668, 129), (33420, 16682, 16682, 12876, 2328)),
+    5: ((33475, 14341, 14341, 10304, 1541), (3118102, 1370902, 1370902, 1010832, 147642)),
+}
+
+
+@pytest.mark.parametrize("m", list(CLOSURE_ROWS))
+def test_subset_closure_rows_over_the_orbit_minima(m):
+    # the closure verdicts are invariant under relabeling, so the weighted row is the labelled one
+    rows = [0] * 5, [0] * 5
+    for op, size in orbit_census(m).representatives:
+        closures = [c for _, c in verify.subset_closures(op)]
+        row = (
+            sum(c[0] for c in closures),
+            sum(c[1] for c in closures),
+            sum(c[2] for c in closures),
+            sum(c[1] and c[2] for c in closures),
+            any(c[1] != c[2] for c in closures),
+        )
+        for counts, weight in zip(rows, (1, size)):
+            for n, value in enumerate(row):
+                counts[n] += weight * value
+    assert tuple(map(tuple, rows)) == CLOSURE_ROWS[m]
+
+
+def magmas2():
+    """The 16 tables on two symbols, associative or not."""
+    return [
+        Operation([list(cells[:2]), list(cells[2:])], unchecked=True)
+        for cells in itertools.product((1, 2), repeat=4)
+    ]
+
+
+@pytest.mark.parametrize("tables", ["m1", "m2", "m3", "m4", "magmas2"])
+def test_the_probe_product_holds_a_s_t_at_each_outer_cell(tables, census2, census3, census4):
+    # theorem_4's product side reads the table only through X U
+    ops = {
+        "m1": lambda: collect_operations(1), "m2": lambda: census2, "m3": lambda: census3,
+        "m4": lambda: census4, "magmas2": magmas2,
+    }[tables]()
+    for op in ops:
+        m, S = op.m, range(1, op.m + 1)
+        x, u, _ = verify._closure_probes(m)
+        product = x.mul(u, op)
+        for s, t in itertools.product(S, repeat=2):
+            held = [(j, product.entry(s, j, t)) for j in S if product.entry(s, j, t)]
+            assert held == [(op.rows[s - 1][t - 1], 1)]
+
+
+def test_subalgebra_check_fails_when_the_product_drops_left_slabs(monkeypatch):
+    # a product that keeps only the left factor's first slab: the probes must
+    # carry every first index s, or a(s, t) for s >= 2 goes unread
+    mul = CubicMatrix.mul
+
+    def first_slab_only(x, y, op):
+        mm = x.m * x.m
+        return mul(CubicMatrix(x.m, [v if flat < mm else 0 for flat, v in enumerate(x.entries)]), y, op)
+
+    assert check_subalgebras(Operation(CYCLE3))
+    monkeypatch.setattr(CubicMatrix, "mul", first_slab_only)
+    assert not check_subalgebras(Operation(CYCLE3))
+    assert verify_operation(Operation(CYCLE3))["theorem_4"] is False
+
+
+def test_plenary_check_fails_when_the_right_factor_mixes_its_slabs(monkeypatch, census3):
+    # each slab of the right factor is replaced by the sum of all of them, so a
+    # left term (i, l, k) also meets the right terms of first index other than k
+    mul = CubicMatrix.mul
+
+    def summed_right(x, y, op):
+        m, mm = y.m, y.m * y.m
+        total = [sum(y.entries[i * mm + jk] for i in range(m)) for jk in range(mm)]
+        return mul(x, CubicMatrix(m, total * m), op)
+
+    assert all(check_plenary_powers(op) for op in census3)
+    monkeypatch.setattr(CubicMatrix, "mul", summed_right)
+    assert not any(check_plenary_powers(op) for op in census3)
+    assert verify_operation(Operation(CYCLE3))["plenary_powers"] is False
