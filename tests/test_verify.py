@@ -1,8 +1,10 @@
 """The batch check battery used by the verify command."""
 
 import dataclasses
+import functools
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -13,7 +15,7 @@ from cubal.cli import main
 from cubal.cubic import CubicMatrix
 from cubal.linalg import det
 from cubal.operations import Operation, left_symmetric, right_symmetric
-from cubal.enumeration import collect_operations, orbit_census
+from cubal.enumeration import canonical_representative, collect_operations, orbit_census
 from cubal.structure import AccompanyingElement, accompanying_image
 from cubal.verify import (
     check_accompanying,
@@ -294,6 +296,35 @@ def test_isomorphism_check_fails_when_pi_does_not_carry_the_table(monkeypatch):
     assert not check_isomorphisms(op)
 
 
+def test_isomorphism_check_fails_when_act_ignores_pi(monkeypatch, census3):
+    # a relabeling that returns its table unchanged makes every pi look like an
+    # automorphism; only the projections, which every pi fixes, stay green
+    monkeypatch.setattr(verify, "act", lambda pi, a: a)
+    assert not check_isomorphisms(Operation(CYCLE3))
+    green = {op for op in census3 if check_isomorphisms(op)}
+    assert green == {left_symmetric(3), right_symmetric(3)}
+
+
+def test_isomorphism_check_tries_every_permutation(monkeypatch, census2, census3):
+    # automorphisms included: one isomorphism check per pi in S_m, for every table
+    calls = []
+    check = verify.verify_isomorphism
+    monkeypatch.setattr(
+        verify, "verify_isomorphism", lambda a, b, pi: calls.append(pi) or check(a, b, pi)
+    )
+    for op in collect_operations(1) + census2 + census3:
+        calls.clear()
+        assert check_isomorphisms(op)
+        assert len(calls) == len(set(calls)) == math.factorial(op.m)
+
+
+def test_isomorphism_check_holds_on_every_magma_of_order_3():
+    # Theorem 1's argument uses no associativity
+    for cells in itertools.product((1, 2, 3), repeat=9):
+        op = Operation([cells[:3], cells[3:6], cells[6:]], unchecked=True)
+        assert check_isomorphisms(op), op
+
+
 def test_m1_commutativity_witness_is_the_dense_pair():
     ok, witness = check_commutativity(Operation([[1]]))
     assert ok
@@ -365,6 +396,87 @@ def test_plenary_check_fails_when_the_index_class_is_wrong(monkeypatch):
 def opposite(op):
     """The table of a(n, j) at (j, n)."""
     return Operation([list(col) for col in zip(*op.rows)], unchecked=True)
+
+
+@functools.cache
+def minima(m):
+    """The orbit minima for m, with their orbit sizes."""
+    return orbit_census(m).representatives
+
+
+@pytest.mark.parametrize(
+    "m, self_dual, a001423", [(1, 1, 1), (2, 3, 4), (3, 12, 18), (4, 64, 126), (5, 405, 1160)]
+)
+def test_self_dual_orbit_census(m, self_dual, a001423):
+    # an orbit is self-dual when the transposes of its tables lie in it; the
+    # orbits under relabeling and transposing together then number A001423(m)
+    count = sum(canonical_representative(opposite(op)) == op for op, _ in minima(m))
+    assert count == self_dual
+    assert len(minima(m)) + count == 2 * a001423
+
+
+def three_nilpotent(op):
+    """All triple products a(a(i, j), k) are one element, the zero."""
+    rows = op.rows
+    return len({rows[v - 1][k] for row in rows for v in row for k in range(op.m)}) == 1
+
+
+def is_monoid(op):
+    """Some e has a(e, s) = a(s, e) = s for every s."""
+    S = tuple(range(1, op.m + 1))
+    return any(
+        op.rows[e - 1] == S and all(row[e - 1] == s for s, row in zip(S, op.rows)) for e in S
+    )
+
+
+TABLE_CLASSES = {
+    "3-nilpotent": three_nilpotent,
+    "commutative": lambda op: op == opposite(op),
+    "monoid": is_monoid,
+}
+
+
+def class_counts(representatives):
+    """Per class of TABLE_CLASSES, the (op, size) pairs in it: how many, and
+    their sizes summed."""
+    counts = {}
+    for name, is_in in TABLE_CLASSES.items():
+        sizes = [size for op, size in representatives if is_in(op)]
+        counts[name] = (len(sizes), sum(sizes))
+    return counts
+
+
+def three_nilpotent_labelled(n):
+    """Labelled 3-nilpotent tables on n symbols: a zero z, then S^2 = B holding z,
+    then a map from (S - B) x (S - B) onto B - {z}, counted by inclusion-exclusion."""
+    return n * sum(
+        math.comb(n - 1, b - 1)
+        * sum((-1) ** i * math.comb(b - 1, i) * (b - i) ** ((n - b) ** 2) for i in range(b))
+        for b in range(1, n + 1)
+    )
+
+
+CLASS_COUNTS = {  # per m = 1..5: orbits, then labelled tables
+    "3-nilpotent": ((1, 1, 2, 10, 119), (1, 2, 9, 184, 11725)),
+    "commutative": ((1, 3, 12, 58, 325), (1, 6, 63, 1140, 30730)),
+    "monoid": ((1, 2, 7, 35, 228), (1, 4, 33, 624, 20610)),
+}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_class_counts_over_the_orbit_minima(m):
+    got = class_counts(minima(m))
+    want = {name: (orbits[m - 1], labelled[m - 1]) for name, (orbits, labelled) in CLASS_COUNTS.items()}
+    assert got == want
+    assert got["3-nilpotent"][1] == three_nilpotent_labelled(m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_class_counts_match_a_labelled_recount(m, census2, census3, census4):
+    # each class is invariant under relabeling, so weighting the minima by orbit size counts it
+    ops = {1: collect_operations(1), 2: census2, 3: census3, 4: census4}[m]
+    recount = {name: sum(map(is_in, ops)) for name, is_in in TABLE_CLASSES.items()}
+    assert recount == {name: labelled for name, (_, labelled) in class_counts(minima(m)).items()}
 
 
 def test_subalgebra_check_fails_under_the_opposite_product(monkeypatch):
