@@ -30,7 +30,7 @@ from .enumeration import (
     count_operations,
     orbit_census,
 )
-from .errors import CubalError, FormatError
+from .errors import CubalError, FormatError, same_size
 from .linalg import det
 from .operations import (
     classify_power_sequence,
@@ -106,8 +106,8 @@ class _Inputs:
         table and must have the table's m."""
         op = self.op if hasattr(self.args, "op") else None
         x = formats.parse_cubic(self._text(path), path)
-        if op is not None and x.m != op.m:
-            raise FormatError(f"{path}: cubic matrix has m={x.m}, the table has m={op.m}")
+        if op is not None:
+            same_size(x, op, error=FormatError, names=(f"{path}: cubic matrix", "the table"))
         return x
 
     @property

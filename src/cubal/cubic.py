@@ -25,15 +25,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import FormatError
+from .errors import FormatError, require_indices, require_size, same_size
 from .operations import Operation
 from .scalars import integral, require_rational
-
-
-def require_size(m: int) -> None:
-    """Raise FormatError unless a matrix on m symbols has at least one."""
-    if m < 1:
-        raise FormatError(f"m must be a positive integer, got {m!r}")
 
 
 class CubicMatrix:
@@ -81,9 +75,7 @@ class CubicMatrix:
     @classmethod
     def basis(cls, m: int, i: int, j: int, k: int) -> "CubicMatrix":
         """E(i, j, k): the single-entry matrix with a 1 at (i, j, k)."""
-        for idx in (i, j, k):
-            if not 1 <= idx <= m:
-                raise FormatError(f"index {idx} outside 1..{m}")
+        require_indices((i, j, k), require_size(m), "index")
         one = (((j - 1) * m + k - 1, 1),)
         return cls._from_form(m, tuple(one if s == i else () for s in range(1, m + 1)), 1)
 
@@ -119,8 +111,7 @@ class CubicMatrix:
     def _require_same_size(self, other: "CubicMatrix"):
         if not isinstance(other, CubicMatrix):
             raise TypeError(f"expected a CubicMatrix, got {other!r}")
-        if self.m != other.m:
-            raise ValueError(f"dimension mismatch: {self.m} vs {other.m}")
+        same_size(self, other)
 
     def __add__(self, other):
         self._require_same_size(other)
@@ -154,10 +145,7 @@ class CubicMatrix:
         kept there, and each product under a table only adds S[i, l, n, r]
         into (a(l, n), r): the same int sums, with no multiplication.
         """
-        self._require_same_size(other)
-        m = self.m
-        if op.m != m:
-            raise ValueError(f"operation acts on {op.m} symbols, matrices have m={m}")
+        m = same_size(self, other, op)
         plan, sums = op._row_plan(), []
         pair = self._pair
         if pair is not None and pair[0] is other:

@@ -41,7 +41,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import CapacityError
+from .errors import CapacityError, require_size
 from .operations import Operation, orbit
 
 HARD_MAX_M = 6
@@ -49,9 +49,8 @@ DEFAULT_MAX_M = 5
 
 
 def _check_budget(m: int, max_m: int, what: str, jobs: int = 1) -> None:
-    for name, n in (("m", m), ("jobs", jobs)):
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise CapacityError(f"{name} must be a positive integer, got {n!r}")
+    require_size(m, "m", CapacityError)
+    require_size(jobs, "jobs", CapacityError)
     cap = min(max_m, HARD_MAX_M)
     if m > cap:
         hint = (

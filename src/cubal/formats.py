@@ -13,7 +13,7 @@ import json
 
 from .cubic import CubicMatrix
 from .enumeration import CensusResult
-from .errors import FormatError
+from .errors import FormatError, require_size, same_size
 from .operations import Operation, orbit
 from .scalars import format_scalar, parse_scalar
 
@@ -23,18 +23,11 @@ def dump_json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _positive_m(m) -> int:
-    """The declared size m of any input format, when it is an int of at least 1."""
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise FormatError(f'"m" must be a positive integer, got {m!r}')
-    return m
-
-
 def operation_from_doc(doc, *, unchecked: bool = False) -> Operation:
     if not isinstance(doc, dict) or "m" not in doc or "table" not in doc:
         raise FormatError('operation document needs "m" and "table" keys')
     table = doc["table"]
-    if not isinstance(table, list) or len(table) != _positive_m(doc["m"]):
+    if not isinstance(table, list) or len(table) != require_size(doc["m"], '"m"'):
         raise FormatError('"table" must hold m rows')
     return Operation(table, unchecked=unchecked)
 
@@ -44,7 +37,7 @@ def table_from_text(text: str, *, unchecked: bool = False) -> Operation:
     if not lines:
         raise FormatError("empty table file")
     try:
-        m = _positive_m(int(lines[0]))
+        m = require_size(int(lines[0]), '"m"')
         rows = [[int(v) for v in line.split()] for line in lines[1:]]
     except ValueError as exc:
         raise FormatError(f"bad table text: {exc}") from None
@@ -86,7 +79,7 @@ def cubic_to_doc(x: CubicMatrix) -> dict:
 def cubic_from_doc(doc) -> CubicMatrix:
     if not isinstance(doc, dict) or "m" not in doc or "entries" not in doc:
         raise FormatError('cubic matrix document needs "m" and "entries" keys')
-    m = _positive_m(doc["m"])
+    m = require_size(doc["m"], '"m"')
     nested = doc["entries"]
     if not isinstance(nested, list) or not all(
         isinstance(plane, list) and all(isinstance(row, list) for row in plane) for plane in nested
@@ -121,7 +114,7 @@ def census_to_doc(census: CensusResult) -> dict:
 
 def census_from_doc(doc) -> CensusResult:
     try:
-        m = _positive_m(doc["m"])
+        m = require_size(doc["m"], '"m"')
         representatives = tuple(
             (Operation(entry["representative"]), entry["size"])
             for entry in doc["orbits"]
@@ -129,15 +122,15 @@ def census_from_doc(doc) -> CensusResult:
         stated_total = doc["total"]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad census document: {exc}") from None
-    for rep, size in representatives:
-        if rep.m != m or not isinstance(size, int) or isinstance(size, bool) or size < 1:
-            raise FormatError(f"an orbit needs {m} rows and a positive int size: {rep.m}, {size!r}")
-    if doc.get("orbit_count") != len(representatives):
+    total = sum(require_size(size, "an orbit size") for _, size in representatives)
+    census = CensusResult(m=m, total=total, representatives=representatives)
+    for rep, _ in representatives:
+        same_size(census, rep, error=FormatError)
+    if doc.get("orbit_count") != census.orbit_count:
         raise FormatError("orbit_count disagrees with the orbit list")
-    total = sum(size for _, size in representatives)
     if stated_total != total:
         raise FormatError("total disagrees with the orbit sizes")
-    return CensusResult(m=m, total=total, representatives=representatives)
+    return census
 
 
 def expand_census(census: CensusResult) -> list[Operation]:

@@ -3,16 +3,15 @@
 Matrices are lists of row lists.  One fraction-free (Bareiss) forward pass
 serves all.  It pulls the columns one at a time and reduces each against
 the pivots found before it (left-looking), so a caller that stops it reads
-no column after that point: ``first_dependent_column`` stops it at the
-first pivotless column and returns the pivot rows it has reduced, ``det``
-reads its last pivot, and ``rref`` (so ``rank`` and ``kernel_basis``) ends
-with back substitution on the pivot rows.  ``first_dependent_int_column``
-takes int columns from any iterator, such as a generator that makes each
-column only when it is pulled.  Rows are scaled to ints
-(``scalars.integral``; all-int rows in one scan), so every division is exact
-with ``//``.  Entries become ``Fraction`` only when normalized.  ``matmul``
-is the product of the m x m accompanying algebra, whose elements are these
-rows.
+no column after that point: ``first_dependent_int_column`` stops it at the
+first pivotless column and returns the pivot rows it has reduced, taking
+int columns from any iterator, such as a generator that makes each column
+only when it is pulled; ``det`` reads its last pivot, ``rank`` counts the
+pivots, and ``rref`` (so ``kernel_basis``) ends with back substitution on
+the pivot rows.  Rows are scaled to ints (``scalars.integral``; all-int
+rows in one scan), so every division is exact with ``//``.  Entries become
+``Fraction`` only when normalized.  ``matmul`` is the product of the m x m
+accompanying algebra, whose elements are these rows.
 """
 
 from __future__ import annotations
@@ -84,19 +83,13 @@ def _forward(columns):
         prev = p
 
 
-def first_dependent_column(rows) -> tuple[int | None, list[list[int]]]:
-    """The first column f that depends on those before it (the first without a
-    pivot in ``rref(rows)``), and the f pivot rows the forward pass has reduced
-    by then, cut to columns 0..f: row i is 0 before column i and nonzero at it,
-    and the rows have the rref of the first f + 1 columns.  (None, []) when
-    every column has a pivot."""
-    mat, _ = _integral_rows(rows)
-    return first_dependent_int_column(zip(*mat))
-
-
 def first_dependent_int_column(columns) -> tuple[int | None, list[list[int]]]:
-    """``first_dependent_column`` of the matrix with these int columns, which
-    are pulled one at a time: none after column f is read, or made."""
+    """The first column f that depends on those before it (the first without a
+    pivot in the rref) of the matrix with these int columns, and the f pivot
+    rows the forward pass has reduced by then, cut to columns 0..f: row i is 0
+    before column i and nonzero at it, and the rows have the rref of the first
+    f + 1 columns.  (None, []) when every column has a pivot.  The columns are
+    pulled one at a time: none after column f is read, or made."""
     tops = []
     for c, step in enumerate(_forward(columns)):
         if step is None:
@@ -133,7 +126,9 @@ def rref(rows) -> tuple[list[list], list[int]]:
 
 
 def rank(rows) -> int:
-    return len(rref(rows)[1])
+    """The number of pivots of the forward pass."""
+    mat, _ = _integral_rows(rows)
+    return sum(step is not None for step in _forward(zip(*mat)))
 
 
 def det(rows):

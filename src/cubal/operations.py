@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import CapacityError, FormatError, NotAssociativeError
+from .errors import CapacityError, FormatError, NotAssociativeError, require_indices, same_size
 
 LEFT = "left"
 RIGHT = "right"
@@ -36,15 +36,18 @@ def _normalize_rows(table) -> tuple[tuple[int, ...], ...]:
     for row in rows:
         if len(row) != m:
             raise FormatError(f"table is not square: expected {m} columns, got {len(row)}")
-        for v in row:
-            if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= m:
-                raise FormatError(f"table entry {v!r} outside 1..{m}")
+        require_indices(row, m, "table entry")
     return rows
 
 
 def check_associative(table) -> bool:
-    """True iff (i j) k == i (j k) for every triple of a validated table."""
-    rows = _normalize_rows(table)
+    """True iff (i j) k == i (j k) for every triple of the table, which is
+    validated first."""
+    return _associative(_normalize_rows(table))
+
+
+def _associative(rows) -> bool:
+    """``check_associative`` of rows that are already a valid table."""
     m = len(rows)
     rng = range(m)
     for i in rng:
@@ -61,24 +64,20 @@ def check_associative(table) -> bool:
 class Operation:
     """An associative binary operation on {1, .., m}."""
 
-    __slots__ = ("rows", "_plan")
+    __slots__ = ("rows", "m", "_plan")
 
     def __init__(self, table, *, unchecked: bool = False):
         rows = _normalize_rows(table)
-        if not unchecked and not check_associative(rows):
+        if not unchecked and not _associative(rows):
             raise NotAssociativeError("Cayley table is not associative")
-        self.rows, self._plan = rows, None
+        self.rows, self.m, self._plan = rows, len(rows), None
 
     @classmethod
     def _trusted(cls, rows: tuple) -> "Operation":
         """The operation of int-tuple rows the library built from a valid table."""
         op = object.__new__(cls)
-        op.rows, op._plan = rows, None
+        op.rows, op.m, op._plan = rows, len(rows), None
         return op
-
-    @property
-    def m(self) -> int:
-        return len(self.rows)
 
     def __call__(self, i: int, j: int) -> int:
         return self.rows[i - 1][j - 1]
@@ -115,32 +114,36 @@ class Operation:
 
 def right_symmetric(m: int) -> Operation:
     """The projection onto the right argument: (i, j) -> j."""
-    return Operation((tuple(range(1, m + 1)),) * m, unchecked=True)
+    return Operation._trusted((tuple(range(1, m + 1)),) * m)
 
 
 def left_symmetric(m: int) -> Operation:
     """The projection onto the left argument: (i, j) -> i."""
-    return Operation(tuple((i,) * m for i in range(1, m + 1)), unchecked=True)
+    return Operation._trusted(tuple((i,) * m for i in range(1, m + 1)))
 
 
 class Permutation:
     """A bijection of {1, .., m}; ``images[i-1]`` is the image of i."""
 
-    __slots__ = ("images",)
+    __slots__ = ("images", "m")
 
     def __init__(self, images):
         images = tuple(images)
-        if sorted(images) != list(range(1, len(images) + 1)):
+        require_indices(images, len(images), "permutation image")
+        if len(set(images)) != len(images):
             raise FormatError(f"{images!r} is not a bijection of 1..{len(images)}")
-        self.images = images
+        self.images, self.m = images, len(images)
+
+    @classmethod
+    def _trusted(cls, images: tuple) -> "Permutation":
+        """The permutation of an int tuple the library built as a bijection."""
+        pi = object.__new__(cls)
+        pi.images, pi.m = images, len(images)
+        return pi
 
     @classmethod
     def identity(cls, m: int) -> "Permutation":
-        return cls(range(1, m + 1))
-
-    @property
-    def m(self) -> int:
-        return len(self.images)
+        return cls._trusted(tuple(range(1, m + 1)))
 
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
@@ -149,13 +152,12 @@ class Permutation:
         inv = [0] * self.m
         for i, v in enumerate(self.images, start=1):
             inv[v - 1] = i
-        return Permutation(inv)
+        return Permutation._trusted(tuple(inv))
 
     def compose(self, other: "Permutation") -> "Permutation":
         """self after other: the composite sends i to self(other(i))."""
-        if self.m != other.m:
-            raise ValueError("permutation size mismatch")
-        return Permutation(self.images[v - 1] for v in other.images)
+        same_size(self, other)
+        return Permutation._trusted(tuple([self.images[v - 1] for v in other.images]))
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
@@ -169,8 +171,7 @@ class Permutation:
 
 def all_permutations(m: int):
     """All elements of the symmetric group on {1, .., m}, in lexicographic order."""
-    for images in itertools.permutations(range(1, m + 1)):
-        yield Permutation(images)
+    return map(Permutation._trusted, itertools.permutations(range(1, m + 1)))
 
 
 def act(pi: Permutation, a: Operation) -> Operation:
@@ -178,10 +179,8 @@ def act(pi: Permutation, a: Operation) -> Operation:
 
     Relabeling preserves associativity, so the result is built unchecked.
     """
-    if pi.m != a.m:
-        raise ValueError(f"size mismatch: permutation on {pi.m}, operation on {a.m}")
     img, rows = pi.images, a.rows
-    src = sorted(range(a.m), key=img.__getitem__)  # src[pi(s) - 1] = s - 1
+    src = sorted(range(same_size(pi, a)), key=img.__getitem__)  # src[pi(s) - 1] = s - 1
     return Operation._trusted(tuple(tuple([img[rows[s][t] - 1] for t in src]) for s in src))
 
 
@@ -197,9 +196,7 @@ def orbit(a: Operation) -> frozenset[Operation]:
 
 def are_equivalent(a: Operation, b: Operation) -> Permutation | None:
     """A permutation carrying a onto b, or None when the tables are inequivalent."""
-    if a.m != b.m:
-        raise ValueError("operations act on sets of different sizes")
-    for pi in all_permutations(a.m):
+    for pi in all_permutations(same_size(a, b)):
         if act(pi, a) == b:
             return pi
     return None
@@ -229,17 +226,11 @@ def image(a: Operation) -> frozenset[int]:
     return frozenset(v for row in a.rows for v in row)
 
 
-def _validate_subset(members, m: int) -> frozenset[int]:
-    J = frozenset(members)
-    for s in J:
-        if not isinstance(s, int) or not 1 <= s <= m:
-            raise FormatError(f"subset member {s!r} outside 1..{m}")
-    return J
-
-
 def invariance_violation(J, a: Operation) -> tuple[int, int, int] | None:
     """The first (s, t, a(s, t)) escaping J, or None when J is invariant."""
-    members = tuple(sorted(_validate_subset(J, a.m)))
+    J = frozenset(J)
+    require_indices(J, a.m, "subset member")
+    members = tuple(sorted(J))
     return _escape(a.rows, members, members, members)
 
 
@@ -294,8 +285,9 @@ class PowerSequence:
 
 def power_sequence(i: int, a: Operation, steps: int) -> list[int]:
     """The first ``steps + 1`` terms of the squaring orbit of i."""
-    if not 1 <= i <= a.m:
-        raise FormatError(f"start index {i} outside 1..{a.m}")
+    require_indices((i,), a.m, "start index")
+    if steps < 0:
+        raise ValueError(f"power sequence steps must be nonnegative, got {steps}")
     seq = [i]
     x = i
     for _ in range(steps):
@@ -307,8 +299,7 @@ def power_sequence(i: int, a: Operation, steps: int) -> list[int]:
 def classify_power_sequence(i: int, a: Operation) -> PowerSequence:
     """Classify the squaring orbit of i as periodic, convergent, or
     eventually periodic (a cycle of length > 1 entered away from i)."""
-    if not 1 <= i <= a.m:
-        raise FormatError(f"start index {i} outside 1..{a.m}")
+    require_indices((i,), a.m, "start index")
     return _classify_squaring(i, lambda x: a(x, x))
 
 

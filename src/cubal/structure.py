@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .cubic import CubicMatrix
+from .errors import same_size
 from .linalg import first_dependent_int_column, kernel_basis
 from .operations import Operation, Permutation
 
@@ -53,9 +54,7 @@ def accompanying_image(x: CubicMatrix) -> AccompanyingElement:
 
 def permute_indices(pi: Permutation, x: CubicMatrix) -> CubicMatrix:
     """Linear extension of E(i, j, k) -> E(pi(i), pi(j), pi(k))."""
-    m = x.m
-    if pi.m != m:
-        raise ValueError("size mismatch")
+    m = same_size(pi, x)
     entries = [0] * (m * m * m)
     for flat, val in x.nonzero_items():
         i0, rem = divmod(flat, m * m)
@@ -79,9 +78,7 @@ def verify_isomorphism(a: Operation, b: Operation, pi: Permutation) -> bool:
     m^5 pair identities hold exactly when b(pi(j), pi(n)) = pi(a(j, n)) for
     all j, n, and those m^2 identities are what is computed.
     """
-    m = a.m
-    if b.m != m or pi.m != m:
-        raise ValueError("size mismatch")
+    same_size(a, b, pi)
     img, brows = pi.images, b.rows
     return all(
         brows[img[j] - 1][img[n] - 1] == img[v - 1]
@@ -98,8 +95,7 @@ def is_character(chi: CubicMatrix, a: Operation) -> bool:
     sufficient: chi(E(s)) chi(E(t)) must equal chi of the basis product
     E(s) E(t), which is 0 when the product vanishes.
     """
-    if chi.m != a.m:
-        raise ValueError("size mismatch")
+    same_size(chi, a)
     if chi.is_zero():
         return False
     c = chi.entry
@@ -187,9 +183,7 @@ def _solve_zero_product(
     the prefix, so ``kernel_basis`` only finishes them (one zero row when
     f = 0).
     """
-    m = fixed.m
-    if op.m != m:
-        raise ValueError("size mismatch")
+    m = same_size(fixed, op)
     f, prefix = first_dependent_int_column(_block_columns(fixed, op, side))
     if f is None:
         return None

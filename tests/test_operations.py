@@ -295,6 +295,12 @@ class TestPowerSequences:
         with pytest.raises(FormatError, match=f"start index {start} outside 1..3"):
             classify_power_sequence(start, cycle3)
 
+    def test_negative_step_count_rejected(self, cycle3):
+        # as a negative plenary power index is; it used to return [start]
+        with pytest.raises(ValueError, match="nonnegative, got -1"):
+            power_sequence(1, cycle3, -1)
+        assert power_sequence(1, cycle3, 0) == [1]
+
     def test_limit_undefined_for_cycles(self, cycle3):
         with pytest.raises(ValueError):
             classify_power_sequence(2, cycle3).limit
