@@ -49,10 +49,10 @@ class CubicMatrix:
         self.m, self.slabs, self._entries, self._pair = m, _slabs_of(m, ints), entries, None
 
     @classmethod
-    def _from_form(cls, m: int, slabs: tuple, d: int) -> "CubicMatrix":
-        """The matrix of a reduced form the library computed; entries come later."""
+    def _from_form(cls, m: int, slabs: tuple, d: int, entries=None) -> "CubicMatrix":
+        """The matrix of a reduced form the library computed; entries not given come later."""
         x = object.__new__(cls)
-        x.m, x.slabs, x.d, x._entries, x._pair = m, slabs, d, None, None
+        x.m, x.slabs, x.d, x._entries, x._pair = m, slabs, d, entries, None
         return x
 
     @property
@@ -95,6 +95,7 @@ class CubicMatrix:
         ]
 
     def entry(self, i: int, j: int, k: int):
+        require_indices((i, j, k), self.m, "index")
         return self.entries[((i - 1) * self.m + (j - 1)) * self.m + (k - 1)]
 
     def nonzero_items(self):

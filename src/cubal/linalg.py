@@ -6,12 +6,13 @@ the pivots found before it (left-looking), so a caller that stops it reads
 no column after that point: ``first_dependent_int_column`` stops it at the
 first pivotless column and returns the pivot rows it has reduced, taking
 int columns from any iterator, such as a generator that makes each column
-only when it is pulled; ``det`` reads its last pivot, ``rank`` counts the
-pivots, and ``rref`` (so ``kernel_basis``) ends with back substitution on
-the pivot rows.  Rows are scaled to ints (``scalars.integral``; all-int
-rows in one scan), so every division is exact with ``//``.  Entries become
-``Fraction`` only when normalized.  ``matmul`` is the product of the m x m
-accompanying algebra, whose elements are these rows.
+only when it is pulled; a zero-divisor solve reads its kernel vector off
+column f of ``rref`` of those rows, and scales it to ints once.  ``det``
+reads its last pivot, ``rank`` counts the pivots, and ``rref`` (so
+``kernel_basis``) ends with back substitution on the pivot rows.  Rows are
+scaled to ints (``scalars.integral``; all-int rows in one scan), so every
+division is exact with ``//``; entries become ``Fraction`` only when
+normalized.  ``matmul`` is the product of the m x m accompanying algebra.
 """
 
 from __future__ import annotations

@@ -80,6 +80,7 @@ class Operation:
         return op
 
     def __call__(self, i: int, j: int) -> int:
+        require_indices((i, j), self.m, "index")
         return self.rows[i - 1][j - 1]
 
     def _row_plan(self) -> tuple[tuple[int, ...], ...]:
@@ -146,6 +147,7 @@ class Permutation:
         return cls._trusted(tuple(range(1, m + 1)))
 
     def __call__(self, i: int) -> int:
+        require_indices((i,), self.m, "index")
         return self.images[i - 1]
 
     def inverse(self) -> "Permutation":
@@ -209,9 +211,9 @@ def is_symmetric(a: Operation) -> bool:
 
 def classify_symmetry(a: Operation) -> str:
     """One of "right", "left", "both" (m = 1 only), or "none", by table shape."""
-    m = a.m
-    right = all(a(i, j) == j for i in range(1, m + 1) for j in range(1, m + 1))
-    left = all(a(i, j) == i for i in range(1, m + 1) for j in range(1, m + 1))
+    rows, S = a.rows, tuple(range(1, a.m + 1))
+    right = all(row == S for row in rows)
+    left = all(row == (i,) * a.m for i, row in zip(S, rows))
     if right and left:
         return BOTH
     if right:
@@ -288,11 +290,10 @@ def power_sequence(i: int, a: Operation, steps: int) -> list[int]:
     require_indices((i,), a.m, "start index")
     if steps < 0:
         raise ValueError(f"power sequence steps must be nonnegative, got {steps}")
-    seq = [i]
-    x = i
+    seq, rows = [i], a.rows
     for _ in range(steps):
-        x = a(x, x)
-        seq.append(x)
+        i = rows[i - 1][i - 1]
+        seq.append(i)
     return seq
 
 
@@ -300,7 +301,7 @@ def classify_power_sequence(i: int, a: Operation) -> PowerSequence:
     """Classify the squaring orbit of i as periodic, convergent, or
     eventually periodic (a cycle of length > 1 entered away from i)."""
     require_indices((i,), a.m, "start index")
-    return _classify_squaring(i, lambda x: a(x, x))
+    return _classify_squaring(i, lambda x: a.rows[x - 1][x - 1])
 
 
 def _classify_squaring(x, square) -> PowerSequence:

@@ -19,8 +19,9 @@ from typing import NamedTuple
 
 from .cubic import CubicMatrix
 from .errors import same_size
-from .linalg import first_dependent_int_column, kernel_basis
+from .linalg import first_dependent_int_column, rref
 from .operations import Operation, Permutation
+from .scalars import integral
 
 
 class AccompanyingElement(NamedTuple):
@@ -54,14 +55,12 @@ def accompanying_image(x: CubicMatrix) -> AccompanyingElement:
 
 def permute_indices(pi: Permutation, x: CubicMatrix) -> CubicMatrix:
     """Linear extension of E(i, j, k) -> E(pi(i), pi(j), pi(k))."""
-    m = same_size(pi, x)
+    m, img = same_size(pi, x), pi.images
     entries = [0] * (m * m * m)
     for flat, val in x.nonzero_items():
         i0, rem = divmod(flat, m * m)
         j0, k0 = divmod(rem, m)
-        entries[
-            ((pi(i0 + 1) - 1) * m + (pi(j0 + 1) - 1)) * m + (pi(k0 + 1) - 1)
-        ] = val
+        entries[((img[i0] - 1) * m + (img[j0] - 1)) * m + (img[k0] - 1)] = val
     return CubicMatrix(m, entries)
 
 
@@ -136,16 +135,14 @@ def _block_columns(fixed: CubicMatrix, op: Operation, side: str):
     (a(l, n), i), the plan's order, made the forward pass 12-21% slower."""
     m = fixed.m
     if side == "left":
-        for k in range(m):
-            k_terms = [
-                (i * m - 1, op.rows[lk // m], val)
-                for i, slab in enumerate(fixed.slabs)
-                for lk, val in slab
-                if lk % m == k
-            ]
+        k_terms = [[] for _ in range(m)]
+        for i, slab in enumerate(fixed.slabs):
+            for lk, val in slab:
+                k_terms[lk % m].append((i * m - 1, op.rows[lk // m], val))
+        for terms in k_terms:
             for n in range(m):
                 col = [0] * (m * m)
-                for base, row, val in k_terms:
+                for base, row, val in terms:
                     col[base + row[n]] += val
                 yield col
     else:
@@ -180,17 +177,23 @@ def _solve_zero_product(
     n' < n agree, left columns (k, n') and (k, n) are equal, so f is at most
     (1, n); when rows l' < l agree, right columns (l', k) and (l, k) are, so
     f is at most (l, 1).  The pass has already reduced the f pivot rows of
-    the prefix, so ``kernel_basis`` only finishes them (one zero row when
-    f = 0).
+    the prefix, so ``rref`` only finishes them (one zero row when f = 0).
+    The witness's int form is made from the vector's f + 1 entries, scaled
+    once; its entries keep their types (1 at f, Fractions or int 0 before).
     """
     m = same_size(fixed, op)
     f, prefix = first_dependent_int_column(_block_columns(fixed, op, side))
     if f is None:
         return None
-    entries = [0] * (m * m * m)
-    vec = kernel_basis(prefix or [[0]])[0] + [0] * (m * m - f - 1)
-    entries[slice(None, None, m) if side == "left" else slice(m * m)] = vec
-    return CubicMatrix(m, entries)
+    vec = [-row[f] if row[f] else 0 for row in rref(prefix or [[0]])[0][:f]] + [1]
+    step = m if side == "left" else 1  # vec[t] is at flat index t * step
+    ints, d = integral(vec)
+    slabs, entries = [[] for _ in range(m)], [0] * (m * m * m)
+    entries[: (f + 1) * step : step] = vec
+    for t, v in enumerate(ints):
+        if v:
+            slabs[t * step // (m * m)].append((t * step % (m * m), v))
+    return CubicMatrix._from_form(m, tuple(map(tuple, slabs)), d, tuple(entries))
 
 
 def left_zero_divisor_witness(a_mat: CubicMatrix, op: Operation) -> CubicMatrix | None:

@@ -39,11 +39,13 @@ from .structure import (
 RNG_SEED = 20250809
 ACCOMPANYING_TRIALS = 5
 ZERO_DIVISOR_TRIALS = 4
+_REDUCED_Q = [[q // gcd(p, q) for q in range(1, 5)] for p in range(-9, 10)]
 
 
 def random_cubic(m: int, rng: random.Random) -> CubicMatrix:
     """A dense cubic matrix with small random rational entries p / q, made in
-    its int form: p d / q over d, the lcm of the reduced q / gcd(p, q).
+    its int form: p d / q over d, the lcm of the reduced q / gcd(p, q), read
+    from the table ``_REDUCED_Q[p + 9][q - 1]`` by the raw draws p + 9, q - 1.
 
     p and q are what ``rng.randint(-9, 9)`` and ``rng.randint(1, 4)`` draw, in
     turn, by randint's own rule: ``getrandbits(k)`` for k the bit length of the
@@ -55,9 +57,9 @@ def random_cubic(m: int, rng: random.Random) -> CubicMatrix:
             pass
         while (q := bits(3)) >= 4:
             pass
-        draws.append((p - 9, q + 1))
-    d = lcm(*(q // gcd(p, q) for p, q in draws))
-    return CubicMatrix._from_form(m, _slabs_of(m, [p * d // q for p, q in draws]), d)
+        draws.append((p, q))
+    d = lcm(*{_REDUCED_Q[p][q] for p, q in draws})
+    return CubicMatrix._from_form(m, _slabs_of(m, [(p - 9) * d // (q + 1) for p, q in draws]), d)
 
 
 def check_isomorphisms(op: Operation) -> bool:
@@ -102,7 +104,8 @@ def _accompanying_trials(m: int):
             return None
     rng = random.Random(RNG_SEED)
     pairs = []
-    # positive scaling keeps kernel-ideal membership, so trials run on int multiples
+    # positive scaling keeps kernel-ideal membership, and phi is bilinear, so trials run on
+    # int multiples, the dense pair too
     for _ in range(ACCOMPANYING_TRIALS):
         x = random_cubic(m, rng).integer_multiple()
         fiber_sums_vanish = all(sum(x.entry(i, n, j) for n in S) == 0 for i in S for j in S)
@@ -113,7 +116,7 @@ def _accompanying_trials(m: int):
         if not in_kernel_ideal(balanced):
             return None
         pairs.append((balanced, y))
-    x, y = random_cubic(m, rng), random_cubic(m, rng)
+    x, y = random_cubic(m, rng).integer_multiple(), random_cubic(m, rng).integer_multiple()
     phi_xy = matmul(accompanying_image(x).coeffs, accompanying_image(y).coeffs)
     return tuple(pairs), (x, y, phi_xy)
 
@@ -208,10 +211,9 @@ def zero_divisor_trials(op: Operation):
         x = random_cubic(m, rng)
         if rng.random() < 0.5 and m >= 2:
             slabs = x.slabs[:-1] + x.slabs[:1]
-            g = gcd(x.d, *(v for slab in slabs for _, v in slab))
-            x = CubicMatrix._from_form(
-                m, tuple(tuple((f, v // g) for f, v in s) for s in slabs), 1
-            )
+            if (g := gcd(x.d, *(v for slab in slabs for _, v in slab))) > 1:
+                slabs = tuple(tuple((f, v // g) for f, v in s) for s in slabs)
+            x = CubicMatrix._from_form(m, slabs, 1)
         yield x.integer_multiple()
 
 

@@ -19,6 +19,7 @@ from cubal.operations import (
     all_permutations,
     are_equivalent,
     classify_power_sequence,
+    classify_symmetry,
     invariance_violation,
     left_symmetric,
     orbit,
@@ -154,6 +155,37 @@ def test_non_index_or_size_raises_format_error_at_the_call(call):
 def test_every_map_names_both_sizes(call, cycle3):
     with pytest.raises(ValueError, match=r"^size mismatch, different sizes: \w+ has m=\d, .* has m=\d$"):
         call(cycle3)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda v: OP2(v, 1),
+        lambda v: OP2(1, v),
+        lambda v: Permutation([2, 1])(v),
+        lambda v: E2.entry(v, 1, 1),
+        lambda v: E2.entry(1, 1, v),
+    ],
+    ids=["operation-left", "operation-right", "permutation", "entry-first", "entry-last"],
+)
+@pytest.mark.parametrize("v", [0, -1, 3, True], ids=["zero", "minus-one", "m-plus-one", "bool"])
+def test_a_read_outside_1_to_m_raises_format_error(read, v):
+    # unchecked, 0 and -1 would read through Python's negative indexing and 3 raise IndexError
+    with pytest.raises(FormatError, match=re.escape(f"index {v!r} outside 1..2")):
+        read(v)
+
+
+def test_table_walks_check_only_their_start_index(monkeypatch):
+    # classify_symmetry and the squaring walks read the rows, not a(i, j)
+    calls = []
+    check = operations.require_indices
+    monkeypatch.setattr(operations, "require_indices", lambda *a: calls.append(a) or check(*a))
+    op = collect_operations(4)[-1]
+    assert classify_symmetry(op) in ("right", "left", "both", "none")
+    assert calls == []
+    power_sequence(2, op, 40)
+    classify_power_sequence(2, op)
+    assert calls == [((2,), 4, "start index")] * 2
 
 
 def test_act_returns_only_int_cells(census3):

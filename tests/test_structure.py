@@ -544,6 +544,35 @@ class TestBlockZeroDivisorSolve:
             "93b7392caffcda3edc0a8235a95a87819b57c1ff292c09ffc933f63c23fbe512"
         )
 
+    def test_witness_form_is_the_form_of_its_entries(self, census2, census3):
+        """The witness is made in its int form, not from its entries: that
+        form must be the one CubicMatrix(m, entries) makes, or == and hash
+        would tell the two apart, and the entries keep their types, an int 1
+        at the kernel vector's free column f, Fractions or int 0 before it,
+        int 0 after."""
+        ops = [Operation([[1]])] + census2 + census3
+        pairs = [(op, a) for op in ops for a in zero_divisor_trials(op)]
+        pairs += [pair for side in self.SOLVERS for pair in self.adjoined_m5_sample(side)]
+        found = 0
+        for op, a in pairs:
+            for side, solve in self.SOLVERS.items():
+                w = solve(a, op)
+                if w is None:
+                    continue
+                found += 1
+                same = CubicMatrix(w.m, w.entries)
+                assert (w.slabs, w.d) == (same.slabs, same.d)
+                assert w == same and hash(w) == hash(same)
+                m = w.m
+                vec = w.entries[slice(None, None, m) if side == "left" else slice(m * m)]
+                f = max(t for t, v in enumerate(vec) if v)
+                assert (vec[f], type(vec[f])) == (1, int)
+                assert all(type(v) is (Fraction if v else int) for v in vec[:f])
+                assert all(v == 0 and type(v) is int for v in vec[f + 1 :])
+                assert all(type(v) is int and v == 0 for t, v in enumerate(w.entries)
+                           if (t % m if side == "left" else t // (m * m)))
+        assert found > 700
+
     def test_witness_lies_on_one_outer_slice(self, census3):
         """Left witnesses are supported on E(k, n, 1), right ones on E(1, l, k)."""
         rng = random.Random(52)

@@ -185,6 +185,21 @@ def test_random_cubic_draws_as_randint_does(seeds):
             assert rng.getstate() == ref.getstate()
 
 
+def test_accompanying_trials_run_on_int_multiples():
+    # phi is bilinear, so the law phi(xy) = phi(x) phi(y) loses nothing on the
+    # int multiples of the seeded dense pair; they are the draws times d
+    for m in (1, 2, 3, 4):
+        rng = random.Random(verify.RNG_SEED)
+        for _ in range(2 * verify.ACCOMPANYING_TRIALS):
+            verify.random_cubic(m, rng)
+        draws = verify.random_cubic(m, rng), verify.random_cubic(m, rng)
+        pairs, (x, y, phi_xy) = verify._accompanying_trials(m)
+        assert (x.d, y.d) == (1, 1)
+        assert (x.slabs, y.slabs) == tuple(draw.slabs for draw in draws)
+        assert all(balanced.d == 1 and z.d == 1 for balanced, z in pairs)
+        assert {type(v) for row in phi_xy for v in row} == {int}
+
+
 def test_accompanying_check_fails_on_a_wrong_dense_product(monkeypatch):
     op = Operation(CYCLE3)
     assert check_accompanying(op)
