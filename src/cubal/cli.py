@@ -77,10 +77,11 @@ def _complain(line: str) -> None:
     sys.stderr.buffer.flush()
 
 
-def _write(path, text: str) -> None:
+def _write(path, chunks) -> None:
     # a path from the command line keeps the bytes a non-UTF-8 locale could
     # not decode as surrogates; they are written back as those bytes
-    Path(path).write_text(text, encoding="utf-8", errors="surrogateescape")
+    with open(path, "w", encoding="utf-8", errors="surrogateescape") as file:
+        file.writelines(chunks)
 
 
 class _Inputs:
@@ -174,7 +175,7 @@ def _sequence_doc(seq) -> dict:
 def _run_enum(args, inputs):
     if args.census:
         census = orbit_census(**inputs.search)
-        _write(args.census, formats.dump_json(formats.census_to_doc(census)))
+        _write(args.census, formats.json_chunks(formats.census_to_doc(census)))
         return {"m": args.m, "total": census.total, "census_file": _shown(args.census)}
     if args.count_only:
         return {"m": args.m, "total": count_operations(**inputs.search)}
@@ -268,12 +269,12 @@ def _run_classify(args, inputs):
     }
 
 
-def _pretty_lines(command: str, digests: dict, results, elapsed: float) -> str:
-    out = [f"command: {command}"]
+def _pretty_chunks(command: str, digests: dict, results, elapsed: float):
+    yield f"command: {command}\n"
     for path, digest in sorted(digests.items()):
-        out.append(f"input {path}: {digest}")
-    out.append(formats.dump_json(results) + f"elapsed: {elapsed:.3f}s")
-    return "\n".join(out) + "\n"
+        yield f"input {path}: {digest}\n"
+    yield from formats.json_chunks(results)
+    yield f"elapsed: {elapsed:.3f}s\n"
 
 
 def run(args) -> int:
@@ -302,11 +303,11 @@ def run(args) -> int:
         for entry in results["results"]:
             if failing := failed_checks(entry):
                 print(f"cubal: checks {failing} failed for table {entry['operation']}", file=sys.stderr)
-    text = _pretty_lines(args.command, digests, results, elapsed) if args.pretty else formats.dump_json(report)
+    chunks = _pretty_chunks(args.command, digests, results, elapsed) if args.pretty else formats.json_chunks(report)
     if args.out:
-        _write(args.out, text)
+        _write(args.out, chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     return code
 
 

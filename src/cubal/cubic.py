@@ -168,9 +168,10 @@ class CubicMatrix:
                         out[row[nr]] += aval * bval
                 sums.append(out)
         d = self.d * other.d
-        g = gcd(d, *(gcd(*out) for out in sums)) if d > 1 else 1
-        slabs = tuple(tuple([(jr, x // g) for jr, x in enumerate(out) if x]) for out in sums)
-        return CubicMatrix._from_form(m, slabs, d // g)
+        if d > 1 and (g := gcd(d, *(gcd(*out) for out in sums))) > 1:
+            sums, d = [[x // g for x in out] for out in sums], d // g
+        slabs = tuple(tuple([(jr, x) for jr, x in enumerate(out) if x]) for out in sums)
+        return CubicMatrix._from_form(m, slabs, d)
 
     def plenary_power(self, n: int, op: Operation) -> "CubicMatrix":
         """n successive squarings under the operation's multiplication."""

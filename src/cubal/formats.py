@@ -1,15 +1,18 @@
-"""The documented file formats: Cayley tables, cubic matrices, censuses.
+"""The documented file formats: Cayley tables, cubic matrices, censuses, reports.
 
 Two table formats are accepted: a text form (first line m, then m rows of m
 space-separated 1-based entries) and a JSON form {"m": ..., "table": [[...]]}.
 Cubic matrices serialize as {"m": ..., "entries": [[["p/q", ...], ...], ...]}
 with scalars rendered as reduced-fraction strings.  Table parsers reject
-non-associative tables unless explicitly told not to check.
+non-associative tables unless explicitly told not to check.  A report is the
+text of ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, which
+``json_chunks`` makes in chunks of about 64 KB, so no output holds it whole.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quoted
 
 from .cubic import CubicMatrix
 from .enumeration import CensusResult
@@ -20,7 +23,40 @@ from .scalars import format_scalar, parse_scalar
 
 def dump_json(doc) -> str:
     """Deterministic JSON rendering: sorted keys, two-space indent, newline."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return "".join(json_chunks(doc))
+
+
+def json_chunks(doc):
+    """``dump_json(doc)`` in chunks of about 64 KB of ``_pieces``; dict keys are strings."""
+    chunk, size = [], 0
+    for piece in _pieces(doc, "\n", {}):
+        chunk.append(piece)
+        if (size := size + len(piece)) >= 1 << 16:
+            yield "".join(chunk)
+            chunk, size = [], 0
+    yield "".join(chunk) + "\n"
+
+
+# a scalar's text by its exact type; json.dumps makes the rest and rejects non-JSON types
+_SCALAR = {str: _quoted, int: int.__repr__, bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
+
+
+def _pieces(o, nl: str, rows: dict):
+    """The pieces of o, with nl the newline and indent of its depth.  A list of
+    ints (``type(v) is int``, no bool) is one piece, made once per value and depth."""
+    if isinstance(o, (list, tuple)) and o and all(type(v) is int for v in o):
+        if (key := (nl, *o)) not in rows:
+            rows[key] = f"[{nl}  {(',' + nl + '  ').join(map(str, o))}{nl}]"
+        yield rows[key]
+    elif isinstance(o, (list, tuple, dict)) and o:
+        keys, inner, sep = isinstance(o, dict), nl + "  ", "{" if isinstance(o, dict) else "["
+        for k in sorted(o) if keys else range(len(o)):
+            yield f"{sep}{inner}{_quoted(k)}: " if keys else sep + inner
+            yield from _pieces(o[k], inner, rows)
+            sep = ","
+        yield nl + ("}" if keys else "]")
+    else:
+        yield _SCALAR.get(type(o), json.dumps)(o)
 
 
 def operation_from_doc(doc, *, unchecked: bool = False) -> Operation:

@@ -22,6 +22,8 @@ from itertools import chain
 
 from .scalars import integral
 
+_ZERO, _ONE = Fraction(0), Fraction(1)  # rref's entries; a Fraction is immutable
+
 
 def _integral_rows(rows):
     """Int-scaled rows and the product of their scales; ragged rows raise."""
@@ -108,11 +110,11 @@ def rref(rows) -> tuple[list[list], list[int]]:
     an integer (a Cramer numerator over d), so the division is exact.
     """
     mat, _ = _integral_rows(rows)
-    reduced = [[Fraction(0)] * len(row) for row in mat]
+    reduced = [[_ZERO] * len(row) for row in mat]
     pivots, tops = [], []
     for j, step in enumerate(_forward(zip(*mat))):
         if step is not None:
-            reduced[len(pivots)][j] = Fraction(1)
+            reduced[len(pivots)][j] = _ONE
             pivots.append(j)
             tops.append(step[1])
             continue

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import CapacityError, FormatError, NotAssociativeError, require_indices, same_size
+from .errors import CapacityError, FormatError, NotAssociativeError, require_indices, require_size, same_size
 
 LEFT = "left"
 RIGHT = "right"
@@ -115,12 +115,12 @@ class Operation:
 
 def right_symmetric(m: int) -> Operation:
     """The projection onto the right argument: (i, j) -> j."""
-    return Operation._trusted((tuple(range(1, m + 1)),) * m)
+    return Operation._trusted((tuple(range(1, require_size(m) + 1)),) * m)
 
 
 def left_symmetric(m: int) -> Operation:
     """The projection onto the left argument: (i, j) -> i."""
-    return Operation._trusted(tuple((i,) * m for i in range(1, m + 1)))
+    return Operation._trusted(tuple((i,) * m for i in range(1, require_size(m) + 1)))
 
 
 class Permutation:
@@ -130,7 +130,7 @@ class Permutation:
 
     def __init__(self, images):
         images = tuple(images)
-        require_indices(images, len(images), "permutation image")
+        require_indices(images, require_size(len(images)), "permutation image")
         if len(set(images)) != len(images):
             raise FormatError(f"{images!r} is not a bijection of 1..{len(images)}")
         self.images, self.m = images, len(images)
@@ -144,7 +144,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, m: int) -> "Permutation":
-        return cls._trusted(tuple(range(1, m + 1)))
+        return cls._trusted(tuple(range(1, require_size(m) + 1)))
 
     def __call__(self, i: int) -> int:
         require_indices((i,), self.m, "index")
@@ -173,7 +173,7 @@ class Permutation:
 
 def all_permutations(m: int):
     """All elements of the symmetric group on {1, .., m}, in lexicographic order."""
-    return map(Permutation._trusted, itertools.permutations(range(1, m + 1)))
+    return map(Permutation._trusted, itertools.permutations(range(1, require_size(m) + 1)))
 
 
 def act(pi: Permutation, a: Operation) -> Operation:

@@ -6,9 +6,9 @@ zero-divisor solvers (an m^2 x m^2 block whose columns are made from the
 fixed factor's int form one at a time, as the forward pass pulls them, up
 to the first dependent one; a right column adds a slab through the
 product's own row offsets), and the kernel ideal of the accompanying
-surjection.  ``accompanying_image``, the surjection onto the accompanying
-algebra, is the one place the middle-index fiber sums are taken; the
-algebra itself is m x m rows under ``linalg``.
+surjection.  ``_fiber_sums`` is the one place the middle-index fiber sums
+are taken, on the int form; ``in_kernel_ideal`` and ``accompanying_image``
+(onto the accompanying algebra, m x m rows under ``linalg``) read them.
 """
 
 from __future__ import annotations
@@ -43,14 +43,19 @@ def accompanying_image(x: CubicMatrix) -> AccompanyingElement:
     accompanying matrix of x.  This is an algebra homomorphism for every
     operation's multiplication.  The sums run on x's int form.
     """
-    m, d = x.m, x.d
-    sums = [[0] * m for _ in range(m)]
-    for row, slab in zip(sums, x.slabs):
-        for jk, v in slab:
-            row[jk % m] += v
+    sums, d = _fiber_sums(x), x.d
     if d != 1:
         sums = [[Fraction(s, d) if s else 0 for s in row] for row in sums]
     return AccompanyingElement(tuple(map(tuple, sums)))
+
+
+def _fiber_sums(x: CubicMatrix) -> list[list[int]]:
+    """The middle-index fiber sums of x's int form: d times phi(x)'s rows."""
+    m, sums = x.m, [[0] * x.m for _ in range(x.m)]
+    for row, slab in zip(sums, x.slabs):
+        for jk, v in slab:
+            row[jk % m] += v
+    return sums
 
 
 def permute_indices(pi: Permutation, x: CubicMatrix) -> CubicMatrix:
@@ -220,7 +225,7 @@ def in_kernel_ideal(x: CubicMatrix) -> bool:
     These matrices form the kernel of the accompanying surjection and hence
     a two-sided ideal for every operation's multiplication.
     """
-    return not any(map(any, accompanying_image(x).coeffs))
+    return not any(map(any, _fiber_sums(x)))
 
 
 def _basis_product_triple(op: Operation, s, t):

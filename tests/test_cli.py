@@ -12,10 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from cubal import operations
+from cubal import formats, operations
 from cubal.cli import EXIT_INTERNAL, main
-from cubal.enumeration import canonical_representative
-from cubal.formats import dump_json
+from cubal.enumeration import canonical_representative, collect_operations, orbit_census
+from cubal.formats import census_to_doc, dump_json
 from cubal.operations import Operation
 
 from conftest import CYCLE3, LEFT_PROJ3, M2_TABLES, MONOGENIC4, RIGHT_PROJ3
@@ -523,6 +523,47 @@ class TestOutputModes:
         out = capsys.readouterr().out
         assert "elapsed:" in out
         assert "command: enum" in out
+
+    def test_stdout_out_and_census_file_hold_dump_json(self, capsys, tmp_path):
+        census, out = tmp_path / "census.json", tmp_path / "report.json"
+        report = {
+            "command": "enum",
+            "params": {"census": str(census), "count_only": False, "m": 3},
+            "results": {"m": 3, "total": 113, "census_file": str(census)},
+            "inputs": {},
+        }
+        assert main(["enum", "--m", "3", "--census", str(census)]) == 0
+        assert capsys.readouterr().out == dump_json(report)
+        assert census.read_bytes() == dump_json(census_to_doc(orbit_census(3))).encode()
+        assert main(["enum", "--m", "3", "--census", str(census), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == dump_json(report).encode()
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_a_report_of_many_chunks_holds_dump_json(self, capsys, tmp_path, to_file):
+        out = tmp_path / "report.json"
+        assert main(["enum", "--m", "4", *(["--out", str(out)] if to_file else [])]) == 0
+        ops = collect_operations(4)
+        report = {
+            "command": "enum",
+            "params": {"count_only": False, "m": 4},
+            "results": {"m": 4, "total": len(ops), "operations": [op.rows for op in ops]},
+            "inputs": {},
+        }
+        text = out.read_text() if to_file else capsys.readouterr().out
+        assert len(text) > 10 * 2**16
+        assert text == dump_json(report)
+
+    def test_reports_stream_without_dump_json(self, capsys, tmp_path, monkeypatch):
+        # every output path writes the writer's chunks as they come
+        monkeypatch.setattr(formats, "dump_json", lambda doc: pytest.fail("the report was held whole"))
+        code, doc = run_cli(capsys, "verify", "--m", "2")
+        assert code == 0 and doc["results"]["all_pass"] is True
+        census = tmp_path / "census.json"
+        assert main(["enum", "--m", "2", "--census", str(census), "--out", str(tmp_path / "r.json")]) == 0
+        assert json.loads(census.read_text())["total"] == 8
+        assert main(["enum", "--m", "2", "--count-only", "--pretty"]) == 0
+        assert "command: enum" in capsys.readouterr().out
 
     def test_input_digests_recorded(self, capsys, table_file):
         op = table_file(CYCLE3)

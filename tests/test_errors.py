@@ -122,6 +122,23 @@ def test_non_index_or_size_raises_format_error_at_the_call(call):
 
 
 @pytest.mark.parametrize(
+    "make",
+    [right_symmetric, left_symmetric, Permutation.identity, all_permutations],
+    ids=["right_symmetric", "left_symmetric", "identity", "all_permutations"],
+)
+@pytest.mark.parametrize("n", [0, -1, True], ids=["zero", "minus-one", "bool"])
+def test_a_size_that_is_not_positive_raises_format_error_at_the_call(make, n):
+    # each made an m = 0 object, or the m = 1 one for True, like no other entry point
+    with pytest.raises(FormatError, match=re.escape(f"m must be a positive integer, got {n!r}")):
+        make(n)
+
+
+def test_an_empty_permutation_raises_format_error():
+    with pytest.raises(FormatError, match="^m must be a positive integer, got 0$"):
+        Permutation([])
+
+
+@pytest.mark.parametrize(
     "call",
     [
         lambda op3: act(Permutation.identity(2), op3),

@@ -5,8 +5,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubal.cubic import CubicMatrix
+from cubal.enumeration import collect_operations
 from cubal.errors import FormatError, NotAssociativeError
 from cubal.formats import (
     census_from_doc,
@@ -15,6 +17,7 @@ from cubal.formats import (
     cubic_to_doc,
     dump_json,
     expand_census,
+    json_chunks,
     operation_from_doc,
     parse_operation,
     table_from_text,
@@ -204,10 +207,78 @@ class TestCensusFormats:
             expand_census(wrong)
 
 
+def reference_json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# every string, lone surrogates too (a path that is not UTF-8 shows as those)
+characters = st.characters(codec=None, exclude_categories=())
+surrogates = st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF, exclude_categories=())
+strings = st.text(characters | surrogates) | st.sampled_from(
+    ["", "tabl\u00e9.txt", "tabl\udcc3\udca9.txt", "\U0001f600", '"\\\n\t']
+)
+int_rows = st.lists(st.integers(-9, 9), max_size=6)
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats()
+    | strings
+)
+json_docs = st.recursive(
+    scalars | int_rows | int_rows.map(tuple) | st.lists(st.sampled_from([True, False, 0, 1])),
+    lambda children: st.lists(children, max_size=5)
+    | st.lists(children, max_size=5).map(tuple)
+    | st.dictionaries(strings, children, max_size=5),
+    max_leaves=40,
+)
+
+
 class TestDumpJson:
+    """``json_chunks`` (joined by ``dump_json``) against the json module's own
+    indented rendering."""
+
     def test_deterministic_and_newline_terminated(self):
         doc = {"b": 1, "a": [2, 3]}
         text = dump_json(doc)
         assert text == dump_json({"a": [2, 3], "b": 1})
         assert text.endswith("\n")
         assert json.loads(text) == doc
+
+    @settings(max_examples=300)
+    @given(doc=json_docs)
+    def test_matches_json_dumps(self, doc):
+        assert dump_json(doc) == reference_json(doc)
+
+    @settings(max_examples=100)
+    @given(row=int_rows, doc=json_docs, other=st.lists(st.sampled_from([True, False, 0, 1]), max_size=4))
+    def test_a_row_at_two_depths_and_its_bool_twin(self, row, doc, other):
+        # the same row object, and an equal row of bools, at several depths
+        twin = [bool(v) for v in other]
+        again = [int(v) for v in other]
+        doc = {"a": row, "b": [row, {"c": [row, doc]}], "d": [twin, again, [again, twin]], "e": row}
+        assert dump_json(doc) == reference_json(doc)
+
+    def test_bools_never_hit_an_int_row(self):
+        doc = [[1, 0], [True, False], (1, 0), (True, False), [[1, 0], [True, False]]]
+        assert dump_json(doc) == reference_json(doc)
+        assert "true,\n    false" in dump_json(doc)
+
+    def test_empty_containers_and_nesting(self):
+        doc = {"": [], "a": {}, "b": [[], {}, [[[]]], ()], "c": [[[[[1]]]]], "d": None}
+        assert dump_json(doc) == reference_json(doc)
+        for top in ([], {}, (), 0, -1, 10**30, True, None, "x", 1.5):
+            assert dump_json(top) == reference_json(top)
+
+    def test_a_type_json_cannot_hold_raises(self):
+        for doc in ({"a": Fraction(1, 2)}, [{1, 2}], {"a": [object()]}):
+            with pytest.raises(TypeError):
+                dump_json(doc)
+
+    def test_chunks_are_about_64_kb(self):
+        doc = {"operations": [op.rows for op in collect_operations(4)]}
+        chunks = list(json_chunks(doc))
+        assert "".join(chunks) == reference_json(doc)
+        assert len(chunks) > 10
+        assert all(2**16 <= len(chunk) < 2**16 + 200 for chunk in chunks[:-1])
