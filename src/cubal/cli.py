@@ -30,7 +30,7 @@ from .enumeration import (
     count_operations,
     orbit_census,
 )
-from .errors import CubalError, FormatError, same_size
+from .errors import CapacityError, CubalError, FormatError, require_size, same_size
 from .linalg import det
 from .operations import (
     classify_power_sequence,
@@ -57,9 +57,10 @@ EXIT_INTERNAL = 3
 def _env_max_m() -> int:
     raw = os.environ.get("CUBAL_MAX_M", str(DEFAULT_MAX_M))
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
-        raise FormatError(f"CUBAL_MAX_M must be an integer, got {raw!r}") from None
+        value = raw
+    return require_size(value, "CUBAL_MAX_M", CapacityError)
 
 
 def _shown(arg: str) -> str:

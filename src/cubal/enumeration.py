@@ -51,6 +51,7 @@ DEFAULT_MAX_M = 5
 def _check_budget(m: int, max_m: int, what: str, jobs: int = 1) -> None:
     require_size(m, "m", CapacityError)
     require_size(jobs, "jobs", CapacityError)
+    require_size(max_m, "max_m", CapacityError)
     cap = min(max_m, HARD_MAX_M)
     if m > cap:
         hint = (

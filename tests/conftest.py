@@ -7,7 +7,10 @@ subsets are all invariant).  Tests cross-check all of them against the
 enumerator and brute force.
 """
 
+import importlib.util
 import itertools
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +58,24 @@ MONOGENIC4 = [
 ]
 
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def perfbench_module(name: str):
+    """perfbench's ``name``.py, loaded from its file as ``perfbench_<name>``.
+    perfbench/ is on sys.path only while the file runs, for its own imports
+    (workloads imports anchors)."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass looks its module up there
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return module
+
+
 def brute_associative(rows) -> bool:
     """Independent triple-loop oracle, no library code."""
     m = len(rows)
@@ -99,6 +120,13 @@ def mod_p_characters(op, p) -> list:
         for c in itertools.product(range(p), repeat=m**3)
         if any(c) and all((c[s] * c[t] - (0 if u is None else c[u])) % p == 0 for s, t, u in rules)
     ]
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    """perfbench's workloads: its seeded inputs, and ``_product``, a
+    reference product of flat entry lists that uses no cubal code."""
+    return perfbench_module("workloads")
 
 
 @pytest.fixture(scope="session")

@@ -3,27 +3,18 @@ name, and its dense-algebra check reads phi's coefficient rows.  A break in
 either shows here, not only in a benchmark run."""
 
 import importlib
-import importlib.util
 import random
 from fractions import Fraction
-from pathlib import Path
 
 from cubal.cubic import CubicMatrix
 from cubal.structure import accompanying_image
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-
-
-def traced_targets():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing.TARGETS
+from conftest import perfbench_module
 
 
 def test_every_traced_target_resolves():
     missing = []
-    for module_name, attr in traced_targets():
+    for module_name, attr in perfbench_module("tracing").TARGETS:
         module = importlib.import_module(module_name)
         if "." in attr:  # a method, which the tracer reads off its class
             cls_name, method = attr.split(".")

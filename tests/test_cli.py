@@ -68,6 +68,12 @@ class TestEnum:
         monkeypatch.setenv("CUBAL_MAX_M", "not-a-number")
         assert main(["enum", "--m", "2", "--count-only"]) == 2
 
+    @pytest.mark.parametrize("raw", ["0", "-1", "not-a-number"])
+    def test_env_budget_must_be_a_positive_int(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("CUBAL_MAX_M", raw)
+        assert main(["enum", "--m", "2", "--count-only"]) == 2
+        assert capsys.readouterr().err.startswith("cubal: CUBAL_MAX_M must be a positive integer, got ")
+
     def test_census_file(self, capsys, tmp_path):
         out = tmp_path / "census.json"
         code, doc = run_cli(capsys, "enum", "--m", "2", "--census", str(out))

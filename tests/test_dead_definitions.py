@@ -1,10 +1,10 @@
 """Every definition in src/cubal has a user (a stdlib AST scan, no linter).
 
 A top-level function or class, or a method that is not a dunder, counts as
-used when its name is read anywhere in src/, tests/, demos/, tools/ or
-perfbench/: as a name, an attribute, an imported name, or a string that
-spells an identifier or a dotted path of them (perfbench's tracer names the
-functions it wraps that way).  The package's ``__init__.py`` only re-exports
+used when its name is read anywhere in src/, tests/, demos/ or perfbench/:
+as a name, an attribute, an imported name, or a string that spells an
+identifier or a dotted path of them (perfbench's tracer names the functions
+it wraps that way).  The package's ``__init__.py`` only re-exports
 names, so what it mentions does not count as a use.
 """
 
@@ -13,7 +13,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cubal"
-FOLDERS = ("src", "tests", "demos", "tools", "perfbench")
+FOLDERS = ("src", "tests", "demos", "perfbench")
 REEXPORTS = PACKAGE / "__init__.py"
 
 

@@ -30,6 +30,7 @@ from cubal.operations import (
     check_associative,
     orbit,
 )
+from cubal.verify import verify_census
 
 from conftest import M2_TABLES, ORBIT6_TABLES, brute_associative
 
@@ -163,6 +164,17 @@ class TestArguments:
     def test_jobs_must_be_a_positive_int(self, entry, jobs):
         with pytest.raises(CapacityError, match="jobs must be a positive integer"):
             entry(2, jobs=jobs)
+
+    @pytest.mark.parametrize("max_m", [0, -1, True, 2.5, "7", None])
+    @pytest.mark.parametrize(
+        "entry",
+        [lambda m, **kw: list(enumerate_operations(m, **kw)), count_operations, collect_operations,
+         orbit_census, verify_census],
+        ids=["enumerate_operations", "count_operations", "collect_operations", "orbit_census", "verify_census"],
+    )
+    def test_max_m_must_be_a_positive_int(self, entry, max_m):
+        with pytest.raises(CapacityError, match="^max_m must be a positive integer"):
+            entry(2, max_m=max_m)
 
 
 def traced_peak(run):

@@ -1,6 +1,7 @@
 """Randomized invariants driven by hypothesis."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cubal import cubic
 from cubal.cubic import CubicMatrix
-from cubal.enumeration import collect_operations
+from cubal.enumeration import collect_operations, orbit_census
 from cubal.operations import (
     Operation,
     Permutation,
@@ -142,13 +143,18 @@ def fiber_sums(x) -> tuple:
     )
 
 
+def check_entries(xy, x, y, values):
+    """The product xy of x and y has the reference values, value for value,
+    and the entry types expected_types gives."""
+    assert list(xy.entries) == values
+    assert [type(v) for v in xy.entries] == expected_types(x, y, values)
+
+
 def checked_product(x, y, op):
     """x.mul(y, op), checked against the dense reference value for value and
     type for type."""
     xy = x.mul(y, op)
-    values = dense_product(x, y, op)
-    assert list(xy.entries) == values
-    assert [type(v) for v in xy.entries] == expected_types(x, y, values)
+    check_entries(xy, x, y, dense_product(x, y, op))
     return xy
 
 
@@ -162,6 +168,54 @@ def test_products_match_the_reference_through_chains(case):
     for _ in range(3):
         power = checked_product(power, power, op)
     assert x.plenary_power(3, op) == power
+
+
+def seeded_product_pairs(seed: int) -> list:
+    """(op, x, y) for three orbit minima at each of m = 3, 4, 5, drawn with
+    random.Random(seed).  Each table has four pairs each of int (dense,
+    entries in -9..9), rational (dense, p/q with q in 1..4) and slice (dense
+    rational times an element on the slice of last index 1, the shape of a
+    left witness), and forty basis pairs E(s) E(t) with s3 = t1."""
+    rng = random.Random(seed)
+    integer = lambda: rng.randint(-9, 9)
+    rational = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    pairs = []
+    for m in (3, 4, 5):
+        cells = range(m**3)
+        dense = lambda draw: CubicMatrix(m, [draw() for _ in cells])
+        one_slice = lambda: CubicMatrix(m, [rational() if flat % m == 0 else 0 for flat in cells])
+        for op in rng.sample([rep for rep, _ in orbit_census(m).representatives], 3):
+            for _ in range(4):
+                pairs += [(op, dense(integer), dense(integer)), (op, dense(rational), dense(rational))]
+                pairs.append((op, dense(rational), one_slice()))
+            for _ in range(40):
+                i, j, k, n, r = (rng.randint(1, m) for _ in range(5))
+                pairs.append((op, CubicMatrix.basis(m, i, j, k), CubicMatrix.basis(m, k, n, r)))
+    return pairs
+
+
+def check_seeded_products(seed: int, reference):
+    """Each seeded pair's product, cold (with a right factor just made) and
+    warm (the second product with the same right factor, which adds up the
+    slice products the first one kept), against ``reference``."""
+    for op, x, y in seeded_product_pairs(seed):
+        values = reference(x.entries, y.entries, op.rows, op.m)
+        check_entries(x.mul(CubicMatrix(op.m, y.entries), op), x, y, values)
+        x.mul(y, op)
+        check_entries(x.mul(y, op), x, y, values)
+        assert x._pair[1] is not None  # the warm product took the kept-slice path
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+def test_seeded_products_cold_and_warm(seed, workloads):
+    check_seeded_products(seed, workloads._product)
+
+
+def test_a_doubled_product_fails_the_seeded_products(workloads, monkeypatch):
+    real = CubicMatrix.mul
+    monkeypatch.setattr(CubicMatrix, "mul", lambda self, other, op: real(self, other, op).scale(2))
+    with pytest.raises(AssertionError):
+        check_seeded_products(5, workloads._product)
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -7,6 +7,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -586,6 +587,56 @@ class TestBlockZeroDivisorSolve:
                 assert all(i == 1 for i, _, _ in support(right))
             found += (left is not None) + (right is not None)
         assert found > 0
+
+
+def witness_gate(pairs, solvers, product):
+    """The sha256 of both witnesses of each (op, a) in pairs, in the order of
+    ``solvers`` ({side: solve}), over the repr of (value, type name) for each
+    entry and of None where there is no witness; and the labels "n side" of
+    the witnesses that are zero or whose product with a under ``product``,
+    the reference, is not zero."""
+    digest, wrong = hashlib.sha256(), []
+    for n, (op, a) in enumerate(pairs):
+        for side, solve in solvers.items():
+            w = solve(a, op)
+            digest.update(repr(None if w is None else [(v, type(v).__name__) for v in w.entries]).encode())
+            if w is not None:
+                factors = (a.entries, w.entries) if side == "left" else (w.entries, a.entries)
+                if not any(w.entries) or any(product(*factors, op.rows, op.m)):
+                    wrong.append(f"{n} {side}")
+    return digest.hexdigest(), wrong
+
+
+class TestBenchmarkWitnesses:
+    """Both witnesses of every element the benchmark solves: the elements of
+    perfbench's dense_setup(seed), and the battery's trials on the 113 tables
+    on three symbols.  Each is checked against perfbench's reference product,
+    and each set's digest is the one BENCH_zero_divisors.json pins."""
+
+    SOLVERS = TestBlockZeroDivisorSolve.SOLVERS
+    PINNED = json.loads(
+        (Path(__file__).resolve().parent.parent / "BENCH_zero_divisors.json").read_text()
+    )["sha256"]
+
+    @pytest.mark.parametrize("seed", ["5", "11"])
+    def test_dense_setup(self, seed, workloads):
+        pairs = [(c.op, a) for c in workloads.dense_setup(int(seed)) for a in c.elements]
+        assert len(pairs) == 16
+        assert witness_gate(pairs, self.SOLVERS, workloads._product) == (self.PINNED[seed]["dense"], [])
+
+    def test_battery_trials(self, census3, workloads):
+        pairs = [(op, a) for op in census3 for a in zero_divisor_trials(op)]
+        assert len(pairs) == 452
+        digest, wrong = witness_gate(pairs, self.SOLVERS, workloads._product)
+        assert wrong == []
+        assert digest == self.PINNED["5"]["battery"] == self.PINNED["11"]["battery"]
+
+    def test_a_witness_that_does_not_annihilate_fails(self, workloads):
+        # a dense element times E(1, 1, 1) keeps its slice of last index 1: never zero
+        pairs = [(c.op, a) for c in workloads.dense_setup(5) for a in c.elements]
+        solvers = {**self.SOLVERS, "left": lambda a, op: E(op.m, 1, 1, 1)}
+        _, wrong = witness_gate(pairs, solvers, workloads._product)
+        assert wrong == [f"{n} left" for n in range(16)]
 
 
 class TestZeroProductBlock:

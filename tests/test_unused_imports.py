@@ -13,7 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(
     path.relative_to(ROOT)
-    for folder in ("src", "tests", "demos", "tools")
+    for folder in ("src", "tests", "demos")
     for path in (ROOT / folder).rglob("*.py")
 )
 
@@ -50,7 +50,7 @@ def unused_imports(source: str) -> list[str]:
 
 def test_the_scan_covers_every_tree():
     folders = {path.parts[0] for path in SOURCES}
-    assert folders == {"src", "tests", "demos", "tools"}
+    assert folders == {"src", "tests", "demos"}
     assert Path(__file__).relative_to(ROOT) in SOURCES
 
 
