@@ -10,9 +10,9 @@ fixed by every relabeling, the left and right projections.
 import time
 
 from cubal import (
+    Operation,
     Permutation,
     act,
-    canonical_representative,
     classify_symmetry,
     count_operations,
     enumerate_operations,
@@ -52,7 +52,7 @@ seed = next(op for op in enumerate_operations(3) if len(orbit(op)) == 6)
 members = sorted(orbit(seed), key=lambda o: o.flat())
 for member in members:
     print(f"  {[list(r) for r in member.rows]}")
-print(f"  canonical representative: {[list(r) for r in canonical_representative(seed).rows]}")
+print(f"  canonical representative: {[list(r) for r in min(orbit(seed), key=Operation.flat).rows]}")
 
 big = orbit_census(4)
 print(f"\nFor m=4 the {big.total} tables fall into {big.orbit_count} orbits.")

@@ -9,7 +9,6 @@ arithmetic.  See the demos/ directory for worked tours of each capability.
 from .cubic import CubicMatrix
 from .enumeration import (
     CensusResult,
-    canonical_representative,
     collect_operations,
     count_operations,
     enumerate_operations,
@@ -65,7 +64,6 @@ __all__ = [
     "act",
     "all_permutations",
     "are_equivalent",
-    "canonical_representative",
     "character_search",
     "check_associative",
     "classify_power_sequence",

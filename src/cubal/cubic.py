@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import FormatError, require_indices, require_size, same_size
+from .errors import FormatError, require_count, require_indices, require_size, same_size
 from .operations import Operation
 from .scalars import integral, require_rational
 
@@ -122,9 +122,6 @@ class CubicMatrix:
         self._require_same_size(other)
         return CubicMatrix(self.m, (a - b for a, b in zip(self.entries, other.entries)))
 
-    def __neg__(self):
-        return CubicMatrix(self.m, (-a for a in self.entries))
-
     def scale(self, scalar) -> "CubicMatrix":
         require_rational(scalar)
         return CubicMatrix(self.m, (scalar * a for a in self.entries))
@@ -175,10 +172,8 @@ class CubicMatrix:
 
     def plenary_power(self, n: int, op: Operation) -> "CubicMatrix":
         """n successive squarings under the operation's multiplication."""
-        if n < 0:
-            raise ValueError("plenary power index must be nonnegative")
         result = self
-        for _ in range(n):
+        for _ in range(require_count(n, "plenary power n")):
             result = result.mul(result, op)
         return result
 

@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapacityError, require_size
-from .operations import Operation, orbit
+from .operations import Operation
 
 HARD_MAX_M = 6
 DEFAULT_MAX_M = 5
@@ -275,11 +275,6 @@ def collect_operations(m: int, *, jobs: int = 1, max_m: int = DEFAULT_MAX_M) -> 
     """The full census as a list, in lexicographic order."""
     _check_budget(m, max_m, "enumeration", jobs)
     return [op for op, _ in _operations(m, jobs)]
-
-
-def canonical_representative(a: Operation) -> Operation:
-    """The lexicographic minimum of the orbit of a; constant on orbits."""
-    return min(orbit(a), key=Operation.flat)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the three argument rules.
+"""Exception types shared across the package, and the four argument rules.
 
 Every value is checked once, by one of the rules below, where it enters the
 library; values the library builds itself skip the check.
@@ -34,6 +34,14 @@ def require_size(n, name: str = "m", error: type = FormatError) -> int:
     least 1; else ``error``."""
     if type(n) is not int or n < 1:
         raise error(f"{name} must be a positive integer, got {n!r}")
+    return n
+
+
+def require_count(n, name: str) -> int:
+    """n, when it is a count: an int (not a bool, nor any other subclass) of at
+    least 0; else ValueError naming ``name``."""
+    if type(n) is not int or n < 0:
+        raise ValueError(f"{name} must be an int and nonnegative, got {n!r}")
     return n
 
 

@@ -12,6 +12,7 @@ text of ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, which
 from __future__ import annotations
 
 import json
+import math
 from json.encoder import encode_basestring_ascii as _quoted
 
 from .cubic import CubicMatrix
@@ -149,6 +150,7 @@ def census_to_doc(census: CensusResult) -> dict:
 
 
 def census_from_doc(doc) -> CensusResult:
+    """The census of a document that ``orbits`` could have written; else FormatError."""
     try:
         m = require_size(doc["m"], '"m"')
         representatives = tuple(
@@ -159,9 +161,14 @@ def census_from_doc(doc) -> CensusResult:
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad census document: {exc}") from None
     total = sum(require_size(size, "an orbit size") for _, size in representatives)
-    census = CensusResult(m=m, total=total, representatives=representatives)
-    for rep, _ in representatives:
+    census, previous = CensusResult(m=m, total=total, representatives=representatives), ()
+    for n, (rep, size) in enumerate(representatives, 1):
         same_size(census, rep, error=FormatError)
+        if (flat := rep.flat()) <= previous:
+            raise FormatError(f"orbit {n}: representative {rep.rows} is not above orbit {n - 1}'s")
+        if math.factorial(m) % size:
+            raise FormatError(f"orbit {n}: size {size} does not divide {m}!")
+        previous = flat
     if doc.get("orbit_count") != census.orbit_count:
         raise FormatError("orbit_count disagrees with the orbit list")
     if stated_total != total:
@@ -172,11 +179,11 @@ def census_from_doc(doc) -> CensusResult:
 def expand_census(census: CensusResult) -> list[Operation]:
     """Regenerate the full operation list from orbit representatives."""
     ops: set[Operation] = set()
-    for rep, size in census.representatives:
+    for n, (rep, size) in enumerate(census.representatives, 1):
         members = orbit(rep)
         if len(members) != size:
-            raise FormatError(
-                f"stored orbit size {size} disagrees with recomputed {len(members)}"
-            )
+            raise FormatError(f"orbit {n}: stored orbit size {size} disagrees with recomputed {len(members)}")
+        if min(members, key=Operation.flat) != rep:
+            raise FormatError(f"orbit {n}: representative {rep.rows} is not its orbit's minimum")
         ops.update(members)
     return sorted(ops, key=Operation.flat)

@@ -10,7 +10,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import CapacityError, FormatError, NotAssociativeError, require_indices, require_size, same_size
+from .errors import CapacityError, FormatError, NotAssociativeError, require_count, require_indices
+from .errors import require_size, same_size
 
 LEFT = "left"
 RIGHT = "right"
@@ -105,9 +106,6 @@ class Operation:
 
     def __lt__(self, other):
         return self.rows < other.rows
-
-    def __le__(self, other):
-        return self.rows <= other.rows
 
     def __repr__(self):
         return f"Operation({[list(r) for r in self.rows]})"
@@ -288,10 +286,8 @@ class PowerSequence:
 def power_sequence(i: int, a: Operation, steps: int) -> list[int]:
     """The first ``steps + 1`` terms of the squaring orbit of i."""
     require_indices((i,), a.m, "start index")
-    if steps < 0:
-        raise ValueError(f"power sequence steps must be nonnegative, got {steps}")
     seq, rows = [i], a.rows
-    for _ in range(steps):
+    for _ in range(require_count(steps, "power sequence steps")):
         i = rows[i - 1][i - 1]
         seq.append(i)
     return seq

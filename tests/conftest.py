@@ -87,23 +87,6 @@ def brute_associative(rows) -> bool:
     return True
 
 
-def dense_product(x, y, op) -> list:
-    """Entry (i, j, r) of XY, summed from int 0 over the terms X[i, l, k]
-    Y[k, n, r] with both factors nonzero, for k and all (l, n) with a(l, n)
-    = j; on the raw entries, with no scaling, in flat order."""
-    m = x.m
-    idx = range(1, m + 1)
-    return [
-        sum(
-            (x.entry(i, l, k) * y.entry(k, n, r)
-             for k in idx for l in idx for n in idx
-             if op(l, n) == j and x.entry(i, l, k) != 0 and y.entry(k, n, r) != 0),
-            0,
-        )
-        for i in idx for j in idx for r in idx
-    ]
-
-
 def mod_p_characters(op, p) -> list:
     """Every nonzero c in (Z/p)^(m^3), indexed by flat (i, j, k), with
     c[s] c[t] = c[E(s)E(t)] (mod p) on every basis pair: the triple rule

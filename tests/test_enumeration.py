@@ -15,7 +15,6 @@ import pytest
 from cubal import enumeration
 from cubal.enumeration import (
     CensusResult,
-    canonical_representative,
     collect_operations,
     count_operations,
     enumerate_operations,
@@ -245,6 +244,11 @@ class TestStream:
         sequential = collect_operations(3, jobs=1)
         parallel = collect_operations(3, jobs=2)
         assert sequential == parallel
+
+
+def canonical_representative(a):
+    """The lexicographic minimum of the orbit of a, as ``cubal classify`` reports it."""
+    return min(orbit(a), key=Operation.flat)
 
 
 class TestCanonicalRepresentative:

@@ -1,5 +1,5 @@
-"""The three argument rules (an index, a size, and the size the arguments of
-one map share), each defined once in ``cubal.errors`` and applied once, where
+"""The four argument rules (an index, a size, a count, and the size the
+arguments of one map share), each defined once in ``cubal.errors`` and applied once, where
 a value enters the library; values the library builds skip them."""
 
 import ast
@@ -11,7 +11,14 @@ import pytest
 from cubal import operations
 from cubal.cubic import CubicMatrix
 from cubal.enumeration import collect_operations, orbit_census
-from cubal.errors import CapacityError, FormatError, require_indices, require_size, same_size
+from cubal.errors import (
+    CapacityError,
+    FormatError,
+    require_count,
+    require_indices,
+    require_size,
+    same_size,
+)
 from cubal.operations import (
     Operation,
     Permutation,
@@ -37,7 +44,7 @@ from cubal.structure import (
 from conftest import CYCLE3
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cubal"
-RULE_WORDS = ("outside 1..", "positive integer", "mismatch", "different sizes")
+RULE_WORDS = ("outside 1..", "positive integer", "nonnegative", "mismatch", "different sizes")
 
 
 class TestRules:
@@ -54,6 +61,12 @@ class TestRules:
                 require_size(n)
         with pytest.raises(CapacityError, match="^jobs must be a positive integer, got 0$"):
             require_size(0, "jobs", CapacityError)
+
+    def test_count(self):
+        assert require_count(0, "steps") == 0 and require_count(3, "steps") == 3
+        for n in (-1, True, 2.0, "2", None):
+            with pytest.raises(ValueError, match=re.escape(f"steps must be an int and nonnegative, got {n!r}")):
+                require_count(n, "steps")
 
     def test_same_size(self):
         op2, op3 = Operation([[1, 2], [2, 1]]), Operation(CYCLE3)
@@ -131,6 +144,21 @@ def test_a_size_that_is_not_positive_raises_format_error_at_the_call(make, n):
     # each made an m = 0 object, or the m = 1 one for True, like no other entry point
     with pytest.raises(FormatError, match=re.escape(f"m must be a positive integer, got {n!r}")):
         make(n)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda n: E2.plenary_power(n, OP2), "plenary power n"),
+        (lambda n: power_sequence(1, OP2, n), "power sequence steps"),
+    ],
+    ids=["plenary_power", "power_sequence"],
+)
+@pytest.mark.parametrize("n", [True, 2.0, "2", None, -1], ids=["bool", "float", "str", "none", "minus-one"])
+def test_a_count_that_is_not_a_nonnegative_int_raises_value_error(call, name, n):
+    # unchecked, True took one step, and 2.0 and "2" failed inside range with a bare TypeError
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an int and nonnegative, got {n!r}")):
+        call(n)
 
 
 def test_an_empty_permutation_raises_format_error():

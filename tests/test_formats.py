@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubal.cubic import CubicMatrix
-from cubal.enumeration import collect_operations
+from cubal.enumeration import collect_operations, orbit_census
 from cubal.errors import FormatError, NotAssociativeError
 from cubal.formats import (
     census_from_doc,
@@ -205,6 +205,41 @@ class TestCensusFormats:
         wrong = dataclasses.replace(orbits2, representatives=((rep, size + 1), *rest))
         with pytest.raises(FormatError, match=f"stored orbit size {size + 1} disagrees"):
             expand_census(wrong)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_a_written_census_reads_back_and_expands_to_every_table(self, m):
+        census = orbit_census(m)
+        back = census_from_doc(json.loads(dump_json(census_to_doc(census))))
+        assert back == census
+        assert expand_census(back) == collect_operations(m)
+
+    # each document below is one that ``orbits`` could not have written
+
+    def test_a_representative_that_is_not_its_orbit_minimum_is_rejected(self):
+        # [[1, 1], [1, 1]] is the minimum of this size-2 orbit
+        orbits = [{"representative": [[2, 2], [2, 2]], "size": 2}]
+        census = census_from_doc({"m": 2, "total": 2, "orbit_count": 1, "orbits": orbits})
+        with pytest.raises(FormatError, match=r"^orbit 1: representative \(\(2, 2\), \(2, 2\)\) is not its orbit's minimum$"):
+            expand_census(census)
+
+    def test_representatives_in_descending_order_are_rejected(self, orbits2):
+        doc = census_to_doc(orbits2)
+        doc["orbits"].reverse()
+        with pytest.raises(FormatError, match=r"^orbit 2: representative .* is not above orbit 1's$"):
+            census_from_doc(doc)
+
+    def test_a_representative_stated_twice_is_rejected(self):
+        # read, the two orbits would state 4 tables and expand to 2
+        orbits = [{"representative": [[1, 1], [1, 1]], "size": 2}] * 2
+        doc = {"m": 2, "total": 4, "orbit_count": 2, "orbits": orbits}
+        with pytest.raises(FormatError, match=r"^orbit 2: representative \(\(1, 1\), \(1, 1\)\) is not above orbit 1's$"):
+            census_from_doc(doc)
+
+    def test_an_orbit_size_that_does_not_divide_m_factorial_is_rejected(self):
+        orbits = [{"representative": [[1, 1, 1], [1, 1, 1], [1, 1, 1]], "size": 5}]
+        doc = {"m": 3, "total": 5, "orbit_count": 1, "orbits": orbits}
+        with pytest.raises(FormatError, match=r"^orbit 1: size 5 does not divide 3!$"):
+            census_from_doc(doc)
 
 
 def reference_json(doc) -> str:

@@ -20,8 +20,6 @@ from cubal.operations import (
 from cubal.linalg import matmul
 from cubal.structure import accompanying_image
 
-from conftest import dense_product
-
 OPS3 = collect_operations(3)
 
 ops3 = st.sampled_from(OPS3)
@@ -150,23 +148,23 @@ def check_entries(xy, x, y, values):
     assert [type(v) for v in xy.entries] == expected_types(x, y, values)
 
 
-def checked_product(x, y, op):
-    """x.mul(y, op), checked against the dense reference value for value and
-    type for type."""
+def checked_product(x, y, op, reference):
+    """x.mul(y, op), checked against ``reference`` value for value and type
+    for type."""
     xy = x.mul(y, op)
-    check_entries(xy, x, y, dense_product(x, y, op))
+    check_entries(xy, x, y, reference(x.entries, y.entries, op.rows, op.m))
     return xy
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(case=product_cases())
-def test_products_match_the_reference_through_chains(case):
-    op, x, y, z = case
-    xy, yz = checked_product(x, y, op), checked_product(y, z, op)
-    assert checked_product(xy, z, op) == checked_product(x, yz, op)
+def test_products_match_the_reference_through_chains(case, workloads):
+    op, x, y, z, ref = *case, workloads._product
+    xy, yz = checked_product(x, y, op, ref), checked_product(y, z, op, ref)
+    assert checked_product(xy, z, op, ref) == checked_product(x, yz, op, ref)
     power = x
     for _ in range(3):
-        power = checked_product(power, power, op)
+        power = checked_product(power, power, op, ref)
     assert x.plenary_power(3, op) == power
 
 
