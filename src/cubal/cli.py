@@ -16,7 +16,6 @@ whatever the locale.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
 import time
@@ -30,7 +29,7 @@ from .enumeration import (
     count_operations,
     orbit_census,
 )
-from .errors import CapacityError, CubalError, FormatError, require_size, same_size
+from .errors import CapacityError, CubalError, FormatError, require_count, require_size, same_size
 from .linalg import det
 from .operations import (
     classify_power_sequence,
@@ -93,6 +92,7 @@ class _Inputs:
         self.args, self.digests = args, digests
 
     def _text(self, path) -> str:
+        import hashlib  # only here, so a command with no input file does not load OpenSSL
         data = Path(path).read_bytes()
         self.digests[path] = "sha256:" + hashlib.sha256(data).hexdigest()
         return formats.decode_text(data, path)
@@ -195,8 +195,7 @@ def _run_mul(args, inputs):
 
 
 def _run_plenary(args, inputs):
-    if args.n < 0:
-        raise FormatError(f"--n must be >= 0, got {args.n}")
+    require_count(args.n, "--n", FormatError)
     a = inputs.cubic(args.a)
     return {"n": args.n, "power": formats.cubic_to_doc(a.plenary_power(args.n, inputs.op))}
 

@@ -37,11 +37,11 @@ def require_size(n, name: str = "m", error: type = FormatError) -> int:
     return n
 
 
-def require_count(n, name: str) -> int:
+def require_count(n, name: str, error: type = ValueError) -> int:
     """n, when it is a count: an int (not a bool, nor any other subclass) of at
-    least 0; else ValueError naming ``name``."""
+    least 0; else ``error`` naming ``name``."""
     if type(n) is not int or n < 0:
-        raise ValueError(f"{name} must be an int and nonnegative, got {n!r}")
+        raise error(f"{name} must be an int and nonnegative, got {n!r}")
     return n
 
 

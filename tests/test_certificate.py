@@ -106,8 +106,9 @@ def opposite_table(mul):
 def dropped_term(mul):
     """The product without its term X[1,1,1] Y[1,1,1], at (1, a(1, 1), 1)."""
     def product(x, y, op):
-        term = CubicMatrix.basis(x.m, 1, op.rows[0][0], 1).scale(x.entries[0] * y.entries[0])
-        return mul(x, y, op) - term
+        if not (coefficient := x.entries[0] * y.entries[0]):
+            return mul(x, y, op)
+        return mul(x, y, op) - CubicMatrix.basis(x.m, 1, op.rows[0][0], 1).scale(coefficient)
     return product
 
 

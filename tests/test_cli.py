@@ -364,7 +364,7 @@ class TestExitCodes:
     def test_negative_plenary_index_is_exit_2(self, capsys, files):
         op, a2, _ = files
         assert main(["plenary", "--op", op, "--n", "-1", a2]) == 2
-        assert "--n must be >= 0" in capsys.readouterr().err
+        assert "--n must be an int and nonnegative, got -1" in capsys.readouterr().err
 
     def test_malformed_inputs_are_exit_2(self, capsys, tmp_path):
         binary = tmp_path / "bin.json"
@@ -750,3 +750,27 @@ class TestTextEncoding:
         runs = [self.cubal(tmp_path, "classify", "--op", name, locale=loc) for loc in ("C", "C.UTF-8")]
         assert [run.returncode for run in runs] == [2, 2]
         assert [run.stderr for run in runs] == [message.encode("utf-8")] * 2
+
+
+def test_only_reading_an_input_file_loads_hashlib(tmp_path):
+    # hashlib loads OpenSSL, and only an input file's digest needs it, so a
+    # fresh `enum` process does without it while a table command still
+    # reports its input's sha256
+    data = b'{"m": 1, "table": [[1]]}\n'
+    (tmp_path / "t.json").write_bytes(data)
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from cubal.cli import main\n"
+        "main(['enum', '--m', '3', '--count-only', '--out', 'enum.json'])\n"
+        "print('hashlib' in set(sys.modules) - before)\n"
+        "main(['classify', '--op', 't.json', '--out', 'classify.json'])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+    assert json.loads((tmp_path / "enum.json").read_text())["results"]["total"] == 113
+    inputs = json.loads((tmp_path / "classify.json").read_text())["inputs"]
+    assert inputs == {"t.json": "sha256:" + hashlib.sha256(data).hexdigest()}

@@ -44,7 +44,7 @@ from cubal.structure import (
 from conftest import CYCLE3
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cubal"
-RULE_WORDS = ("outside 1..", "positive integer", "nonnegative", "mismatch", "different sizes")
+RULE_WORDS = ("outside 1..", "must be", "positive integer", "nonnegative", "mismatch", "different sizes")
 
 
 class TestRules:
@@ -67,6 +67,8 @@ class TestRules:
         for n in (-1, True, 2.0, "2", None):
             with pytest.raises(ValueError, match=re.escape(f"steps must be an int and nonnegative, got {n!r}")):
                 require_count(n, "steps")
+        with pytest.raises(FormatError, match="^--n must be an int and nonnegative, got -1$"):
+            require_count(-1, "--n", FormatError)
 
     def test_same_size(self):
         op2, op3 = Operation([[1, 2], [2, 1]]), Operation(CYCLE3)
