@@ -71,17 +71,10 @@ def _shown(arg: str) -> str:
 
 def _complain(line: str) -> None:
     """Print a line on stderr in UTF-8, whatever the locale: a path argument in
-    it shows as the bytes it was given, as ``_shown`` and ``_write`` keep them."""
+    it shows as the bytes it was given, as ``_shown`` and ``run``'s --out keep them."""
     sys.stderr.flush()
     sys.stderr.buffer.write(f"{line}\n".encode("utf-8", "surrogateescape"))
     sys.stderr.buffer.flush()
-
-
-def _write(path, chunks) -> None:
-    # a path from the command line keeps the bytes a non-UTF-8 locale could
-    # not decode as surrogates; they are written back as those bytes
-    with open(path, "w", encoding="utf-8", errors="surrogateescape") as file:
-        file.writelines(chunks)
 
 
 class _Inputs:
@@ -140,7 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("enum", _run_enum, "enumerate the associative operations for a given m", census)
     p.add_argument("--count-only", action="store_true")
-    p.add_argument("--census", metavar="FILE", help="also write the orbit census JSON here")
     command("orbits", _run_orbits, "classify the census for m into relabeling orbits", census)
     p = command("mul", _run_mul, "multiply two cubic matrices under an operation", table)
     p.add_argument("a", metavar="A.json")
@@ -174,10 +166,6 @@ def _sequence_doc(seq) -> dict:
 
 
 def _run_enum(args, inputs):
-    if args.census:
-        census = orbit_census(**inputs.search)
-        _write(args.census, formats.json_chunks(formats.census_to_doc(census)))
-        return {"m": args.m, "total": census.total, "census_file": _shown(args.census)}
     if args.count_only:
         return {"m": args.m, "total": count_operations(**inputs.search)}
     ops = collect_operations(**inputs.search)
@@ -305,7 +293,10 @@ def run(args) -> int:
                 print(f"cubal: checks {failing} failed for table {entry['operation']}", file=sys.stderr)
     chunks = _pretty_chunks(args.command, digests, results, elapsed) if args.pretty else formats.json_chunks(report)
     if args.out:
-        _write(args.out, chunks)
+        # a path from the command line keeps the bytes a non-UTF-8 locale could
+        # not decode as surrogates; they are written back as those bytes
+        with open(args.out, "w", encoding="utf-8", errors="surrogateescape") as file:
+            file.writelines(chunks)
     else:
         sys.stdout.writelines(chunks)
     return code

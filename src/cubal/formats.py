@@ -16,7 +16,7 @@ import math
 from json.encoder import encode_basestring_ascii as _quoted
 
 from .cubic import CubicMatrix
-from .enumeration import CensusResult
+from .enumeration import CensusResult, count_operations
 from .errors import FormatError, require_size, same_size
 from .operations import Operation, orbit
 from .scalars import format_scalar, parse_scalar
@@ -177,7 +177,7 @@ def census_from_doc(doc) -> CensusResult:
 
 
 def expand_census(census: CensusResult) -> list[Operation]:
-    """Regenerate the full operation list from orbit representatives."""
+    """Regenerate the full operation list from orbit representatives that cover it."""
     ops: set[Operation] = set()
     for n, (rep, size) in enumerate(census.representatives, 1):
         members = orbit(rep)
@@ -186,4 +186,6 @@ def expand_census(census: CensusResult) -> list[Operation]:
         if min(members, key=Operation.flat) != rep:
             raise FormatError(f"orbit {n}: representative {rep.rows} is not its orbit's minimum")
         ops.update(members)
+    if len(ops) != (count := count_operations(census.m, max_m=census.m)):
+        raise FormatError(f"the orbits hold {len(ops)} of the {count} associative tables on {census.m} symbols")
     return sorted(ops, key=Operation.flat)

@@ -13,6 +13,7 @@ off the m^6 basis products, each one taken through ``CubicMatrix.mul``; the
 Q[S] side comes from the table's rows alone.
 """
 
+import functools
 import itertools
 from collections import Counter
 
@@ -59,6 +60,7 @@ def acm_dims(op) -> tuple[int, int]:
     return acm_centre(products, op.m**3), acm_radical(products, op.m**3)
 
 
+@functools.cache  # the radical table and test_verify's semisimple class share it
 def semigroup_algebra_dims(op) -> tuple[int, int, int]:
     """(dim Z(Q[S]), dim Ann(Q[S]), dim Rad Q[S]) from the table's rows.  Each
     system has a column per coefficient x_s of x, the coefficient of e_u in

@@ -222,6 +222,15 @@ class TestCensusFormats:
         with pytest.raises(FormatError, match=r"^orbit 1: representative \(\(2, 2\), \(2, 2\)\) is not its orbit's minimum$"):
             expand_census(census)
 
+    def test_a_census_with_an_orbit_left_out_is_rejected(self):
+        # the orbit of ((1, 1), (2, 2)) (size 1) dropped, total and orbit_count lowered to match
+        doc = census_to_doc(orbit_census(2))
+        doc["orbits"] = [o for o in doc["orbits"] if o["representative"] != ((1, 1), (2, 2))]
+        doc["total"], doc["orbit_count"] = 7, 4
+        census = census_from_doc(doc)
+        with pytest.raises(FormatError, match=r"^the orbits hold 7 of the 8 associative tables on 2 symbols$"):
+            expand_census(census)
+
     def test_representatives_in_descending_order_are_rejected(self, orbits2):
         doc = census_to_doc(orbits2)
         doc["orbits"].reverse()

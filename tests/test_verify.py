@@ -31,6 +31,7 @@ from cubal.verify import (
 )
 
 from conftest import CYCLE3
+from test_centre_and_radical import semigroup_algebra_dims
 
 CHECK_KEYS = (
     "theorem_1",
@@ -444,10 +445,25 @@ def is_monoid(op):
     )
 
 
+def is_regular(op):
+    """Every s has an x with a(a(s, x), s) = s."""
+    rows = op.rows
+    return all(any(rows[rows[s][x] - 1][s] == s + 1 for x in range(op.m)) for s in range(op.m))
+
+
+def is_inverse(op):
+    """Regular, and the idempotents commute."""
+    rows = op.rows
+    idempotents = [e for e in range(op.m) if rows[e][e] == e + 1]
+    return is_regular(op) and all(rows[e][f] == rows[f][e] for e in idempotents for f in idempotents)
+
+
 TABLE_CLASSES = {
     "3-nilpotent": three_nilpotent,
     "commutative": lambda op: op == opposite(op),
     "monoid": is_monoid,
+    "inverse": is_inverse,
+    "regular": is_regular,
 }
 
 
@@ -475,6 +491,8 @@ CLASS_COUNTS = {  # per m = 1..5: orbits, then labelled tables
     "3-nilpotent": ((1, 1, 2, 10, 119), (1, 2, 9, 184, 11725)),
     "commutative": ((1, 3, 12, 58, 325), (1, 6, 63, 1140, 30730)),
     "monoid": ((1, 2, 7, 35, 228), (1, 4, 33, 624, 20610)),
+    "inverse": ((1, 2, 5, 16, 52), (1, 4, 24, 272, 4125)),
+    "regular": ((1, 4, 13, 67, 355), (1, 6, 50, 944, 25267)),
 }
 
 
@@ -492,6 +510,48 @@ def test_class_counts_match_a_labelled_recount(m, census2, census3, census4):
     ops = {1: collect_operations(1), 2: census2, 3: census3, 4: census4}[m]
     recount = {name: sum(map(is_in, ops)) for name, is_in in TABLE_CLASSES.items()}
     assert recount == {name: labelled for name, (_, labelled) in class_counts(minima(m)).items()}
+
+
+def semisimple(op):
+    """dim Rad Q[S] = 0, so Q[S] and the ACM are semisimple."""
+    return semigroup_algebra_dims(op)[2] == 0
+
+
+def outside_the_chain(representatives):
+    """The tables of (op, size) pairs that break inverse ⊆ semisimple ⊆ regular.
+    Munn: the algebra of a finite inverse semigroup is semisimple; Munn and
+    Ponizovskii: a semisimple Q[S] has S regular."""
+    inverse, regular = TABLE_CLASSES["inverse"], TABLE_CLASSES["regular"]
+    return [op for op, _ in representatives if not inverse(op) <= semisimple(op) <= regular(op)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_inverse_within_semisimple_within_regular(m):
+    assert outside_the_chain(minima(m)) == []
+
+
+def test_the_chain_fails_when_inverse_drops_its_idempotent_clause(monkeypatch):
+    # every regular table would then be inverse: 4 orbits at m = 2, of which 2 are semisimple
+    monkeypatch.setitem(TABLE_CLASSES, "inverse", is_regular)
+    assert class_counts(minima(2))["inverse"] == (4, 6)
+    assert len(outside_the_chain(minima(2))) == 2
+
+
+def test_the_one_semisimple_minimum_that_is_not_inverse_is_a_rees_matrix_semigroup():
+    # M0({1}; 2, 2; P): zero 1, then (i, l) labelled 2 + 2(i - 1) + (l - 1), and
+    # (i, l)(j, u) = (i, u) exactly when P[l][j] = 1, else the zero
+    P, cells = ((0, 1), (1, 1)), [(i, l) for i in (1, 2) for l in (1, 2)]
+
+    def product(s, t):
+        if s == 1 or t == 1:
+            return 1
+        (i, l), (j, u) = cells[s - 2], cells[t - 2]
+        return cells.index((i, u)) + 2 if P[l - 1][j - 1] else 1
+
+    rees = tuple(tuple(product(s, t) for t in range(1, 6)) for s in range(1, 6))
+    assert rees == ((1, 1, 1, 1, 1), (1, 1, 1, 2, 3), (1, 2, 3, 2, 3), (1, 1, 1, 4, 5), (1, 4, 5, 4, 5))
+    got = [op.rows for op, _ in minima(5) if semisimple(op) and not is_inverse(op)]
+    assert got == [rees]
 
 
 def test_subalgebra_check_fails_under_the_opposite_product(monkeypatch):
